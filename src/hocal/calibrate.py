@@ -12,42 +12,136 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionMismatch, DomainError, EmptyPartition, InvalidDistribution
-from .mixture import Mixture, empirical_mixture, mixture_from_arrays
+from .mixture import Mixture, _readonly, mixture_from_arrays
 from .simplex import LabelSpace, Snapshot, snapshot_space_size, snapshot_to_point
 from .transport import DEFAULT_SUPPORT_CAP, wasserstein1
 
 LATTICE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SnapshotDataset:
-    """(partition_id, snapshot) records, all snapshots of one size k."""
+def _check_records(shape, codes, names, space: LabelSpace, k: int):
+    """Every record has l labels, size k and no negative count.
 
-    records: tuple
+    `shape` holds one (label count, size, smallest count) row per record.
+    The first record that fails raises, naming its partition.
+    """
+    l = space.num_labels
+    bad = np.flatnonzero((shape[:, 0] != l) | (shape[:, 1] != k) | (shape[:, 2] < 0))
+    if not bad.size:
+        return
+    (dim, size, low), pid = shape[bad[0]].tolist(), names[codes[bad[0]]]
+    if dim != l:
+        raise DimensionMismatch(
+            f"partition {pid!r}: snapshot over {dim} labels in a {l}-label dataset"
+        )
+    if low < 0:
+        raise InvalidDistribution(f"partition {pid!r}: negative count in a snapshot")
+    raise InvalidDistribution(f"partition {pid!r}: snapshot of size {size}, expected {k}")
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class SnapshotDataset:
+    """(partition_id, snapshot) records, all snapshots of one size k, stored as columns.
+
+    `counts` is a read-only (n, l) int64 matrix with one count vector per
+    record, `codes` a read-only (n,) int64 array indexing `names`, and
+    `names` the sorted partition ids that have records. Records keep their
+    input order. `SnapshotDataset(records, space, k)` takes an iterable of
+    (partition_id, Snapshot) pairs; partition ids are stored as strings.
+    """
+
+    counts: np.ndarray
+    codes: np.ndarray
+    names: tuple
     space: LabelSpace
     k: int
 
-    def __post_init__(self):
-        records = tuple((str(pid), snap) for pid, snap in self.records)
-        for pid, snap in records:
-            if snap.dim != self.space.num_labels:
-                raise DimensionMismatch(
-                    f"partition {pid!r}: snapshot over {snap.dim} labels in a "
-                    f"{self.space.num_labels}-label dataset"
-                )
-            if snap.k != self.k:
-                raise InvalidDistribution(
-                    f"partition {pid!r}: snapshot of size {snap.k}, expected {self.k}"
-                )
-        object.__setattr__(self, "records", records)
+    def __init__(self, records, space: LabelSpace, k: int):
+        records = [(str(pid), snap) for pid, snap in records]
+        names = sorted({pid for pid, _ in records})
+        code_of = {pid: i for i, pid in enumerate(names)}
+        codes = np.array([code_of[pid] for pid, _ in records], dtype=np.int64)
+        shape = [(snap.dim, snap.k, min(snap.counts)) for _, snap in records]
+        _check_records(np.array(shape, dtype=np.int64).reshape(-1, 3), codes, names, space, k)
+        counts = np.array([snap.counts for _, snap in records], dtype=np.int64)
+        self._store(counts.reshape(-1, space.num_labels), codes, names, space, k)
+
+    @classmethod
+    def _from_columns(cls, counts, codes, names, space: LabelSpace, k: int) -> "SnapshotDataset":
+        """A dataset from an (n, l) int count matrix and codes into `names`.
+
+        `names` are distinct ids; they may include ids that no record uses
+        and need not be sorted. The stored codes index the sorted ids in use.
+        """
+        used, codes = np.unique(codes, return_inverse=True)
+        names = [str(names[i]) for i in used]
+        order = np.argsort(names, kind="stable")
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        codes = rank[codes]
+        names = [names[i] for i in order]
+        counts = np.asarray(counts, dtype=np.int64)
+        shape = np.column_stack(
+            [np.full(len(counts), counts.shape[1]), counts.sum(axis=1), counts.min(axis=1)]
+        )
+        _check_records(shape, codes, names, space, k)
+        ds = object.__new__(cls)
+        ds._store(counts, codes, names, space, k)
+        return ds
+
+    def _store(self, counts, codes, names, space, k):
+        object.__setattr__(self, "counts", _readonly(counts))
+        object.__setattr__(self, "codes", _readonly(codes))
+        object.__setattr__(self, "names", tuple(names))
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "k", k)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __eq__(self, other):
+        if not isinstance(other, SnapshotDataset):
+            return NotImplemented
+        return (
+            (self.space, self.k, self.names) == (other.space, other.k, other.names)
+            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+    def _distinct_rows(self):
+        """Distinct (partition, counts) rows: (first, inverse).
+
+        `first[g]` is the first record of row g, rows sorted by partition
+        code, then counts; `inverse[i]` is the row of record i. Grouping is
+        a lexsort over the columns, so no packed key can overflow.
+        """
+        n = len(self)
+        keys = np.column_stack([self.codes, self.counts])
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[order] = np.cumsum(starts) - 1
+        return order[starts], inverse
+
+    @property
+    def records(self) -> tuple:
+        """The (partition_id, Snapshot) records, built on each access; one
+        Snapshot is shared by every record of a distinct row."""
+        first, inverse = self._distinct_rows()
+        rows = [
+            (self.names[code], Snapshot(tuple(counts)))
+            for code, counts in zip(self.codes[first].tolist(), self.counts[first].tolist())
+        ]
+        return tuple(map(rows.__getitem__, inverse.tolist()))
 
     @property
     def partitions(self) -> list:
-        seen = {}
-        for pid, _ in self.records:
-            seen[pid] = True
-        return sorted(seen)
+        return list(self.names)
 
 
 @dataclass(frozen=True)
@@ -89,6 +183,36 @@ class CalibrationScore:
     weighted_mean: float
 
 
+def _empirical_groups(ds: SnapshotDataset) -> dict:
+    """Partition -> (empirical mixture of its snapshot histograms, record count).
+
+    Built from the distinct (partition, counts) rows, with the bits of
+    `empirical_mixture` over every record's `snapshot_to_point`: a point
+    seen m times among a partition's n records weighs the m-fold sequential
+    sum of 1/n, the total is the Python sum of n copies of 1/n, and the
+    weights are divided by it only when it is not exactly 1.
+    """
+    first, inverse = ds._distinct_rows()
+    multiplicity = np.bincount(inverse)
+    row_codes = ds.codes[first]
+    sizes = np.bincount(ds.codes, minlength=len(ds.names))
+    out = {}
+    for code, pid in enumerate(ds.names):
+        n = int(sizes[code])
+        rows = row_codes == code
+        points = [snapshot_to_point(Snapshot(tuple(c))) for c in ds.counts[first[rows]].tolist()]
+        order = sorted(range(len(points)), key=lambda i: points[i].probs)
+        weights = np.cumsum(np.full(n, 1.0 / n))[multiplicity[rows] - 1]
+        out[pid] = Mixture._from_distinct(
+            [points[i] for i in order],
+            np.array([points[i].probs for i in order], dtype=float),
+            weights[order],
+            sum([1.0 / n] * n),
+            ds.space,
+        ), n
+    return out
+
+
 def posthoc_calibrate(
     ds: SnapshotDataset,
     partitions: list | None = None,
@@ -101,20 +225,16 @@ def posthoc_calibrate(
     records is a hard error unless fill_missing is set, in which case it
     gets the uniform mixture over the label-space vertices.
     """
-    if not ds.records:
+    if not len(ds):
         raise EmptyPartition("dataset has no records")
-    groups = {}
-    for pid, snap in ds.records:
-        groups.setdefault(pid, []).append(snap)
+    groups = _empirical_groups(ds)
     wanted = ds.partitions if partitions is None else sorted(dict.fromkeys(partitions))
     entries = {}
     counts = {}
     num_labels = ds.space.num_labels
     for pid in wanted:
-        snaps = groups.get(pid, [])
-        if snaps:
-            entries[pid] = empirical_mixture([snapshot_to_point(s) for s in snaps])
-            counts[pid] = len(snaps)
+        if pid in groups:
+            entries[pid], counts[pid] = groups[pid]
         elif fill_missing:
             vertices = [
                 tuple(1.0 if j == i else 0.0 for j in range(num_labels))

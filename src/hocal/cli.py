@@ -43,9 +43,9 @@ def parse_entropy(text: str) -> EntropySpec:
     """
     t = text.strip().lower()
     if t.startswith("exp:"):
-        return EntropySpec.exponential(tuple(float(x) for x in t[4:].split(",")))
+        return EntropySpec.exponential(_parse_numbers(text, t[4:]))
     if t.startswith("poly:"):
-        return EntropySpec.polynomial(tuple(float(x) for x in t[5:].split(",")))
+        return EntropySpec.polynomial(_parse_numbers(text, t[5:]))
     if t == "brier":
         return EntropySpec.brier()
     if t == "brier-scaled":
@@ -63,6 +63,17 @@ def parse_entropy(text: str) -> EntropySpec:
         f"unrecognized entropy {text!r}; expected shannon[B], shannon-nat, "
         "brier, brier-scaled, exp:t1,..., or poly:c0,c1,..."
     )
+
+
+def _parse_numbers(text: str, values: str) -> tuple:
+    """The comma-separated finite numbers of an exp: or poly: entropy."""
+    try:
+        numbers = tuple(float(x) for x in values.split(","))
+        if all(map(math.isfinite, numbers)):
+            return numbers
+    except ValueError:
+        pass
+    raise DomainError(f"entropy {text!r}: expected comma-separated finite numbers")
 
 
 def parse_nature(text: str):
@@ -134,7 +145,7 @@ def calibrate(data, out, reference, fill_missing):
             "k": table.k,
             "out": out,
             "partitions": len(table.partitions),
-            "records": len(ds.records),
+            "records": len(ds),
         }
     )
 
@@ -357,7 +368,8 @@ def bin_cmd(scores, slices, out):
 def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
-    except HocalError as exc:
+    except (HocalError, OSError) as exc:
+        # OSError: a path that cannot be read or written
         click.echo(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),
             err=True,

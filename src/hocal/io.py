@@ -12,10 +12,12 @@ import csv
 import io as _io
 import json
 
+import numpy as np
+
 from .calibrate import CalibrationTable, SnapshotDataset
 from .errors import FormatError
 from .mixture import mixture_from_arrays
-from .simplex import LabelSpace, Snapshot
+from .simplex import LabelSpace
 
 FORMAT_VERSION = 1
 
@@ -54,42 +56,72 @@ def read_snapshot_dataset(path) -> SnapshotDataset:
     """Parse a dataset file: a header line, then {"partition", "labels"} records.
 
     Label lists are symmetrized into count vectors immediately; [1, 0] and
-    [0, 1] are the same snapshot.
+    [0, 1] are the same snapshot. Each distinct line is parsed and checked
+    once, at its first occurrence, so an error names the first bad line.
     """
     lines = _read_lines(path)
     header = _parse_header(lines, path)
     num_labels, k = header["num_labels"], header["k"]
-    records = []
+    row_of = {}  # line text -> index of its distinct row
+    code_of = {}  # partition id -> code
+    row_codes, row_counts = [], []
+    picks = []  # distinct row of each record
     for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}", line=lineno) from None
-        if not isinstance(rec, dict) or "partition" not in rec or "labels" not in rec:
-            raise FormatError(f"{path}: record needs 'partition' and 'labels'", line=lineno)
-        labels = rec["labels"]
-        if not isinstance(labels, list) or len(labels) != k:
-            raise FormatError(f"{path}: expected {k} labels", line=lineno)
-        counts = [0] * num_labels
-        for y in labels:
-            if not isinstance(y, int) or not 0 <= y < num_labels:
-                raise FormatError(f"{path}: label {y!r} out of range [0, {num_labels})", line=lineno)
-            counts[y] += 1
-        records.append((str(rec["partition"]), Snapshot(tuple(counts))))
-    if not records:
+        row = row_of.get(raw)
+        if row is None:
+            if not raw.strip():
+                continue
+            pid, counts = _parse_record(raw, path, lineno, num_labels, k)
+            row = row_of[raw] = len(row_counts)
+            row_codes.append(code_of.setdefault(pid, len(code_of)))
+            row_counts.append(counts)
+        picks.append(row)
+    if not picks:
         raise FormatError(f"{path}: no records")
-    return SnapshotDataset(records=tuple(records), space=LabelSpace(num_labels), k=k)
+    picks = np.array(picks, dtype=np.int64)
+    return SnapshotDataset._from_columns(
+        np.array(row_counts, dtype=np.int64)[picks],
+        np.array(row_codes, dtype=np.int64)[picks],
+        list(code_of),
+        LabelSpace(num_labels),
+        k,
+    )
+
+
+def _parse_record(raw, path, lineno, num_labels, k):
+    """One dataset line as (partition id, count vector)."""
+    try:
+        rec = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: {exc}", line=lineno) from None
+    if not isinstance(rec, dict) or "partition" not in rec or "labels" not in rec:
+        raise FormatError(f"{path}: record needs 'partition' and 'labels'", line=lineno)
+    labels = rec["labels"]
+    if not isinstance(labels, list) or len(labels) != k:
+        raise FormatError(f"{path}: expected {k} labels", line=lineno)
+    counts = [0] * num_labels
+    for y in labels:
+        if isinstance(y, bool) or not isinstance(y, int):
+            raise FormatError(f"{path}: label {y!r} is not an integer", line=lineno)
+        if not 0 <= y < num_labels:
+            raise FormatError(f"{path}: label {y!r} out of range [0, {num_labels})", line=lineno)
+        counts[y] += 1
+    return str(rec["partition"]), counts
 
 
 def write_snapshot_dataset(ds: SnapshotDataset, path):
-    """Write records with labels expanded in canonical ascending order."""
+    """Write records with labels expanded in canonical ascending order.
+
+    Each distinct (partition, counts) line is rendered once.
+    """
+    first, inverse = ds._distinct_rows()
+    lines = []
+    for code, counts in zip(ds.codes[first].tolist(), ds.counts[first].tolist()):
+        labels = [y for y, c in enumerate(counts) for _ in range(c)]
+        lines.append(_dump({"labels": labels, "partition": ds.names[code]}) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dump({"format_version": FORMAT_VERSION, "k": ds.k, "num_labels": ds.space.num_labels}) + "\n")
-        for pid, snap in ds.records:
-            labels = [y for y, c in enumerate(snap.counts) for _ in range(c)]
-            fh.write(_dump({"labels": labels, "partition": pid}) + "\n")
+        fh.write("".join(map(lines.__getitem__, inverse.tolist())))
 
 
 def read_calibration_table(path) -> CalibrationTable:
@@ -117,9 +149,15 @@ def read_calibration_table(path) -> CalibrationTable:
             raise FormatError(f"{path}: duplicate partition {pid!r}", line=lineno)
         if not isinstance(points, list) or not isinstance(weights, list) or len(points) != len(weights):
             raise FormatError(f"{path}: points and weights must be lists of equal length", line=lineno)
-        entries[pid] = mixture_from_arrays([tuple(p) for p in points], weights, space)
-        if rec.get("count") is not None:
-            counts[pid] = int(rec["count"])
+        try:
+            entries[pid] = mixture_from_arrays([tuple(p) for p in points], weights, space)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: partition {pid!r}: {exc}", line=lineno) from None
+        count = rec.get("count")
+        if count is not None:
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise FormatError(f"{path}: count {count!r} is not a non-negative integer", line=lineno)
+            counts[pid] = count
             any_counts = True
     if not entries:
         raise FormatError(f"{path}: no partitions")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidDistribution
 from .simplex import (
@@ -96,12 +95,10 @@ def _merge_support(pairs):
     return merged
 
 
-def _checked_total(weights: list) -> float:
-    """Python sum of float weights in the given order; it must be 1 within 1e-9."""
-    total = sum(weights)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+def _check_total(total: float):
+    """A mixture's weights must sum to 1 within 1e-9; a NaN total fails too."""
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
         raise InvalidDistribution(f"weights sum to {total}, expected 1")
-    return total
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -114,10 +111,10 @@ class Mixture:
     """A finitely supported distribution over simplex points.
 
     Support points within l1 distance 1e-12 are merged on construction,
-    weights must be positive and sum to 1 within 1e-9 (then renormalized),
-    and the support is stored in sorted coordinate order so equal mixtures
-    compare equal regardless of input order. The coordinate and weight
-    arrays are built once and returned read-only.
+    weights must be positive, finite and sum to 1 within 1e-9 (then
+    renormalized), and the support is stored in sorted coordinate order so
+    equal mixtures compare equal regardless of input order. The coordinate
+    and weight arrays are built once and returned read-only.
     """
 
     support: tuple
@@ -132,30 +129,33 @@ class Mixture:
                 raise DimensionMismatch(
                     f"{point.dim}-label point in a {self.space.num_labels}-label mixture"
                 )
-            if weight <= 0:
-                raise InvalidDistribution(f"non-positive weight {weight}")
-        total = _checked_total([w for _, w in pairs])
+            if not 0.0 < weight < math.inf:
+                raise InvalidDistribution(f"weight {weight} is not positive and finite")
+        # Python sum in input order: the total fixes the renormalized bits
+        total = sum(w for _, w in pairs)
+        _check_total(total)
         merged = _merge_support(pairs)
         if total != 1.0:
             merged = [(p, w / total) for p, w in merged]
         object.__setattr__(self, "support", tuple(merged))
 
     @classmethod
-    def _from_distinct(cls, points, probs, weights: list, perm, space: LabelSpace) -> "Mixture":
+    def _from_distinct(cls, points, probs, weights, total: float, space: LabelSpace) -> "Mixture":
         """Trusted path for supports that are distinct by construction.
 
-        `weights` are Python floats in input order; `perm` maps the stored
-        (sorted) support order to input positions, and `points`/`probs` are
-        the SimplexPoints and their coordinates already in that sorted order,
-        no two within MERGE_TOL. Only the merge is skipped: the weights are
-        checked, summed in input order and renormalized as in __post_init__,
-        so the result equals the generic constructor's bit for bit.
+        `points` are the SimplexPoints in stored (sorted) order, no two
+        within MERGE_TOL, `probs` their coordinates and `weights` their
+        float weights in that order. `total` is the weight sum exactly as
+        __post_init__ would have formed it from the caller's input. Only the
+        merge is skipped: the weights are checked and renormalized by
+        `total` as in __post_init__, so the result equals the generic
+        constructor's bit for bit.
         """
-        for weight in weights:
-            if weight <= 0:
-                raise InvalidDistribution(f"non-positive weight {weight}")
-        total = _checked_total(weights)
-        w = np.array(weights, dtype=float)[perm]
+        w = np.asarray(weights, dtype=float)
+        bad = ~((w > 0.0) & (w < math.inf))
+        if bad.any():
+            raise InvalidDistribution(f"weight {w[bad][0]} is not positive and finite")
+        _check_total(total)
         if total != 1.0:
             w = w / total
         mix = object.__new__(cls)
@@ -207,6 +207,8 @@ def _lattice(space: LabelSpace, k: int, cap: int):
     Mixture stores its support in; `probs` holds the points' coordinates
     in that order.
     """
+    from scipy.special import gammaln  # not math.lgamma: the two differ in the last bit
+
     snapshots = tuple(enumerate_snapshot_space(space, k, cap))
     counts = np.array([s.counts for s in snapshots], dtype=float)
     points = tuple(snapshot_to_point(s) for s in snapshots)
@@ -244,13 +246,13 @@ def project_k(m: Mixture, k: int, cap: int = DEFAULT_ENUM_CAP) -> Mixture:
     _, _, points, _, order, probs = _lattice(m.space, k, cap)
     # lattice points are 2/k apart in l1, so the merge could never fire
     keep = mass > 0.0
-    kept = keep[order]
-    rank = np.cumsum(keep) - 1
+    in_order = keep[order]
+    kept = order[in_order]
     return Mixture._from_distinct(
-        [points[i] for i in order[kept]],
-        probs[kept],
-        mass[keep].tolist(),
-        rank[order[kept]],
+        [points[i] for i in kept],
+        probs[in_order],
+        mass[kept],
+        sum(mass[keep].tolist()),
         m.space,
     )
 
@@ -263,8 +265,8 @@ def sample_snapshot(m: Mixture, k: int, rng: RngSeed) -> Snapshot:
     return Snapshot(tuple(int(c) for c in counts))
 
 
-def sample_snapshots(m: Mixture, k: int, n: int, rng: RngSeed) -> list:
-    """n independent k-snapshots under one seed (vectorized, own stream)."""
+def _sample_counts(m: Mixture, k: int, n: int, rng: RngSeed) -> np.ndarray:
+    """The count vectors of n independent k-snapshots, as an (n, l) int64 matrix."""
     gen = rng.generator()
     idx = gen.choice(m.size, size=n, p=m.weights_array())
     points = m.points_array()
@@ -272,7 +274,12 @@ def sample_snapshots(m: Mixture, k: int, n: int, rng: RngSeed) -> list:
     for comp in np.unique(idx):
         rows = idx == comp
         counts[rows] = gen.multinomial(k, points[comp], size=int(rows.sum()))
-    return [Snapshot(tuple(int(c) for c in row)) for row in counts]
+    return counts
+
+
+def sample_snapshots(m: Mixture, k: int, n: int, rng: RngSeed) -> list:
+    """n independent k-snapshots under one seed (vectorized, own stream)."""
+    return [Snapshot(tuple(row)) for row in _sample_counts(m, k, n, rng).tolist()]
 
 
 def empirical_mixture(points: list) -> Mixture:

@@ -36,7 +36,7 @@ class LabelSpace:
 class SimplexPoint:
     """A probability vector over the labels of one LabelSpace.
 
-    Entries must be non-negative and sum to 1 within 1e-9; the stored
+    Entries must be finite, non-negative and sum to 1 within 1e-9; the stored
     vector is renormalized exactly so downstream identities see mass 1.
     """
 
@@ -50,6 +50,8 @@ class SimplexPoint:
             raise InvalidDistribution(f"negative probability in {probs}")
         probs = tuple(max(p, 0.0) for p in probs)
         total = sum(probs)
+        if not math.isfinite(total):  # NaN or inf anywhere makes the sum non-finite
+            raise InvalidDistribution(f"non-finite probability in {probs}")
         if abs(total - 1.0) > SUM_TOL:
             raise InvalidDistribution(f"probabilities sum to {total}, expected 1")
         if total != 1.0:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .calibrate import CalibrationTable, SnapshotDataset
 from .errors import DomainError
-from .mixture import Mixture, RngSeed, mixture_from_arrays, project_k, sample_snapshots
-from .simplex import LabelSpace, SimplexPoint, Snapshot
+from .mixture import Mixture, RngSeed, _sample_counts, mixture_from_arrays, project_k
+from .simplex import LabelSpace
 
 QUADRATURE_POINTS = 1000
 X_DOMAIN_END = 3.0
@@ -136,21 +136,18 @@ def gen_dataset(spec, n: int, k: int, rng: RngSeed):
     space = LabelSpace(2)
     if isinstance(spec, TwoScenario):
         truth = bayes_mixtures(spec)["all"]
-        snaps = sample_snapshots(truth, k, n, rng)
-        records = tuple(("all", s) for s in snaps)
+        counts = _sample_counts(truth, k, n, rng)
+        codes, names = np.zeros(n, dtype=np.int64), ["all"]
     elif isinstance(spec, BinaryRegression):
         gen = rng.generator()
         xs = np.abs(gen.normal(size=n))
         probs = _conditional_prob(spec, xs)
         ones = gen.binomial(k, probs)
-        bin_ids = _bin_index(xs, spec)
-        records = tuple(
-            (_bin_id(int(b), spec.bins), Snapshot((int(k - c), int(c))))
-            for b, c in zip(bin_ids, ones)
-        )
+        counts = np.column_stack([k - ones, ones])
+        codes, names = _bin_index(xs, spec), [_bin_id(i, spec.bins) for i in range(spec.bins)]
     else:
         raise DomainError(f"cannot generate snapshots for {type(spec).__name__}")
-    dataset = SnapshotDataset(records=records, space=space, k=k)
+    dataset = SnapshotDataset._from_columns(counts, codes, names, space, k)
     return dataset, reference_table(spec, k)
 
 

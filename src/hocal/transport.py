@@ -8,7 +8,9 @@ dual solution; mixtures supported on a common k-snapshot lattice can use
 `w1_lattice`, a min-cost-flow formulation that scales to lattices far
 beyond the dense LP. Every result is checked in-function: marginals or
 node balance, dual feasibility, and agreement between the plan's cost and
-the reported value, each to 1e-8 or better.
+the reported value; the LP routes also check the primal-dual objective gap,
+and the dense LP the non-negativity of its plan, each to 1e-8 or better.
+scipy is imported only when an LP is built or solved.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import CapExceeded, DimensionMismatch, DomainError, HocalError
 from .mixture import Mixture, _lattice, _merge_support
@@ -45,6 +45,8 @@ def _solve_lp(cost, a_eq, b_eq, method="highs"):
     down the ladder, also retrying without presolve, until a solve
     succeeds; the caller's certificate checks remain the correctness gate.
     """
+    from scipy.optimize import linprog
+
     res = None
     for scale in (_SUPPLY_SCALE, 1e6, 1.0):
         for presolve in (True, False):
@@ -105,8 +107,8 @@ def _verify(cost, coupling, aw, bw, ground):
         raise SolverFailure("coupling cost disagrees with reported distance")
 
 
-def _transport_constraints(m: int, n: int) -> sparse.csc_matrix:
-    """Row-sum and column-sum constraints of the m x n transport LP, as CSC.
+def _transport_constraints(m: int, n: int):
+    """Row-sum and column-sum constraints of the m x n transport LP, as scipy CSC.
 
     Variable i*n + j is the mass moved from row i to column j. Row-sum and
     column-sum constraints are rank deficient together, so the last
@@ -114,6 +116,8 @@ def _transport_constraints(m: int, n: int) -> sparse.csc_matrix:
     m..m+n-2 the first n-1 column sums. Each variable's column holds its
     row-sum entry, then its column-sum entry unless j is the last column.
     """
+    from scipy import sparse
+
     j = np.tile(np.arange(n), m)
     has_col = j < n - 1
     indices = np.empty((m * n, 2), dtype=np.int32)
@@ -182,7 +186,9 @@ def _w1_binary(a: Mixture, b: Mixture):
 def _w1_lp(a: Mixture, b: Mixture, cost_mat: np.ndarray):
     """Exact transportation LP (HiGHS dual simplex) with dual certification.
 
-    `cost_mat` is the ground cost between the two supports.
+    `cost_mat` is the ground cost between the two supports. The solved plan
+    must be non-negative, the duals feasible and complementary to it, and
+    the dual objective equal to the plan's cost, each to 1e-8.
     """
     aw = a.weights_array()
     bw = b.weights_array()
@@ -199,6 +205,8 @@ def _w1_lp(a: Mixture, b: Mixture, cost_mat: np.ndarray):
         if res.status != 0:
             raise SolverFailure(f"transport LP failed: {res.message}")
         mass = res.x.reshape(m, n) / scale
+        if mass.min() < -CHECK_TOL:
+            raise SolverFailure("negative transport mass below -1e-8")
         duals = np.asarray(res.eqlin.marginals)
         u = duals[:m]
         v = np.concatenate([duals[m:], [0.0]])
@@ -207,6 +215,8 @@ def _w1_lp(a: Mixture, b: Mixture, cost_mat: np.ndarray):
             raise SolverFailure("dual infeasibility above 1e-8")
         if np.abs(slack[mass > 1e-12]).max(initial=0.0) > CHECK_TOL:
             raise SolverFailure("complementary slackness residual above 1e-8")
+        if abs(u @ aw + v @ bw - float((cost_mat * mass).sum())) > CHECK_TOL:
+            raise SolverFailure("primal and dual objectives disagree")
 
     total = float((cost_mat * mass).sum())
     coupling = Coupling(
@@ -264,6 +274,8 @@ def _move_graph(space, k: int, cap: int):
     d are joined by d*k/2 such moves and no fewer, so the shortest-path
     metric of this graph with edge cost 2/k reproduces the l1 metric.
     """
+    from scipy import sparse
+
     snapshots = _lattice(space, k, cap)[0]
     idx_of = {s.counts: i for i, s in enumerate(snapshots)}
     heads, tails = [], []

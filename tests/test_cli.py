@@ -253,3 +253,53 @@ def test_unknown_entropy_via_cli(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(err)["error"] == "DomainError"
+
+
+TABLE_HEADER = '{"format_version": 1, "k": 1, "kind": "calibration_table", "num_labels": 2}\n'
+
+
+@pytest.mark.parametrize(
+    "record,error",
+    [
+        ('{"count": "many", "partition": "a", "points": [[1.0, 0.0]], "weights": [1.0]}', "FormatError"),
+        ('{"count": true, "partition": "a", "points": [[1.0, 0.0]], "weights": [1.0]}', "FormatError"),
+        ('{"count": 3, "partition": "a", "points": [[1.0, 0.0]], "weights": ["x"]}', "FormatError"),
+        ('{"count": 3, "partition": "a", "points": [1.0], "weights": [1.0]}', "FormatError"),
+        ('{"count": 3, "partition": "a", "points": [[1.0, 0.0], [0.0, 1.0]], "weights": [NaN, 1.0]}',
+         "InvalidDistribution"),
+        ('{"count": 3, "partition": "a", "points": [[NaN, 1.0]], "weights": [1.0]}', "InvalidDistribution"),
+    ],
+)
+def test_malformed_table_numbers_give_a_json_error(tmp_path, capsys, record, error):
+    table = tmp_path / "table.ldjson"
+    table.write_text(TABLE_HEADER + record + "\n")
+    out_path = tmp_path / "dec.csv"
+    code, out, err = run(
+        ["decompose", "--table", str(table), "--entropy", "shannon2", "--out", str(out_path)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == error
+    assert "\n" not in err.strip()
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--data", "{tmp}/missing.ldjson", "--out", "{tmp}/table.ldjson"],
+        ["gen", "--nature", "two-scenario-1", "--n", "5", "--k", "1", "--seed", "1", "--out", "{tmp}"],
+        ["gen", "--nature", "two-scenario-1", "--n", "5", "--k", "1", "--seed", "1",
+         "--out", "{tmp}/no/such/dir/ds.ldjson"],
+        ["fitpoly", "--entropy", "exp:a,b", "--degree", "2"],
+        ["fitpoly", "--entropy", "poly:1,x", "--degree", "2"],
+        ["fitpoly", "--entropy", "poly:0,nan", "--degree", "2"],
+    ],
+)
+def test_unusable_paths_and_entropy_numbers_give_a_json_error(tmp_path, capsys, argv):
+    code, out, err = run([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert code == 1
+    assert out == ""
+    diag = json.loads(err)
+    assert set(diag) == {"error", "message"}
+    assert "\n" not in err.strip()

@@ -119,6 +119,18 @@ def test_label_out_of_range(tmp_path):
     assert exc.value.line == 2
 
 
+def test_boolean_labels_rejected(tmp_path):
+    path = tmp_path / "ds.ldjson"
+    path.write_text(
+        '{"format_version": 1, "k": 2, "num_labels": 2}\n'
+        '{"labels": [0, 1], "partition": "a"}\n'
+        '{"labels": [true, false], "partition": "a"}\n'
+    )
+    with pytest.raises(FormatError) as exc:
+        read_snapshot_dataset(path)
+    assert exc.value.line == 3
+
+
 def test_wrong_label_count(tmp_path):
     path = tmp_path / "ds.ldjson"
     path.write_text(

@@ -48,6 +48,21 @@ def test_mixture_weight_validation():
         mixture_from_arrays([(0.5, 0.5), (0.2, 0.8)], [1.0, -0.0], BINARY)
     with pytest.raises(InvalidDistribution):
         Mixture((), BINARY)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidDistribution):
+            mixture_from_arrays([(0.5, 0.5), (0.2, 0.8)], [1.0, bad], BINARY)
+        with pytest.raises(InvalidDistribution):
+            mixture_from_arrays([(0.5, 0.5)], [bad], BINARY)
+
+
+@pytest.mark.parametrize(
+    "weights,total", [((0.5, np.nan), 1.0), ((np.inf, 0.5), 1.0), ((0.5, 0.5), np.nan)]
+)
+def test_trusted_constructor_rejects_non_finite_weights(weights, total):
+    points = [SimplexPoint((0.5, 0.5)), SimplexPoint((1.0, 0.0))]
+    probs = np.array([p.probs for p in points])
+    with pytest.raises(InvalidDistribution):
+        Mixture._from_distinct(points, probs, np.array(weights), total, BINARY)
 
 
 def test_mixture_merges_duplicates():

@@ -41,6 +41,9 @@ def test_simplex_point_rejects_bad_vectors():
         SimplexPoint((-0.1, 1.1))
     with pytest.raises(InvalidDistribution):
         SimplexPoint((1.0,))
+    for bad in ((math.nan, 1.0), (0.5, math.nan), (math.inf, 0.0), (math.inf, -math.inf)):
+        with pytest.raises(InvalidDistribution):
+            SimplexPoint(bad)
 
 
 def test_bias_is_binary_only():

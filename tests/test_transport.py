@@ -9,7 +9,9 @@ from hocal.mixture import RngSeed, mixture_from_arrays
 from hocal.simplex import LabelSpace, enumerate_snapshot_space, snapshot_to_point
 from hocal.synth import RandomMixtureSpec
 from hocal.synth import random_mixture as draw_mixture
+import hocal.transport
 from hocal.transport import (
+    SolverFailure,
     _transport_constraints,
     tv_distance,
     w1_lattice,
@@ -232,3 +234,53 @@ def test_transport_constraints_match_the_kron_assembly(m, n):
     assert np.array_equal(got.indptr, expected.indptr)
     assert np.array_equal(got.indices, expected.indices)
     assert np.array_equal(got.data, expected.data)
+
+
+def _nudge_plan(res, m, n):
+    # a 2x2 cycle keeps the marginals but drives a zero entry negative
+    x = res.x.reshape(m, n).copy()
+    i, j = np.argwhere(x == 0.0)[0]
+    i2, j2 = (i + 1) % m, (j + 1) % n
+    eps = 1e-6 * _SCALE
+    x[i, j] -= eps
+    x[i2, j2] -= eps
+    x[i, j2] += eps
+    x[i2, j] += eps
+    res.x = x.ravel()
+
+
+def _scale_plan(res, m, n):
+    res.x = res.x * (1.0 + 1e-6)
+
+
+def _shift_dual(res, m, n):
+    res.eqlin.marginals = np.asarray(res.eqlin.marginals) + 1e-6
+
+
+_SCALE = hocal.transport._SUPPLY_SCALE
+
+
+@pytest.mark.parametrize(
+    "perturb,message",
+    [
+        (_nudge_plan, "negative transport mass"),
+        (_scale_plan, "primal and dual objectives disagree"),
+        (_shift_dual, None),
+    ],
+)
+def test_dense_lp_certificate_rejects_a_perturbed_plan_or_dual(monkeypatch, perturb, message):
+    space = LabelSpace(3)
+    a = mixture_from_arrays([(0.6, 0.3, 0.1), (0.1, 0.1, 0.8), (0.3, 0.4, 0.3)], [0.2, 0.5, 0.3], space)
+    b = mixture_from_arrays([(0.2, 0.2, 0.6), (0.7, 0.2, 0.1), (0.1, 0.8, 0.1)], [0.4, 0.4, 0.2], space)
+    solve = hocal.transport._solve_lp
+
+    def perturbed(cost, a_eq, b_eq, method="highs"):
+        res, scale = solve(cost, a_eq, b_eq, method)
+        assert scale == _SCALE
+        perturb(res, a.size, b.size)
+        return res, scale
+
+    wasserstein1(a, b, method="lp")
+    monkeypatch.setattr(hocal.transport, "_solve_lp", perturbed)
+    with pytest.raises(SolverFailure, match=message):
+        wasserstein1(a, b, method="lp")
