@@ -56,7 +56,6 @@ from .mixture import (
     empirical_mixture,
     mixture_from_arrays,
     project_k,
-    sample_snapshot,
     sample_snapshots,
 )
 from .moments import (
@@ -99,9 +98,7 @@ from .synth import (
 from .transport import (
     Coupling,
     SolverFailure,
-    tv_distance,
     w1_lattice,
-    w1_tv_bound_check,
     wasserstein1,
 )
 
@@ -170,15 +167,12 @@ __all__ = [
     "read_snapshot_dataset",
     "reference_table",
     "required_samples",
-    "sample_snapshot",
     "sample_snapshots",
     "shannon_modulus_bound",
     "snapshot_space_size",
     "snapshot_to_point",
     "sqrt_eps_rule",
     "true_moments",
-    "tv_distance",
     "w1_lattice",
-    "w1_tv_bound_check",
     "wasserstein1",
 ]

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, EmptyPartition, InvalidDistribution
-from .mixture import Mixture, _readonly, mixture_from_arrays
-from .simplex import LabelSpace, Snapshot, snapshot_space_size, snapshot_to_point
+from .mixture import Mixture, _lattice_counts, _readonly, mixture_from_arrays
+from .simplex import LabelSpace, Snapshot, simplex_rows, snapshot_space_size
 from .transport import DEFAULT_SUPPORT_CAP, wasserstein1
-
-LATTICE_TOL = 1e-9
 
 
 def _check_records(shape, codes, names, space: LabelSpace, k: int):
@@ -162,9 +160,7 @@ class CalibrationTable:
         for pid, mix in self.entries.items():
             if mix.space != self.space:
                 raise DimensionMismatch(f"partition {pid!r}: mixture over a different label space")
-            biases = mix.points_array() * self.k
-            drift = abs(biases - biases.round()).max()
-            if drift > LATTICE_TOL * self.k:
+            if _lattice_counts(mix.points_array(), self.k)[1].size:
                 raise InvalidDistribution(
                     f"partition {pid!r}: support off the size-{self.k} snapshot lattice"
                 )
@@ -195,21 +191,18 @@ def _empirical_groups(ds: SnapshotDataset) -> dict:
     first, inverse = ds._distinct_rows()
     multiplicity = np.bincount(inverse)
     row_codes = ds.codes[first]
+    points = simplex_rows(ds.counts[first] / ds.k)  # snapshot_to_point of every row
+    # by partition, then in the sorted coordinate order Mixture stores
+    order = np.lexsort((*points.T[::-1], row_codes))
+    distinct = np.bincount(row_codes, minlength=len(ds.names))
+    ends = np.cumsum(distinct)
     sizes = np.bincount(ds.codes, minlength=len(ds.names))
     out = {}
     for code, pid in enumerate(ds.names):
         n = int(sizes[code])
-        rows = row_codes == code
-        points = [snapshot_to_point(Snapshot(tuple(c))) for c in ds.counts[first[rows]].tolist()]
-        order = sorted(range(len(points)), key=lambda i: points[i].probs)
+        rows = order[ends[code] - distinct[code]:ends[code]]
         weights = np.cumsum(np.full(n, 1.0 / n))[multiplicity[rows] - 1]
-        out[pid] = Mixture._from_distinct(
-            [points[i] for i in order],
-            np.array([points[i].probs for i in order], dtype=float),
-            weights[order],
-            sum([1.0 / n] * n),
-            ds.space,
-        ), n
+        out[pid] = Mixture._from_distinct(points[rows], weights, sum([1.0 / n] * n), ds.space), n
     return out
 
 
@@ -236,12 +229,8 @@ def posthoc_calibrate(
         if pid in groups:
             entries[pid], counts[pid] = groups[pid]
         elif fill_missing:
-            vertices = [
-                tuple(1.0 if j == i else 0.0 for j in range(num_labels))
-                for i in range(num_labels)
-            ]
             entries[pid] = mixture_from_arrays(
-                vertices, [1.0 / num_labels] * num_labels, ds.space
+                np.eye(num_labels), [1.0 / num_labels] * num_labels, ds.space
             )
             counts[pid] = 0
         else:
@@ -302,6 +291,6 @@ def required_samples(space: LabelSpace, k: int, eps: float, delta: float) -> int
 def hoc_bound(eps: float, space: LabelSpace, k: int) -> float:
     """Higher-order calibration error implied by k-th order error eps:
     eps + l / (2 sqrt(k))."""
-    if eps < 0:
-        raise DomainError(f"eps must be non-negative, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and non-negative, got {eps}")
     return eps + space.num_labels / (2.0 * math.sqrt(k))

@@ -131,7 +131,6 @@ def read_calibration_table(path) -> CalibrationTable:
     space = LabelSpace(num_labels)
     entries = {}
     counts = {}
-    any_counts = False
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -150,7 +149,7 @@ def read_calibration_table(path) -> CalibrationTable:
         if not isinstance(points, list) or not isinstance(weights, list) or len(points) != len(weights):
             raise FormatError(f"{path}: points and weights must be lists of equal length", line=lineno)
         try:
-            entries[pid] = mixture_from_arrays([tuple(p) for p in points], weights, space)
+            entries[pid] = mixture_from_arrays(points, weights, space)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: partition {pid!r}: {exc}", line=lineno) from None
         count = rec.get("count")
@@ -158,34 +157,23 @@ def read_calibration_table(path) -> CalibrationTable:
             if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                 raise FormatError(f"{path}: count {count!r} is not a non-negative integer", line=lineno)
             counts[pid] = count
-            any_counts = True
     if not entries:
         raise FormatError(f"{path}: no partitions")
-    return CalibrationTable(
-        entries=entries, k=k, space=space, counts=counts if any_counts else None
-    )
+    return CalibrationTable(entries=entries, k=k, space=space, counts=counts or None)
 
 
 def write_calibration_table(table: CalibrationTable, path):
+    header = {"format_version": FORMAT_VERSION, "k": table.k, "kind": "calibration_table",
+              "num_labels": table.space.num_labels}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            _dump(
-                {
-                    "format_version": FORMAT_VERSION,
-                    "k": table.k,
-                    "kind": "calibration_table",
-                    "num_labels": table.space.num_labels,
-                }
-            )
-            + "\n"
-        )
+        fh.write(_dump(header) + "\n")
         for pid in table.partitions:
             mix = table.entries[pid]
             rec = {
                 "count": None if table.counts is None else table.counts.get(pid),
                 "partition": pid,
-                "points": [list(p.probs) for p, _ in mix.support],
-                "weights": [w for _, w in mix.support],
+                "points": mix.points_array().tolist(),
+                "weights": mix.weights_array().tolist(),
             }
             fh.write(_dump(rec) + "\n")
 

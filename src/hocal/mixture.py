@@ -23,11 +23,12 @@ from .simplex import (
     SimplexPoint,
     Snapshot,
     enumerate_snapshot_space,
-    snapshot_to_point,
+    simplex_rows,
 )
 
 WEIGHT_SUM_TOL = 1e-9
 MERGE_TOL = 1e-12
+LATTICE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,52 +54,16 @@ class RngSeed:
         return RngSeed(int(ss.generate_state(1, dtype=np.uint64)[0]))
 
 
-def _merge_support(pairs):
-    """Deduplicate support points closer than MERGE_TOL in l1, summing weights.
-
-    Exact duplicates are folded with a dict; near-duplicates are caught by
-    a sorted sweep (two points within l1 tolerance cannot differ by more
-    than the tolerance in their first coordinate). Kept representatives
-    stay in sorted order, so the candidate window for each incoming point
-    is the trailing run whose first coordinate is within tolerance; the
-    distances over that window are computed vectorized, which keeps
-    lattice-sized supports with heavy first-coordinate ties cheap.
-    """
-    acc = {}
-    for point, weight in pairs:
-        key = point.probs
-        if key in acc:
-            acc[key] = (acc[key][0], acc[key][1] + weight)
-        else:
-            acc[key] = (point, weight)
-    reps = sorted(acc.values(), key=lambda pw: pw[0].probs)
-    if not reps:
-        return []
-    buf = np.empty((len(reps), len(reps[0][0].probs)))
-    kept = 0
-    merged = []
-    for point, weight in reps:
-        row = np.asarray(point.probs, dtype=float)
-        target = None
-        lo = int(np.searchsorted(buf[:kept, 0], row[0] - MERGE_TOL, side="left"))
-        if lo < kept:
-            dist = np.abs(buf[lo:kept] - row).sum(axis=1)
-            hits = np.flatnonzero(dist <= MERGE_TOL)
-            if hits.size:
-                target = lo + int(hits[-1])
-        if target is None:
-            merged.append((point, weight))
-            buf[kept] = row
-            kept += 1
-        else:
-            merged[target] = (merged[target][0], merged[target][1] + weight)
-    return merged
-
-
 def _check_total(total: float):
     """A mixture's weights must sum to 1 within 1e-9; a NaN total fails too."""
     if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
         raise InvalidDistribution(f"weights sum to {total}, expected 1")
+
+
+def _check_weights(w: np.ndarray):
+    bad = ~((w > 0.0) & (w < math.inf))
+    if bad.any():
+        raise InvalidDistribution(f"weight {w[bad][0]} is not positive and finite")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -106,91 +71,155 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=True)
-class Mixture:
-    """A finitely supported distribution over simplex points.
+def _coordinate_rows(points, space: LabelSpace) -> np.ndarray:
+    """(n, l) coordinates of an array or a list of SimplexPoints, taken as
+    they are, and rows, checked and renormalized as SimplexPoint does."""
+    if not len(points):
+        raise InvalidDistribution("a mixture needs at least one support point")
+    if isinstance(points, np.ndarray) and points.ndim == 2:
+        raw, given = points, np.zeros(len(points), dtype=bool)
+    else:
+        given = np.array([isinstance(p, SimplexPoint) for p in points], dtype=bool)
+        raw = [p.probs if g else tuple(map(float, p)) for p, g in zip(points, given)]
+        if len({len(r) for r in raw}) > 1:
+            wrong = next(len(r) for r in raw if len(r) != space.num_labels)
+            raise DimensionMismatch(f"{wrong}-label point in a {space.num_labels}-label mixture")
+        raw = np.array(raw, dtype=float).reshape(len(raw), -1)
+    rows = simplex_rows(raw)
+    rows[given] = raw[given]
+    if rows.shape[1] != space.num_labels:
+        raise DimensionMismatch(
+            f"{rows.shape[1]}-label point in a {space.num_labels}-label mixture"
+        )
+    return rows
 
-    Support points within l1 distance 1e-12 are merged on construction,
-    weights must be positive, finite and sum to 1 within 1e-9 (then
-    renormalized), and the support is stored in sorted coordinate order so
-    equal mixtures compare equal regardless of input order. The coordinate
-    and weight arrays are built once and returned read-only.
+
+def _near_clusters(rows: np.ndarray) -> np.ndarray:
+    """Cluster ids such that distinct rows within MERGE_TOL in l1 share one.
+
+    Column by column, each cluster is split where two consecutive sorted
+    values differ by more than MERGE_TOL. Rows within the tolerance in l1
+    are within it in every column, and so is every value between them.
+    """
+    cluster = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        order = np.lexsort((col, cluster))
+        ids, vals = cluster[order], col[order]
+        split = np.ones(len(rows), dtype=bool)
+        split[1:] = (ids[1:] != ids[:-1]) | (vals[1:] - vals[:-1] > MERGE_TOL)
+        cluster[order] = np.cumsum(split) - 1
+    return cluster
+
+
+def _merge(rows: np.ndarray, w: np.ndarray):
+    """Rows in sorted order with points within MERGE_TOL in l1 merged.
+
+    Exact duplicates fold onto their first occurrence, summing weights in
+    input order. Then, only if `_near_clusters` finds candidates, a sorted
+    sweep merges each row into the last kept row within the tolerance.
+    """
+    order = np.lexsort(rows.T[::-1])
+    rows, w = rows[order], w[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    if not first.all():
+        folded = np.zeros(int(first.sum()))
+        np.add.at(folded, np.cumsum(first) - 1, w)  # sequential, in input order
+        rows, w = rows[first], folded
+    if np.bincount(_near_clusters(rows)).max() == 1:
+        return rows, w
+    owner, kept = np.arange(len(rows)), []
+    for i, row in enumerate(rows):
+        reps = rows[kept]
+        lo = int(np.searchsorted(reps[:, 0], row[0] - MERGE_TOL, side="left"))
+        hits = np.flatnonzero(np.abs(reps[lo:] - row).sum(axis=1) <= MERGE_TOL)
+        if hits.size:
+            owner[i] = kept[lo + int(hits[-1])]
+        else:
+            kept.append(i)
+    merged = np.zeros(len(rows))
+    np.add.at(merged, owner, w)
+    return rows[kept], merged[kept]
+
+
+class Mixture:
+    """A finitely supported distribution over simplex points, stored as arrays.
+
+    The support is a read-only (size, l) coordinate array in sorted order
+    and a read-only (size,) weight array. Points within l1 distance 1e-12
+    are merged on construction; weights must be positive, finite and sum to
+    1 within 1e-9 (then renormalized). `Mixture(support, space)` takes
+    (SimplexPoint, weight) pairs and `support` gives them back, built on
+    first access. Equality is exact equality of space, points and weights;
+    mixtures are not hashable.
     """
 
-    support: tuple
-    space: LabelSpace
+    __hash__ = None
 
-    def __post_init__(self):
-        pairs = [(p, float(w)) for p, w in self.support]
-        if not pairs:
-            raise InvalidDistribution("a mixture needs at least one support point")
-        for point, weight in pairs:
-            if point.dim != self.space.num_labels:
-                raise DimensionMismatch(
-                    f"{point.dim}-label point in a {self.space.num_labels}-label mixture"
-                )
-            if not 0.0 < weight < math.inf:
-                raise InvalidDistribution(f"weight {weight} is not positive and finite")
-        # Python sum in input order: the total fixes the renormalized bits
-        total = sum(w for _, w in pairs)
+    def __init__(self, support, space: LabelSpace):
+        pairs = tuple(support)
+        self._build(_coordinate_rows([p for p, _ in pairs], space), [w for _, w in pairs], space)
+
+    def _build(self, rows: np.ndarray, weights, space: LabelSpace):
+        w = np.fromiter(map(float, weights), dtype=float)
+        _check_weights(w)
+        # running sum in input order: the total fixes the renormalized bits
+        self._store(*_merge(rows, w), float(np.cumsum(w)[-1]), space)
+
+    def _store(self, points: np.ndarray, weights: np.ndarray, total: float, space: LabelSpace):
+        _check_weights(weights)
         _check_total(total)
-        merged = _merge_support(pairs)
-        if total != 1.0:
-            merged = [(p, w / total) for p, w in merged]
-        object.__setattr__(self, "support", tuple(merged))
+        self.space = space
+        self._points = _readonly(points)
+        self._weights = _readonly(weights / total if total != 1.0 else weights)
+        self._support = None
 
     @classmethod
-    def _from_distinct(cls, points, probs, weights, total: float, space: LabelSpace) -> "Mixture":
-        """Trusted path for supports that are distinct by construction.
-
-        `points` are the SimplexPoints in stored (sorted) order, no two
-        within MERGE_TOL, `probs` their coordinates and `weights` their
-        float weights in that order. `total` is the weight sum exactly as
-        __post_init__ would have formed it from the caller's input. Only the
-        merge is skipped: the weights are checked and renormalized by
-        `total` as in __post_init__, so the result equals the generic
-        constructor's bit for bit.
-        """
-        w = np.asarray(weights, dtype=float)
-        bad = ~((w > 0.0) & (w < math.inf))
-        if bad.any():
-            raise InvalidDistribution(f"weight {w[bad][0]} is not positive and finite")
-        _check_total(total)
-        if total != 1.0:
-            w = w / total
+    def _from_distinct(cls, points, weights, total: float, space: LabelSpace) -> "Mixture":
+        """Trusted path for sorted (n, l) points no two within MERGE_TOL, their
+        weights, and `total`, the weight sum as the generic constructor forms
+        it from the caller's input. Only the merge is skipped: same bits."""
         mix = object.__new__(cls)
-        object.__setattr__(mix, "support", tuple(zip(points, w.tolist())))
-        object.__setattr__(mix, "space", space)
-        object.__setattr__(mix, "_points", _readonly(probs))
-        object.__setattr__(mix, "_weights", _readonly(w))
+        mix._store(np.asarray(points, dtype=float), np.asarray(weights, dtype=float), total, space)
         return mix
 
     @property
     def size(self) -> int:
-        return len(self.support)
+        return len(self._weights)
+
+    @property
+    def support(self) -> tuple:
+        """(SimplexPoint, weight) pairs in stored order, built on first access."""
+        if self._support is None:
+            points = map(SimplexPoint._trusted, self._points.tolist())
+            self._support = tuple(zip(points, self._weights.tolist()))
+        return self._support
 
     def points_array(self) -> np.ndarray:
-        """Support coordinates as a read-only (size, num_labels) array, built once."""
-        if "_points" not in self.__dict__:
-            arr = np.array([p.probs for p, _ in self.support], dtype=float)
-            object.__setattr__(self, "_points", _readonly(arr))
+        """Support coordinates as a read-only (size, num_labels) array."""
         return self._points
 
     def weights_array(self) -> np.ndarray:
-        """Support weights as a read-only array, built once."""
-        if "_weights" not in self.__dict__:
-            arr = np.array([w for _, w in self.support], dtype=float)
-            object.__setattr__(self, "_weights", _readonly(arr))
+        """Support weights as a read-only (size,) array."""
         return self._weights
+
+    def __eq__(self, other):
+        if not isinstance(other, Mixture):
+            return NotImplemented
+        return (
+            self.space == other.space
+            and np.array_equal(self._points, other._points)
+            and np.array_equal(self._weights, other._weights)
+        )
 
 
 def mixture_from_arrays(points, weights, space: LabelSpace) -> Mixture:
-    """Build a Mixture from parallel point/weight sequences."""
-    support = tuple(
-        (p if isinstance(p, SimplexPoint) else SimplexPoint(tuple(p)), w)
-        for p, w in zip(points, weights)
-    )
-    return Mixture(support, space)
+    """Build a Mixture from parallel point/weight sequences; as with zip,
+    the longer one is cut to the length of the shorter."""
+    n = min(len(points), len(weights))
+    mix = object.__new__(Mixture)
+    mix._build(_coordinate_rows(points[:n], space), weights[:n], space)
+    return mix
 
 
 def centroid(m: Mixture) -> SimplexPoint:
@@ -199,31 +228,54 @@ def centroid(m: Mixture) -> SimplexPoint:
     return SimplexPoint(tuple(avg))
 
 
+def _lattice_counts(points: np.ndarray, k: int):
+    """(n, l) int64 counts round(k * p) of point rows, and the rows off the
+    size-k lattice: some coordinate of k * p more than 1e-9 * k from its
+    count, or counts that do not sum to k."""
+    scaled = points * k
+    counts = np.rint(scaled)
+    off = (np.abs(scaled - counts) > LATTICE_TOL * k).any(axis=1)
+    counts = counts.astype(np.int64)
+    return counts, np.flatnonzero(off | (counts.sum(axis=1) != k))
+
+
+def _lattice_rank(counts: np.ndarray, k: int) -> np.ndarray:
+    """Position of each size-k count row in `enumerate_snapshot_space` order.
+
+    That order takes the first count descending, then recurses: at label j,
+    C(t - c_j + s - 2, s - 1) rows come first, for t labels left over s
+    classes. No term exceeds the lattice size, so nothing overflows.
+    """
+    num, l = counts.shape
+    rank = np.zeros(num, dtype=np.int64)
+    left = np.full(num, k, dtype=np.int64)
+    for j in range(l - 1):
+        s = l - j
+        before = np.array([math.comb(t + s - 2, s - 1) for t in range(k + 1)], dtype=np.int64)
+        rank += before[left - counts[:, j]]
+        left -= counts[:, j]
+    return rank
+
+
 @lru_cache(maxsize=128)
 def _lattice(space: LabelSpace, k: int, cap: int):
-    """Cached snapshot lattice with count matrix, points, and log multinomial coefficients.
-
-    `order` lists the lattice indices in the sorted coordinate order that
-    Mixture stores its support in; `probs` holds the points' coordinates
-    in that order.
-    """
+    """Cached snapshot lattice: the (N, l) float count matrix and log
+    multinomial coefficients in lattice order, the lattice indices in the
+    sorted order Mixture stores, and the points' coordinates in that order."""
     from scipy.special import gammaln  # not math.lgamma: the two differ in the last bit
 
-    snapshots = tuple(enumerate_snapshot_space(space, k, cap))
-    counts = np.array([s.counts for s in snapshots], dtype=float)
-    points = tuple(snapshot_to_point(s) for s in snapshots)
+    counts = np.array([s.counts for s in enumerate_snapshot_space(space, k, cap)], dtype=float)
     logcoef = gammaln(k + 1) - gammaln(counts + 1.0).sum(axis=1)
-    order = np.array(sorted(range(len(points)), key=lambda i: points[i].probs), dtype=np.int64)
-    probs = np.array([points[i].probs for i in order], dtype=float)
-    return snapshots, counts, points, logcoef, order, probs
+    coords = simplex_rows(counts / k)
+    order = np.lexsort(coords.T[::-1])
+    return counts, logcoef, order, coords[order]
 
 
 def _projection_masses(m: Mixture, k: int, cap: int) -> np.ndarray:
     """Projected mass of every lattice point, in lattice order."""
-    _, counts, _, logcoef, _, _ = _lattice(m.space, k, cap)
+    counts, logcoef, _, _ = _lattice(m.space, k, cap)
     mass = np.zeros(len(counts))
-    for point, weight in m.support:
-        p = point.as_array()
+    for p, weight in zip(m.points_array(), m.weights_array().tolist()):
         pos = p > 0.0
         logp = np.where(pos, np.log(np.where(pos, p, 1.0)), 0.0)
         logmass = logcoef + counts @ logp
@@ -243,26 +295,13 @@ def project_k(m: Mixture, k: int, cap: int = DEFAULT_ENUM_CAP) -> Mixture:
     deterministic component (a vertex) projects to a point mass at itself.
     """
     mass = _projection_masses(m, k, cap)
-    _, _, points, _, order, probs = _lattice(m.space, k, cap)
+    _, _, order, probs = _lattice(m.space, k, cap)
     # lattice points are 2/k apart in l1, so the merge could never fire
     keep = mass > 0.0
     in_order = keep[order]
-    kept = order[in_order]
     return Mixture._from_distinct(
-        [points[i] for i in kept],
-        probs[in_order],
-        mass[kept],
-        sum(mass[keep].tolist()),
-        m.space,
+        probs[in_order], mass[order[in_order]], sum(mass[keep].tolist()), m.space
     )
-
-
-def sample_snapshot(m: Mixture, k: int, rng: RngSeed) -> Snapshot:
-    """One k-snapshot: draw a support point by weight, then k iid labels."""
-    gen = rng.generator()
-    idx = gen.choice(m.size, p=m.weights_array())
-    counts = gen.multinomial(k, m.support[idx][0].probs)
-    return Snapshot(tuple(int(c) for c in counts))
 
 
 def _sample_counts(m: Mixture, k: int, n: int, rng: RngSeed) -> np.ndarray:

@@ -18,13 +18,11 @@ import numpy as np
 
 from .entropy import EntropySpec, entropy_value
 from .errors import DimensionMismatch, DomainError, InvalidDistribution
-from .mixture import Mixture
+from .mixture import Mixture, _lattice_counts
 from .simplex import SimplexPoint, Snapshot
 
-EXACT_BINOM_MAX_K = 62
 MAX_FIT_DEGREE = 24
 SUP_ERROR_GRID = 10**4
-LATTICE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,6 +39,8 @@ class MomentVector:
     eps: float
 
     def __post_init__(self):
+        if not 0.0 <= self.eps < math.inf:
+            raise DomainError(f"eps must be finite and non-negative, got {self.eps}")
         values = tuple(float(v) for v in self.values)
         if len(values) != self.k:
             raise InvalidDistribution(f"expected {self.k} moments, got {len(values)}")
@@ -73,15 +73,6 @@ class PolyApprox:
     coeff_bound: float
 
 
-def _binom_ratio(c: int, k: int, m: int) -> float:
-    # C(c, m) / C(k, m); exact integer arithmetic while it fits a double
-    if k <= EXACT_BINOM_MAX_K:
-        return math.comb(c, m) / math.comb(k, m)
-    num = math.lgamma(c + 1) - math.lgamma(m + 1) - math.lgamma(c - m + 1)
-    den = math.lgamma(k + 1) - math.lgamma(m + 1) - math.lgamma(k - m + 1)
-    return math.exp(num - den)
-
-
 def moment_weight(k: int, m: int, s: Snapshot) -> float:
     """C(c_1, m)/C(k, m) where c_1 counts label 1; zero when c_1 < m."""
     if s.dim != 2:
@@ -90,24 +81,8 @@ def moment_weight(k: int, m: int, s: Snapshot) -> float:
         raise DomainError(f"need 1 <= m <= k, got m={m}, k={k}")
     if s.k != k:
         raise InvalidDistribution(f"snapshot has size {s.k}, expected {k}")
-    c1 = s.counts[1]
-    if c1 < m:
-        return 0.0
-    return _binom_ratio(c1, k, m)
-
-
-def _lattice_counts(kth: Mixture, k: int) -> np.ndarray:
-    if kth.space.num_labels != 2:
-        raise DimensionMismatch("moment recovery is defined for binary spaces")
-    biases = kth.points_array()[:, 1]
-    scaled = biases * k
-    counts = np.rint(scaled)
-    if np.abs(scaled - counts).max() > LATTICE_TOL * k:
-        worst = biases[np.abs(scaled - counts).argmax()]
-        raise InvalidDistribution(
-            f"support point with bias {worst} is not on the size-{k} snapshot lattice"
-        )
-    return counts.astype(int)
+    # exact integers, and int true division rounds once: correctly rounded
+    return math.comb(s.counts[1], m) / math.comb(k, m)
 
 
 def estimate_moments(kth: Mixture, k: int, eps: float) -> MomentVector:
@@ -117,11 +92,19 @@ def estimate_moments(kth: Mixture, k: int, eps: float) -> MomentVector:
     the bound i*eps/2 against the true E[p^i] whenever kth is within
     Wasserstein distance eps of the exact projection.
     """
-    counts = _lattice_counts(kth, k)
+    if kth.space.num_labels != 2:
+        raise DimensionMismatch("moment recovery is defined for binary spaces")
+    counts, off = _lattice_counts(kth.points_array(), k)
+    if off.size:
+        bias = kth.points_array()[off[0], 1]
+        raise InvalidDistribution(
+            f"support point with bias {bias} is not on the size-{k} snapshot lattice"
+        )
+    ones = counts[:, 1].tolist()
     weights = kth.weights_array()
     values = []
     for m in range(1, k + 1):
-        ratios = np.array([_binom_ratio(c, k, m) if c >= m else 0.0 for c in counts])
+        ratios = np.array([math.comb(c, m) / math.comb(k, m) for c in ones])
         values.append(float(weights @ ratios))
     return MomentVector(k=k, values=tuple(values), eps=eps)
 

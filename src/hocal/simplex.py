@@ -58,6 +58,13 @@ class SimplexPoint:
             probs = tuple(p / total for p in probs)
         object.__setattr__(self, "probs", probs)
 
+    @classmethod
+    def _trusted(cls, probs) -> "SimplexPoint":
+        """A point from coordinates that already passed `simplex_rows`, not re-checked."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "probs", tuple(probs))
+        return point
+
     @property
     def dim(self) -> int:
         return len(self.probs)
@@ -71,6 +78,23 @@ class SimplexPoint:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
+
+
+def simplex_rows(raw) -> np.ndarray:
+    """SimplexPoint's check and exact renormalization on every row of an
+    (n, l) array; the first bad row raises its SimplexPoint error. The
+    running (cumulative) sum is Python's `sum` bit for bit."""
+    raw = np.asarray(raw, dtype=float)
+    if raw.shape[1] < 2:
+        SimplexPoint(tuple(raw[0].tolist()))  # raises its own error
+    rows = np.where(raw < 0.0, 0.0, raw)  # max(p, 0.0): keeps -0.0 and NaN
+    total = np.cumsum(rows, axis=1)[:, -1]
+    bad = (raw < -1e-12).any(axis=1) | ~(np.abs(total - 1.0) <= SUM_TOL)
+    if bad.any():
+        SimplexPoint(tuple(raw[bad][0].tolist()))  # raises its own error
+    off = total != 1.0
+    rows[off] /= total[off, None]
+    return rows
 
 
 @dataclass(frozen=True)

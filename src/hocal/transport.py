@@ -8,8 +8,8 @@ dual solution; mixtures supported on a common k-snapshot lattice can use
 `w1_lattice`, a min-cost-flow formulation that scales to lattices far
 beyond the dense LP. Every result is checked in-function: marginals or
 node balance, dual feasibility, and agreement between the plan's cost and
-the reported value; the LP routes also check the primal-dual objective gap,
-and the dense LP the non-negativity of its plan, each to 1e-8 or better.
+the reported value; the LP routes also check the primal-dual objective gap
+and the non-negativity of their plan or flow, each to 1e-8 or better.
 scipy is imported only when an LP is built or solved.
 """
 
@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, DomainError, HocalError
-from .mixture import Mixture, _lattice, _merge_support
+from .mixture import Mixture, _lattice, _lattice_counts, _lattice_rank
 
 DEFAULT_SUPPORT_CAP = 2000
 CHECK_TOL = 1e-8
@@ -65,10 +65,11 @@ def _solve_lp(cost, a_eq, b_eq, method="highs"):
 
 @dataclass(frozen=True, eq=False)
 class Coupling:
-    """A transport plan: mass[i, j] moves rows[i] onto cols[j]."""
+    """A transport plan: mass[i, j] moves rows[i] onto cols[j], two
+    support coordinate arrays."""
 
-    rows: tuple
-    cols: tuple
+    rows: np.ndarray
+    cols: np.ndarray
     mass: np.ndarray
 
     def row_marginals(self) -> np.ndarray:
@@ -78,10 +79,7 @@ class Coupling:
         return self.mass.sum(axis=0)
 
     def cost(self) -> float:
-        a = np.array([p.probs for p in self.rows], dtype=float)
-        b = np.array([p.probs for p in self.cols], dtype=float)
-        c = np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
-        return float((c * self.mass).sum())
+        return float((_l1_cost(self.rows, self.cols) * self.mass).sum())
 
 
 def _check_same_space(a: Mixture, b: Mixture):
@@ -91,9 +89,8 @@ def _check_same_space(a: Mixture, b: Mixture):
         )
 
 
-def _ground_cost(a: Mixture, b: Mixture) -> np.ndarray:
-    """l1 distance between every support point of a and every one of b."""
-    apts, bpts = a.points_array(), b.points_array()
+def _l1_cost(apts: np.ndarray, bpts: np.ndarray) -> np.ndarray:
+    """l1 distance between every row of apts and every row of bpts."""
     return np.abs(apts[:, None, :] - bpts[None, :, :]).sum(axis=2)
 
 
@@ -138,18 +135,14 @@ def _w1_binary(a: Mixture, b: Mixture):
     that plan must reproduce 2 * integral |F_a - F_b| dt; both are computed
     and compared, so a bug in either route cannot go unnoticed.
     """
-    a_bias = np.array([p.bias for p, _ in a.support])
-    b_bias = np.array([p.bias for p, _ in b.support])
-    a_w = a.weights_array()
-    b_w = b.weights_array()
-    ia = np.argsort(a_bias, kind="stable")
-    ib = np.argsort(b_bias, kind="stable")
+    a_bias, b_bias = a.points_array()[:, 1], b.points_array()[:, 1]
+    a_w, b_w = a.weights_array(), b.weights_array()
+    ia, ib = np.argsort(a_bias, kind="stable"), np.argsort(b_bias, kind="stable")
 
     mass = np.zeros((a.size, b.size))
     cost = 0.0
     i = j = 0
-    left_a = a_w[ia[0]]
-    left_b = b_w[ib[0]]
+    left_a, left_b = a_w[ia[0]], b_w[ib[0]]
     while True:
         move = min(left_a, left_b)
         mass[ia[i], ib[j]] += move
@@ -175,12 +168,7 @@ def _w1_binary(a: Mixture, b: Mixture):
     if abs(integral - cost) > CHECK_TOL:
         raise SolverFailure("quantile coupling and CDF integral disagree")
 
-    coupling = Coupling(
-        rows=tuple(p for p, _ in a.support),
-        cols=tuple(p for p, _ in b.support),
-        mass=mass,
-    )
-    return cost, coupling
+    return cost, Coupling(a.points_array(), b.points_array(), mass)
 
 
 def _w1_lp(a: Mixture, b: Mixture, cost_mat: np.ndarray):
@@ -190,8 +178,7 @@ def _w1_lp(a: Mixture, b: Mixture, cost_mat: np.ndarray):
     must be non-negative, the duals feasible and complementary to it, and
     the dual objective equal to the plan's cost, each to 1e-8.
     """
-    aw = a.weights_array()
-    bw = b.weights_array()
+    aw, bw = a.weights_array(), b.weights_array()
     m, n = len(aw), len(bw)
 
     if m == 1:
@@ -219,12 +206,7 @@ def _w1_lp(a: Mixture, b: Mixture, cost_mat: np.ndarray):
             raise SolverFailure("primal and dual objectives disagree")
 
     total = float((cost_mat * mass).sum())
-    coupling = Coupling(
-        rows=tuple(p for p, _ in a.support),
-        cols=tuple(p for p, _ in b.support),
-        mass=mass,
-    )
-    return total, coupling
+    return total, Coupling(a.points_array(), b.points_array(), mass)
 
 
 def wasserstein1(
@@ -243,20 +225,14 @@ def wasserstein1(
     _check_same_space(a, b)
     if method == "auto":
         method = "cdf" if a.space.num_labels == 2 else "lp"
-    if method == "cdf":
-        if a.space.num_labels != 2:
-            raise DimensionMismatch("the CDF route only applies to binary spaces")
-        ground = _ground_cost(a, b)
-        cost, coupling = _w1_binary(a, b)
-    elif method == "lp":
-        if a.size + b.size > support_cap:
-            raise CapExceeded(
-                f"combined support {a.size + b.size} exceeds support_cap={support_cap}"
-            )
-        ground = _ground_cost(a, b)
-        cost, coupling = _w1_lp(a, b, ground)
-    else:
+    if method not in ("cdf", "lp"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "cdf" and a.space.num_labels != 2:
+        raise DimensionMismatch("the CDF route only applies to binary spaces")
+    if method == "lp" and a.size + b.size > support_cap:
+        raise CapExceeded(f"combined support {a.size + b.size} exceeds support_cap={support_cap}")
+    ground = _l1_cost(a.points_array(), b.points_array())
+    cost, coupling = _w1_binary(a, b) if method == "cdf" else _w1_lp(a, b, ground)
     _verify(cost, coupling, a.weights_array(), b.weights_array(), ground)
     return cost, coupling
 
@@ -276,49 +252,32 @@ def _move_graph(space, k: int, cap: int):
     """
     from scipy import sparse
 
-    snapshots = _lattice(space, k, cap)[0]
-    idx_of = {s.counts: i for i, s in enumerate(snapshots)}
-    heads, tails = [], []
-    for u, s in enumerate(snapshots):
-        c = s.counts
-        for i in range(space.num_labels):
-            if c[i] < 1:
-                continue
-            for j in range(space.num_labels):
-                if i == j:
-                    continue
-                moved = list(c)
-                moved[i] -= 1
-                moved[j] += 1
-                heads.append(u)
-                tails.append(idx_of[tuple(moved)])
-    heads = np.array(heads, dtype=np.int64)
-    tails = np.array(tails, dtype=np.int64)
+    counts = _lattice(space, k, cap)[0].astype(np.int64)
+    l = space.num_labels
+    moves = np.array([(i, j) for i in range(l) for j in range(l) if i != j])
+    # edges ordered by node, then source label, then target label
+    heads, move = np.nonzero(counts[:, moves[:, 0]] >= 1)
+    moved = counts[heads]
+    moved[np.arange(len(heads)), moves[move, 0]] -= 1
+    moved[np.arange(len(heads)), moves[move, 1]] += 1
+    tails = _lattice_rank(moved, k)
     num_edges = len(heads)
+    edges = np.arange(num_edges)
     incidence = sparse.csc_matrix(
-        (
-            np.concatenate([np.ones(num_edges), -np.ones(num_edges)]),
-            (
-                np.concatenate([heads, tails]),
-                np.concatenate([np.arange(num_edges), np.arange(num_edges)]),
-            ),
-        ),
-        shape=(len(snapshots), num_edges),
+        (np.concatenate([np.ones(num_edges), -np.ones(num_edges)]),
+         (np.concatenate([heads, tails]), np.concatenate([edges, edges]))),
+        shape=(len(counts), num_edges),
     )
-    return idx_of, heads, tails, incidence
+    return heads, tails, incidence
 
 
-def _lattice_index(m: Mixture, k: int, idx_of: dict) -> np.ndarray:
-    indices = np.empty(m.size, dtype=np.int64)
-    for pos, (point, _) in enumerate(m.support):
-        scaled = [p * k for p in point.probs]
-        counts = tuple(int(round(s)) for s in scaled)
-        if any(abs(s - c) > 1e-6 for s, c in zip(scaled, counts)) or sum(counts) != k:
-            raise DomainError(
-                f"support point {point.probs} is not on the k={k} snapshot lattice"
-            )
-        indices[pos] = idx_of[counts]
-    return indices
+def _lattice_index(m: Mixture, k: int) -> np.ndarray:
+    """The lattice index of every support point of m."""
+    counts, off = _lattice_counts(m.points_array(), k)
+    if off.size:
+        point = tuple(m.points_array()[off[0]].tolist())
+        raise DomainError(f"support point {point} is not on the k={k} snapshot lattice")
+    return _lattice_rank(counts, k)
 
 
 def w1_lattice(
@@ -338,10 +297,10 @@ def w1_lattice(
     _check_same_space(a, b)
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"snapshot size must be a positive integer, got {k!r}")
-    idx_of, heads, tails, incidence = _move_graph(a.space, k, node_cap)
+    heads, tails, incidence = _move_graph(a.space, k, node_cap)
     supply = np.zeros(incidence.shape[0])
-    np.add.at(supply, _lattice_index(a, k, idx_of), a.weights_array())
-    np.subtract.at(supply, _lattice_index(b, k, idx_of), b.weights_array())
+    np.add.at(supply, _lattice_index(a, k), a.weights_array())
+    np.subtract.at(supply, _lattice_index(b, k), b.weights_array())
     if np.abs(supply).max() == 0.0:
         return 0.0
     cost = np.full(incidence.shape[1], 2.0 / k)
@@ -349,6 +308,8 @@ def w1_lattice(
     if res.status != 0:
         raise SolverFailure(f"lattice flow LP failed: {res.message}")
     flow = res.x / scale
+    if flow.min() < -CHECK_TOL:
+        raise SolverFailure("negative flow below -1e-8")
     total = float(cost @ flow)
     if np.abs(incidence @ flow - supply).max() > CHECK_TOL:
         raise SolverFailure("flow balance residual above 1e-8")
@@ -359,30 +320,3 @@ def w1_lattice(
         raise SolverFailure("primal and dual objectives disagree")
     return total
 
-
-def tv_distance(a: Mixture, b: Mixture) -> float:
-    """Total variation between the two supports, aligned at the merge tolerance."""
-    _check_same_space(a, b)
-    union = _merge_support(
-        [(p, 0.0) for p, _ in a.support] + [(p, 0.0) for p, _ in b.support]
-    )
-    # In the merged union each kept representative stands for every point
-    # within tolerance of it; accumulate both mixtures' weights onto it.
-    reps = [p for p, _ in union]
-    wa = np.zeros(len(reps))
-    wb = np.zeros(len(reps))
-    for weights, mix in ((wa, a), (wb, b)):
-        for point, w in mix.support:
-            for i, rep in enumerate(reps):
-                if sum(abs(x - y) for x, y in zip(point.probs, rep.probs)) <= 1e-12:
-                    weights[i] += w
-                    break
-            else:
-                raise HocalError("support alignment failed")
-    return 0.5 * float(np.abs(wa - wb).sum())
-
-
-def w1_tv_bound_check(a: Mixture, b: Mixture, support_cap: int = DEFAULT_SUPPORT_CAP) -> bool:
-    """The simplex has l1 diameter 2, so W1 never exceeds 2 TV."""
-    w1, _ = wasserstein1(a, b, support_cap=support_cap)
-    return w1 <= 2.0 * tv_distance(a, b) + CHECK_TOL

@@ -156,6 +156,9 @@ def test_hoc_bound():
     assert hoc_bound(0.0, LabelSpace(3), 9) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(DomainError):
         hoc_bound(-0.1, BINARY, 4)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            hoc_bound(bad, BINARY, 4)
 
 
 def test_table_and_dataset_space_checks():

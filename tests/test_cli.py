@@ -268,6 +268,10 @@ TABLE_HEADER = '{"format_version": 1, "k": 1, "kind": "calibration_table", "num_
         ('{"count": 3, "partition": "a", "points": [[1.0, 0.0], [0.0, 1.0]], "weights": [NaN, 1.0]}',
          "InvalidDistribution"),
         ('{"count": 3, "partition": "a", "points": [[NaN, 1.0]], "weights": [1.0]}', "InvalidDistribution"),
+        ('{"count": 3, "partition": "a", "points": [[null, 1.0]], "weights": [1.0]}', "FormatError"),
+        ('{"count": 3, "partition": "a", "points": [[0.0, 1.0]], "weights": [null]}', "FormatError"),
+        ('{"count": 3, "partition": "a", "points": [[1.0, 0.0], [0.0]], "weights": [0.5, 0.5]}',
+         "DimensionMismatch"),
     ],
 )
 def test_malformed_table_numbers_give_a_json_error(tmp_path, capsys, record, error):
@@ -303,3 +307,26 @@ def test_unusable_paths_and_entropy_numbers_give_a_json_error(tmp_path, capsys, 
     diag = json.loads(err)
     assert set(diag) == {"error", "message"}
     assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("command", ["moments", "predset"])
+def test_bad_eps_gives_a_json_error(tmp_path, capsys, eps, command):
+    ref = tmp_path / "ref.ldjson"
+    run(
+        ["gen", "--nature", "two-scenario-2", "--n", "4", "--k", "2",
+         "--seed", "1", "--out", str(tmp_path / "ds.ldjson"), "--ref", str(ref)],
+        capsys,
+    )
+    out_path = tmp_path / "out"
+    argv = [command, "--table", str(ref), "--eps", eps, "--out", str(out_path)]
+    if command == "predset":
+        argv += ["--alpha", "0.2", "--kind", "interval"]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "DomainError"
+    assert "eps" in diag["message"]
+    assert "\n" not in err.strip()
+    assert not out_path.exists()

@@ -165,6 +165,18 @@ def test_table_write_is_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_table_with_signed_zeros_is_written_back_unchanged(tmp_path):
+    text = (
+        '{"format_version": 1, "k": 2, "kind": "calibration_table", "num_labels": 3}\n'
+        '{"count": 4, "partition": "a", "points": [[-0.0, 0.5, 0.5], [0.5, -0.0, 0.5], '
+        '[1.0, 0.0, -0.0]], "weights": [0.25, 0.25, 0.5]}\n'
+    )
+    src, dst = tmp_path / "a.ldjson", tmp_path / "b.ldjson"
+    src.write_text(text)
+    write_calibration_table(read_calibration_table(src), dst)
+    assert dst.read_text() == text
+
+
 def test_table_duplicate_partition_rejected(tmp_path):
     path = tmp_path / "table.ldjson"
     path.write_text(

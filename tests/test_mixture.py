@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hocal.errors import InvalidDistribution
+from hocal.calibrate import CalibrationTable
+from hocal.errors import DomainError, InvalidDistribution
+from hocal.moments import estimate_moments
+from hocal.transport import w1_lattice
 from hocal.mixture import (
     Mixture,
     RngSeed,
@@ -11,15 +14,22 @@ from hocal.mixture import (
     empirical_mixture,
     mixture_from_arrays,
     project_k,
-    sample_snapshot,
     sample_snapshots,
 )
 from hocal.mixture import _lattice, _projection_masses
-from hocal.simplex import DEFAULT_ENUM_CAP, LabelSpace, SimplexPoint, snapshot_to_point
+from hocal.simplex import DEFAULT_ENUM_CAP, LabelSpace, SimplexPoint, Snapshot, snapshot_to_point
 from hocal.synth import RandomMixtureSpec, random_mixture
 
 BINARY = LabelSpace(2)
 TERNARY = LabelSpace(3)
+
+
+def sample_snapshot(m: Mixture, k: int, rng: RngSeed) -> Snapshot:
+    """One k-snapshot: draw a support point by weight, then k iid labels."""
+    gen = rng.generator()
+    idx = gen.choice(m.size, p=m.weights_array())
+    counts = gen.multinomial(k, m.points_array()[idx])
+    return Snapshot(tuple(int(c) for c in counts))
 
 
 def test_rng_seed_validation():
@@ -59,10 +69,9 @@ def test_mixture_weight_validation():
     "weights,total", [((0.5, np.nan), 1.0), ((np.inf, 0.5), 1.0), ((0.5, 0.5), np.nan)]
 )
 def test_trusted_constructor_rejects_non_finite_weights(weights, total):
-    points = [SimplexPoint((0.5, 0.5)), SimplexPoint((1.0, 0.0))]
-    probs = np.array([p.probs for p in points])
+    points = np.array([(0.5, 0.5), (1.0, 0.0)])
     with pytest.raises(InvalidDistribution):
-        Mixture._from_distinct(points, probs, np.array(weights), total, BINARY)
+        Mixture._from_distinct(points, np.array(weights), total, BINARY)
 
 
 def test_mixture_merges_duplicates():
@@ -143,7 +152,8 @@ def test_project_k_matches_the_generic_constructor(l, k):
     spec = RandomMixtureSpec(num_labels=l, support_size=4, dirichlet_alpha=2.0)
     mixtures = [random_mixture(spec, RngSeed(500 * l + 10 * k + t)) for t in range(5)]
     mixtures += list(_edge_mixtures(l))
-    points = _lattice(LabelSpace(l), k, DEFAULT_ENUM_CAP)[2]
+    counts = _lattice(LabelSpace(l), k, DEFAULT_ENUM_CAP)[0]
+    points = [snapshot_to_point(Snapshot(tuple(c))) for c in counts.astype(int).tolist()]
     for m in mixtures:
         mass = _projection_masses(m, k, DEFAULT_ENUM_CAP)
         generic = Mixture(
@@ -222,3 +232,20 @@ def test_empirical_mixture_merges_and_weights():
     assert got[(0.0, 1.0)] == pytest.approx(1.0 / 3.0, abs=1e-15)
     with pytest.raises(InvalidDistribution):
         empirical_mixture([])
+
+@pytest.mark.parametrize("k", [1, 4, 32])
+def test_one_lattice_rule_for_tables_moments_and_w1_lattice(k):
+    # a coordinate of k * p off its count by 2e-9 * k is off the lattice for
+    # every caller; the exact lattice points themselves pass
+    c = k // 2
+    on = mixture_from_arrays([((k - c) / k, c / k), (1.0, 0.0)], [0.5, 0.5], BINARY)
+    off = mixture_from_arrays([((k - c) / k - 2e-9, c / k + 2e-9), (1.0, 0.0)], [0.5, 0.5], BINARY)
+    CalibrationTable(entries={"a": on}, k=k, space=BINARY, counts=None)
+    estimate_moments(on, k, eps=0.0)
+    assert w1_lattice(on, on, k) == 0.0
+    with pytest.raises(InvalidDistribution):
+        CalibrationTable(entries={"a": off}, k=k, space=BINARY, counts=None)
+    with pytest.raises(InvalidDistribution):
+        estimate_moments(off, k, eps=0.0)
+    with pytest.raises(DomainError):
+        w1_lattice(off, on, k)

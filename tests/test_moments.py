@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,17 @@ def test_moment_vector_validation_and_bounds():
         MomentVector(k=2, values=(0.3, 0.5), eps=0.0)  # moments must not increase
     with pytest.raises(InvalidDistribution):
         MomentVector(k=1, values=(1.2,), eps=0.0)
+    for bad in (math.nan, math.inf, -0.5):
+        with pytest.raises(DomainError):
+            MomentVector(k=1, values=(0.5,), eps=bad)
+
+
+def test_moment_weight_is_the_correctly_rounded_ratio_at_k_100():
+    k = 100
+    for c in range(k + 1):
+        for m in range(1, c + 1):
+            exact = Fraction(math.comb(c, m), math.comb(k, m))
+            assert moment_weight(k, m, Snapshot((k - c, c))) == float(exact)
 
 
 def test_central_moment_hand_values():

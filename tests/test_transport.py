@@ -13,13 +13,26 @@ import hocal.transport
 from hocal.transport import (
     SolverFailure,
     _transport_constraints,
-    tv_distance,
     w1_lattice,
-    w1_tv_bound_check,
     wasserstein1,
 )
 
 BINARY = LabelSpace(2)
+
+
+def tv_distance(a, b) -> float:
+    """Total variation between two supports, matching points within l1 1e-12."""
+    wa, wb = a.weights_array(), b.weights_array()
+    pa, pb = a.points_array(), b.points_array()
+    close = np.abs(pa[:, None, :] - pb[None, :, :]).sum(axis=2) <= 1e-12
+    unmatched = wb[~close.any(axis=0)].sum()
+    return 0.5 * float(np.abs(wa - close @ wb).sum() + unmatched)
+
+
+def w1_tv_bound_check(a, b) -> bool:
+    """The simplex has l1 diameter 2, so W1 never exceeds 2 TV."""
+    w1, _ = wasserstein1(a, b)
+    return w1 <= 2.0 * tv_distance(a, b) + 1e-8
 
 
 def binary(biases, weights):
@@ -284,3 +297,33 @@ def test_dense_lp_certificate_rejects_a_perturbed_plan_or_dual(monkeypatch, pert
     monkeypatch.setattr(hocal.transport, "_solve_lp", perturbed)
     with pytest.raises(SolverFailure, match=message):
         wasserstein1(a, b, method="lp")
+
+
+def _negative_cycle(res):
+    # -eps on two opposite moves u -> v and v -> u keeps every node balanced
+    # and drives a zero flow negative
+    x = res.x.copy()
+    heads, tails, _ = hocal.transport._move_graph(LabelSpace(3), 2, hocal.transport.DEFAULT_NODE_CAP)
+    back = {(h, t): e for e, (h, t) in enumerate(zip(heads.tolist(), tails.tolist()))}
+    e = int(np.flatnonzero(x == x.min())[0])
+    x[e] -= 1e-6 * _SCALE
+    x[back[int(tails[e]), int(heads[e])]] -= 1e-6 * _SCALE
+    res.x = x
+
+
+def test_lattice_flow_certificate_rejects_negative_flow(monkeypatch):
+    space = LabelSpace(3)
+    a = mixture_from_arrays([(1.0, 0.0, 0.0), (0.5, 0.5, 0.0)], [0.7, 0.3], space)
+    b = mixture_from_arrays([(0.0, 0.5, 0.5), (0.0, 0.0, 1.0)], [0.4, 0.6], space)
+    solve = hocal.transport._solve_lp
+
+    def perturbed(cost, a_eq, b_eq, method="highs"):
+        res, scale = solve(cost, a_eq, b_eq, method)
+        assert scale == _SCALE
+        _negative_cycle(res)
+        return res, scale
+
+    w1_lattice(a, b, 2)
+    monkeypatch.setattr(hocal.transport, "_solve_lp", perturbed)
+    with pytest.raises(SolverFailure, match="negative flow"):
+        w1_lattice(a, b, 2)
