@@ -29,8 +29,12 @@ from .decompose import (
 from .entropy import (
     EntropySpec,
     divergence,
+    divergence_rows,
+    entropy_rows,
     entropy_value,
     gradient,
+    gradient_rows,
+    loss_rows,
     proper_loss,
     shannon_modulus_bound,
 )
@@ -66,7 +70,6 @@ from .moments import (
     estimate_moments,
     moment_weight,
     poly_au_estimate,
-    true_moments,
 )
 from .predset import (
     IntervalSet,
@@ -143,17 +146,21 @@ __all__ = [
     "decompose",
     "default_t_grid",
     "divergence",
+    "divergence_rows",
     "empirical_mixture",
     "enlarge",
+    "entropy_rows",
     "entropy_value",
     "enumerate_snapshot_space",
     "estimate_moments",
     "gen_dataset",
     "gradient",
+    "gradient_rows",
     "hoc_bound",
     "koc_error",
     "l1_distance",
     "loss_breakdown",
+    "loss_rows",
     "mgf_diagnostic",
     "mixture_from_arrays",
     "moment_interval",
@@ -172,7 +179,6 @@ __all__ = [
     "snapshot_space_size",
     "snapshot_to_point",
     "sqrt_eps_rule",
-    "true_moments",
     "w1_lattice",
     "wasserstein1",
 ]

@@ -247,9 +247,7 @@ def predset_cmd(table_path, alpha, kind, delta, eps, reference, audit_path, out)
     sets = {}
     for pid in table.partitions:
         if kind == "mass":
-            s = build_mass_set(table.entries[pid], alpha)
-            if delta > 0.0:
-                s = enlarge(s, delta)
+            s = enlarge(build_mass_set(table.entries[pid], alpha), delta)
         else:
             mv = estimate_moments(table.entries[pid], table.k, eps)
             s = moment_interval(mv, alpha)

@@ -10,17 +10,14 @@ to the components.
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .entropy import EntropySpec, divergence, entropy_value, proper_loss
+import numpy as np
+
+from .entropy import EntropySpec, divergence, divergence_rows, entropy_rows, entropy_value, loss_rows
 from .errors import DimensionMismatch
-from .mixture import Mixture, centroid
+from .mixture import Mixture, _running_sum, centroid
 
-TMI_SUPPORT_CAP = 512
-
-REASON_SUPPORT_CAP = "support-above-512"
 REASON_INFINITE = "infinite-divergence"
 
 
@@ -29,9 +26,9 @@ class UncertaintyReport:
     """(pu, au, eu) plus the pairwise (TMI) variants when computable.
 
     pu = au + eu holds by construction; eu is non-negative up to float
-    noise for every concave entropy. The tmi fields are None when the
-    support is too large for the quadratic pairwise pass or when a
-    divergence came out infinite; tmi_reason says which.
+    noise for every concave entropy. The tmi fields are computed for every
+    support, in O(n^2 l) time and O(n l) memory; they are None only when a
+    divergence came out infinite, and tmi_reason then says so.
     """
 
     pu: float
@@ -43,15 +40,7 @@ class UncertaintyReport:
     tmi_reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "pu": self.pu,
-            "au": self.au,
-            "eu": self.eu,
-            "pu_tmi": self.pu_tmi,
-            "eu_tmi": self.eu_tmi,
-            "eu_rmi": self.eu_rmi,
-            "tmi_reason": self.tmi_reason,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -71,18 +60,12 @@ class LossBreakdown:
     foc_error: float
 
     def to_dict(self) -> dict:
-        return {
-            "expected_loss": self.expected_loss,
-            "avg_au": self.avg_au,
-            "avg_bias": self.avg_bias,
-            "grouping_loss": self.grouping_loss,
-            "foc_error": self.foc_error,
-        }
+        return asdict(self)
 
 
 def average_entropy(m: Mixture, g: EntropySpec) -> float:
     """E[G(p)] over the mixture: the aleatoric part."""
-    return float(sum(w * entropy_value(g, p) for p, w in m.support))
+    return _running_sum(m.weights_array() * entropy_rows(g, m.points_array()))
 
 
 def decompose(m: Mixture, g: EntropySpec) -> UncertaintyReport:
@@ -91,23 +74,21 @@ def decompose(m: Mixture, g: EntropySpec) -> UncertaintyReport:
     pu = entropy_value(g, center)
     au = average_entropy(m, g)
     eu = pu - au
+    infinite = UncertaintyReport(pu=pu, au=au, eu=eu, tmi_reason=REASON_INFINITE)
 
-    if m.size > TMI_SUPPORT_CAP:
-        return UncertaintyReport(pu=pu, au=au, eu=eu, tmi_reason=REASON_SUPPORT_CAP)
+    points, weights = m.points_array(), m.weights_array()
+    d = divergence_rows(g, center.probs, points)
+    if np.isinf(d).any():
+        return infinite
+    eu_rmi = _running_sum(weights * d)
 
-    eu_rmi = 0.0
-    for p, w in m.support:
-        d = divergence(g, center, p)
-        if math.isinf(d):
-            return UncertaintyReport(pu=pu, au=au, eu=eu, tmi_reason=REASON_INFINITE)
-        eu_rmi += w * d
-
+    # the pairwise pass goes one support row at a time: O(n l) memory
     eu_tmi = 0.0
-    for (p1, w1), (p2, w2) in itertools.product(m.support, m.support):
-        d = divergence(g, p1, p2)
-        if math.isinf(d):
-            return UncertaintyReport(pu=pu, au=au, eu=eu, tmi_reason=REASON_INFINITE)
-        eu_tmi += w1 * w2 * d
+    for i in range(m.size):
+        d = divergence_rows(g, points[i], points)
+        if np.isinf(d).any():
+            return infinite
+        eu_tmi = _running_sum(weights[i] * weights * d, eu_tmi)
 
     return UncertaintyReport(
         pu=pu,
@@ -136,9 +117,10 @@ def loss_breakdown(predicted: Mixture, bayes: Mixture, g: EntropySpec) -> LossBr
         raise DimensionMismatch("predicted and reference mixtures live over different label spaces")
     q_bar = centroid(predicted)
     p_bar = centroid(bayes)
-    expected_loss = float(sum(w * proper_loss(g, p, q_bar) for p, w in bayes.support))
+    points, weights = bayes.points_array(), bayes.weights_array()
+    expected_loss = _running_sum(weights * loss_rows(g, points, q_bar.probs))
     avg_au = average_entropy(bayes, g)
-    grouping_loss = float(sum(w * divergence(g, p, p_bar) for p, w in bayes.support))
+    grouping_loss = _running_sum(weights * divergence_rows(g, points, p_bar.probs))
     foc_error = divergence(g, p_bar, q_bar)
     return LossBreakdown(
         expected_loss=expected_loss,
@@ -157,11 +139,16 @@ def default_t_grid(num_labels: int, cap: int = 243) -> list:
     resort.
     """
     if 5**num_labels <= cap:
-        values = (-1.0, -0.5, 0.0, 0.5, 1.0)
+        values = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     else:
-        values = (-1.0, 0.0, 1.0)
-    grid = itertools.product(values, repeat=num_labels)
-    return [t for _, t in zip(range(cap), grid)]
+        values = np.array([-1.0, 0.0, 1.0])
+    # the first min(cap, v^l) tuples in lexicographic order are the base-v
+    # digits of 0, 1, 2, ..., most significant label first
+    rest = np.arange(min(cap, len(values) ** num_labels))
+    digits = np.empty((len(rest), num_labels), dtype=np.int64)
+    for j in range(num_labels - 1, -1, -1):
+        rest, digits[:, j] = np.divmod(rest, len(values))
+    return [tuple(t) for t in values[digits].tolist()]
 
 
 def mgf_diagnostic(a: Mixture, b: Mixture, t_grid: list | None = None) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InvalidDistribution
+from .errors import DimensionMismatch, DomainError
 from .simplex import SimplexPoint
 
 CONCAVITY_GRID_STEP = 1e-3
@@ -106,45 +106,117 @@ class EntropySpec:
         )
 
 
-def _require_binary(g: EntropySpec, p: SimplexPoint):
-    if p.dim != 2:
+def _check_labels(g: EntropySpec, num_labels: int):
+    if g.kind == "exponential" and len(g.t) != num_labels:
+        raise DimensionMismatch(f"t has {len(g.t)} entries for a {num_labels}-label point")
+    if g.kind == "polynomial" and num_labels != 2:
         raise DimensionMismatch(f"{g.kind} entropy with these parameters needs a binary space")
+
+
+def _rows(*arrays) -> list:
+    """Point arrays as C-ordered (n, l) float rows broadcast to one shape; a
+    single row stands for all of them."""
+    rows = [np.ascontiguousarray(np.atleast_2d(a), dtype=float) for a in arrays]
+    if len({r.shape[1] for r in rows}) > 1:
+        raise DimensionMismatch(f"{rows[0].shape[1]}-label point vs {rows[1].shape[1]}-label point")
+    return np.broadcast_arrays(*rows)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i for every row, each by one BLAS dot as a 1-d `@` computes it."""
+    a, b = (np.ascontiguousarray(x) for x in np.broadcast_arrays(a, b))
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _kept_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Row sums of terms over keep, each as numpy sums that row's kept entries
+    on their own: numpy's pairwise summation depends on how many there are,
+    so rows are summed in groups of equal count."""
+    counts = keep.sum(axis=1)
+    sums = np.empty(len(terms))
+    for c in np.unique(counts).tolist():
+        rows = counts == c
+        sums[rows] = terms[rows][keep[rows]].reshape(-1, c).sum(axis=1)
+    return sums
+
+
+def _shannon_pairs(g: EntropySpec, p: np.ndarray, q: np.ndarray, loss: bool) -> np.ndarray:
+    """Shannon L<p||q> (loss) or D<p||q> row by row; inf where q lacks mass p has."""
+    pos = p > 0.0
+    log_q = np.log(np.where(pos & (q > 0.0), q, 1.0))
+    if loss:
+        sums = -_kept_sums(p * log_q, pos)
+    else:
+        sums = _kept_sums(p * (np.log(np.where(pos, p, 1.0)) - log_q), pos)
+    return np.where((pos & (q <= 0.0)).any(axis=1), math.inf, sums / math.log(g.log_base))
+
+
+def entropy_rows(g: EntropySpec, points) -> np.ndarray:
+    """G(p) for every row of an (n, l) array, with 0*log(0) = 0 for Shannon."""
+    (p,) = _rows(points)
+    _check_labels(g, p.shape[1])
+    if g.kind == "shannon":
+        pos = p > 0.0
+        return -_kept_sums(p * np.log(np.where(pos, p, 1.0)), pos) / math.log(g.log_base)
+    if g.kind == "brier":
+        if g.binary_scaled and p.shape[1] == 2:
+            return 4.0 * p[:, 0] * p[:, 1]
+        return 1.0 - (p**2).sum(axis=1)
+    if g.kind == "exponential":
+        return -np.exp(_row_dot(p, np.asarray(g.t)))
+    return np.polynomial.polynomial.polyval(p[:, 1], np.asarray(g.coeffs))
+
+
+def gradient_rows(g: EntropySpec, points) -> np.ndarray:
+    """A gradient of G at every row (unique up to a shift along all-ones)."""
+    (p,) = _rows(points)
+    _check_labels(g, p.shape[1])
+    if g.kind == "shannon":
+        if (p <= 0.0).any():
+            raise DomainError("Shannon gradient needs strictly positive coordinates")
+        return -(np.log(p) + 1.0) / math.log(g.log_base)
+    if g.kind == "brier":
+        if g.binary_scaled and p.shape[1] == 2:
+            return 4.0 * p[:, ::-1]
+        return -2.0 * p
+    if g.kind == "exponential":
+        t = np.asarray(g.t)
+        return -t * np.exp(_row_dot(p, t))[:, None]
+    deriv = np.polynomial.polynomial.polyder(np.asarray(g.coeffs))
+    return np.column_stack([np.zeros(len(p)), np.polynomial.polynomial.polyval(p[:, 1], deriv)])
+
+
+def loss_rows(g: EntropySpec, p_true, q) -> np.ndarray:
+    """L<p||q> = G(q) + grad G(q) . (p - q) row by row; a single row of
+    either side stands for all. Shannon gives inf where q lacks mass p has."""
+    p, q = _rows(p_true, q)
+    if g.kind == "shannon":
+        return _shannon_pairs(g, p, q, loss=True)
+    return entropy_rows(g, q) + _row_dot(gradient_rows(g, q), p - q)
+
+
+def divergence_rows(g: EntropySpec, p_rows, q_rows) -> np.ndarray:
+    """D<p||q> = L<p||q> - G(p) row by row, as `loss_rows` pairs them."""
+    p, q = _rows(p_rows, q_rows)
+    if g.kind == "shannon":
+        return _shannon_pairs(g, p, q, loss=False)
+    if g.kind == "brier":
+        if g.binary_scaled and p.shape[1] == 2:
+            # squared by C pow() (`** 2` on floats), as this divergence always
+            # was; x * x rounds differently for about 0.1% of values
+            return 4.0 * ((p[:, 1] - q[:, 1]).astype(object) ** 2).astype(float)
+        return ((p - q) ** 2).sum(axis=1)
+    return loss_rows(g, p, q) - entropy_rows(g, p)
 
 
 def entropy_value(g: EntropySpec, p: SimplexPoint) -> float:
     """G(p), with the 0*log(0) = 0 convention for Shannon."""
-    probs = p.as_array()
-    if g.kind == "shannon":
-        pos = probs > 0.0
-        return float(-(probs[pos] * np.log(probs[pos])).sum() / math.log(g.log_base))
-    if g.kind == "brier":
-        if g.binary_scaled and p.dim == 2:
-            return 4.0 * probs[0] * probs[1]
-        return float(1.0 - (probs**2).sum())
-    if g.kind == "exponential":
-        if len(g.t) != p.dim:
-            raise DimensionMismatch(f"t has {len(g.t)} entries for a {p.dim}-label point")
-        return float(-math.exp(np.dot(g.t, probs)))
-    _require_binary(g, p)
-    return float(np.polynomial.polynomial.polyval(p.bias, np.asarray(g.coeffs)))
+    return float(entropy_rows(g, p.probs)[0])
 
 
 def gradient(g: EntropySpec, p: SimplexPoint) -> np.ndarray:
     """A gradient of G at p (unique up to a constant shift along the all-ones direction)."""
-    probs = p.as_array()
-    if g.kind == "shannon":
-        if (probs <= 0.0).any():
-            raise DomainError("Shannon gradient needs strictly positive coordinates")
-        return -(np.log(probs) + 1.0) / math.log(g.log_base)
-    if g.kind == "brier":
-        if g.binary_scaled and p.dim == 2:
-            return 4.0 * probs[::-1].copy()
-        return -2.0 * probs
-    if g.kind == "exponential":
-        return -np.asarray(g.t) * math.exp(np.dot(g.t, probs))
-    _require_binary(g, p)
-    deriv = np.polynomial.polynomial.polyder(np.asarray(g.coeffs))
-    return np.array([0.0, float(np.polynomial.polynomial.polyval(p.bias, deriv))])
+    return gradient_rows(g, p.probs)[0]
 
 
 def divergence(g: EntropySpec, p: SimplexPoint, q: SimplexPoint) -> float:
@@ -154,32 +226,12 @@ def divergence(g: EntropySpec, p: SimplexPoint, q: SimplexPoint) -> float:
     has it, the divergence is genuinely infinite and math.inf is returned
     as the sentinel rather than raising.
     """
-    if p.dim != q.dim:
-        raise DimensionMismatch(f"{p.dim}-label point vs {q.dim}-label point")
-    pa, qa = p.as_array(), q.as_array()
-    if g.kind == "shannon":
-        pos = pa > 0.0
-        if (qa[pos] <= 0.0).any():
-            return math.inf
-        return float((pa[pos] * (np.log(pa[pos]) - np.log(qa[pos]))).sum() / math.log(g.log_base))
-    if g.kind == "brier":
-        if g.binary_scaled and p.dim == 2:
-            return 4.0 * (pa[1] - qa[1]) ** 2
-        return float(((pa - qa) ** 2).sum())
-    return entropy_value(g, q) + float(gradient(g, q) @ (pa - qa)) - entropy_value(g, p)
+    return float(divergence_rows(g, p.probs, q.probs)[0])
 
 
 def proper_loss(g: EntropySpec, p_true: SimplexPoint, q: SimplexPoint) -> float:
     """Expected loss of predicting q when truth is p_true; equals G + D."""
-    if p_true.dim != q.dim:
-        raise DimensionMismatch(f"{p_true.dim}-label point vs {q.dim}-label point")
-    pa, qa = p_true.as_array(), q.as_array()
-    if g.kind == "shannon":
-        pos = pa > 0.0
-        if (qa[pos] <= 0.0).any():
-            return math.inf
-        return float(-(pa[pos] * np.log(qa[pos])).sum() / math.log(g.log_base))
-    return entropy_value(g, q) + float(gradient(g, q) @ (pa - qa))
+    return float(loss_rows(g, p_true.probs, q.probs)[0])
 
 
 def shannon_modulus_bound(x: float) -> float:

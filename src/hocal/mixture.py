@@ -214,18 +214,24 @@ class Mixture:
 
 
 def mixture_from_arrays(points, weights, space: LabelSpace) -> Mixture:
-    """Build a Mixture from parallel point/weight sequences; as with zip,
-    the longer one is cut to the length of the shorter."""
-    n = min(len(points), len(weights))
+    """Build a Mixture from parallel point/weight sequences of equal length."""
+    if len(points) != len(weights):
+        raise InvalidDistribution(f"{len(points)} points but {len(weights)} weights")
     mix = object.__new__(Mixture)
-    mix._build(_coordinate_rows(points[:n], space), weights[:n], space)
+    mix._build(_coordinate_rows(points, space), weights, space)
     return mix
 
 
 def centroid(m: Mixture) -> SimplexPoint:
     """The mean of the mixture, a single simplex point."""
     avg = m.weights_array() @ m.points_array()
-    return SimplexPoint(tuple(avg))
+    return SimplexPoint._trusted(simplex_rows(avg[None])[0].tolist())
+
+
+def _running_sum(terms: np.ndarray, start: float = 0.0) -> float:
+    """start + terms[0] + terms[1] + ..., left to right: the bits of Python's
+    `sum` (start 0) or of a `+=` loop continuing from start."""
+    return float(np.cumsum(np.concatenate(([start], terms)))[-1])
 
 
 def _lattice_counts(points: np.ndarray, k: int):

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropySpec, entropy_value
+from .entropy import EntropySpec, entropy_rows
 from .errors import DimensionMismatch, DomainError, InvalidDistribution
 from .mixture import Mixture, _lattice_counts
-from .simplex import SimplexPoint, Snapshot
+from .simplex import Snapshot, simplex_rows
 
 MAX_FIT_DEGREE = 24
 SUP_ERROR_GRID = 10**4
@@ -109,14 +109,6 @@ def estimate_moments(kth: Mixture, k: int, eps: float) -> MomentVector:
     return MomentVector(k=k, values=tuple(values), eps=eps)
 
 
-def true_moments(m: Mixture, i: int) -> float:
-    """E[p^i] under the mixture itself (bias coordinate); test oracle."""
-    if m.space.num_labels != 2:
-        raise DimensionMismatch("moment recovery is defined for binary spaces")
-    biases = m.points_array()[:, 1]
-    return float(m.weights_array() @ biases**i)
-
-
 def central_moment(mv: MomentVector, j: int) -> tuple:
     """(c_j, error bound): the j-th central moment from raw moments.
 
@@ -133,15 +125,6 @@ def central_moment(mv: MomentVector, j: int) -> tuple:
     return float(total), bound
 
 
-def _bias_callable(g: EntropySpec):
-    def f(x):
-        return np.array(
-            [entropy_value(g, SimplexPoint((1.0 - xi, xi))) for xi in np.atleast_1d(x)]
-        )
-
-    return f
-
-
 def chebyshev_fit(g: EntropySpec, d: int) -> PolyApprox:
     """Degree-d polynomial fit of G along the binary bias coordinate.
 
@@ -152,7 +135,11 @@ def chebyshev_fit(g: EntropySpec, d: int) -> PolyApprox:
     """
     if not 1 <= d <= MAX_FIT_DEGREE:
         raise DomainError(f"degree must lie in [1, {MAX_FIT_DEGREE}], got {d}")
-    f = _bias_callable(g)
+
+    def f(x):  # G along the bias coordinate
+        x = np.atleast_1d(x)
+        return entropy_rows(g, simplex_rows(np.column_stack([1.0 - x, x])))
+
     cheb = np.polynomial.chebyshev.Chebyshev.interpolate(f, d, domain=[0.0, 1.0])
     poly = cheb.convert(kind=np.polynomial.polynomial.Polynomial)
     coeffs = tuple(float(c) for c in poly.coef)

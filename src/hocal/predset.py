@@ -14,12 +14,15 @@ then exact and enlargement closed-form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
-from .errors import DomainError
-from .mixture import Mixture
+import numpy as np
+
+from .errors import DimensionMismatch, DomainError
+from .mixture import Mixture, _running_sum
 from .moments import MomentVector, central_moment
-from .simplex import SimplexPoint, l1_distance
+from .simplex import SimplexPoint, l1_rows
 
 
 @dataclass(frozen=True)
@@ -30,12 +33,19 @@ class PredictionSet:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise DomainError(f"radius must be non-negative, got {self.radius}")
+        if not 0.0 <= self.radius < math.inf:
+            raise DomainError(f"radius must be finite and non-negative, got {self.radius}")
         object.__setattr__(self, "centers", tuple(self.centers))
 
+    def contains_rows(self, points) -> np.ndarray:
+        """Membership of every row of an (n, l) array, one center at a time."""
+        inside = np.zeros(len(points), dtype=bool)
+        for c in self.centers:
+            inside |= l1_rows(points, c.probs) <= self.radius
+        return inside
+
     def contains(self, p: SimplexPoint) -> bool:
-        return any(l1_distance(p, c) <= self.radius for c in self.centers)
+        return bool(self.contains_rows(np.atleast_2d(p.probs))[0])
 
     def to_dict(self) -> dict:
         return {
@@ -55,11 +65,18 @@ class IntervalSet:
         if not 0.0 <= self.lo <= self.hi <= 1.0:
             raise DomainError(f"need 0 <= lo <= hi <= 1, got [{self.lo}, {self.hi}]")
 
+    def contains_rows(self, points) -> np.ndarray:
+        """Membership of every row of an (n, 2) array."""
+        if points.shape[1] != 2:
+            raise DimensionMismatch("bias is a binary-space coordinate")
+        bias = points[:, 1]
+        return (self.lo <= bias) & (bias <= self.hi)
+
     def contains(self, p: SimplexPoint) -> bool:
-        return self.lo <= p.bias <= self.hi
+        return bool(self.contains_rows(np.atleast_2d(p.probs))[0])
 
     def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi}
+        return asdict(self)
 
 
 def build_mass_set(m: Mixture, alpha: float) -> PredictionSet:
@@ -71,27 +88,24 @@ def build_mass_set(m: Mixture, alpha: float) -> PredictionSet:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    order = sorted(m.support, key=lambda pw: (-pw[1], pw[0].probs))
-    centers = []
-    captured = 0.0
-    for point, weight in order:
-        centers.append(point)
-        captured += weight
-        if captured >= 1.0 - alpha:
-            break
+    points, weights = m.points_array(), m.weights_array()
+    order = np.lexsort((*points.T[::-1], -weights))
+    reached = np.cumsum(weights[order]) >= 1.0 - alpha
+    count = int(np.argmax(reached)) + 1 if reached.any() else m.size
+    centers = map(SimplexPoint._trusted, points[order[:count]].tolist())
     return PredictionSet(centers=tuple(centers), radius=0.0)
 
 
 def enlarge(s: PredictionSet, delta: float) -> PredictionSet:
     """The same centers with the radius grown by delta."""
-    if delta < 0:
-        raise DomainError(f"delta must be non-negative, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise DomainError(f"delta must be finite and non-negative, got {delta}")
     return PredictionSet(centers=s.centers, radius=s.radius + delta)
 
 
 def coverage(s, m: Mixture) -> float:
-    """Probability mass of m inside the set."""
-    return float(sum(w for p, w in m.support if s.contains(p)))
+    """Probability mass of m inside the set, summed in support order."""
+    return _running_sum(m.weights_array()[s.contains_rows(m.points_array())])
 
 
 def moment_interval(mv: MomentVector, alpha: float) -> IntervalSet:

@@ -122,11 +122,18 @@ class Snapshot:
         return len(self.counts)
 
 
+def l1_rows(points: np.ndarray, center) -> np.ndarray:
+    """l1 distance from every row of an (n, l) array to one point, each
+    summed left to right as Python's `sum` does."""
+    center = np.asarray(center, dtype=float)
+    if points.shape[1] != len(center):
+        raise DimensionMismatch(f"{points.shape[1]}-label point vs {len(center)}-label point")
+    return np.cumsum(np.abs(points - center), axis=1)[:, -1]
+
+
 def l1_distance(a: SimplexPoint, b: SimplexPoint) -> float:
     """Sum of absolute coordinate differences; at most 2 on the simplex."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"{a.dim}-label point vs {b.dim}-label point")
-    return float(sum(abs(x - y) for x, y in zip(a.probs, b.probs)))
+    return float(l1_rows(np.atleast_2d(a.probs), b.probs)[0])
 
 
 def snapshot_to_point(s: Snapshot) -> SimplexPoint:

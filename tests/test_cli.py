@@ -309,9 +309,7 @@ def test_unusable_paths_and_entropy_numbers_give_a_json_error(tmp_path, capsys, 
     assert "\n" not in err.strip()
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf", "-0.5"])
-@pytest.mark.parametrize("command", ["moments", "predset"])
-def test_bad_eps_gives_a_json_error(tmp_path, capsys, eps, command):
+def _assert_domain_error_naming(option, argv, tmp_path, capsys):
     ref = tmp_path / "ref.ldjson"
     run(
         ["gen", "--nature", "two-scenario-2", "--n", "4", "--k", "2",
@@ -319,14 +317,26 @@ def test_bad_eps_gives_a_json_error(tmp_path, capsys, eps, command):
         capsys,
     )
     out_path = tmp_path / "out"
-    argv = [command, "--table", str(ref), "--eps", eps, "--out", str(out_path)]
-    if command == "predset":
-        argv += ["--alpha", "0.2", "--kind", "interval"]
-    code, out, err = run(argv, capsys)
+    code, out, err = run(argv + ["--table", str(ref), "--out", str(out_path)], capsys)
     assert code == 1
     assert out == ""
     diag = json.loads(err)
     assert diag["error"] == "DomainError"
-    assert "eps" in diag["message"]
+    assert option in diag["message"]
     assert "\n" not in err.strip()
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("command", ["moments", "predset"])
+def test_bad_eps_gives_a_json_error(tmp_path, capsys, eps, command):
+    argv = [command, "--eps", eps]
+    if command == "predset":
+        argv += ["--alpha", "0.2", "--kind", "interval"]
+    _assert_domain_error_naming("eps", argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-0.1"])
+def test_bad_delta_gives_a_json_error(tmp_path, capsys, delta):
+    argv = ["predset", "--delta", delta, "--alpha", "0.2", "--kind", "mass"]
+    _assert_domain_error_naming("delta", argv, tmp_path, capsys)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -63,14 +64,19 @@ def test_infinite_divergence_reason():
     assert r.tmi_reason == "infinite-divergence"
 
 
-def test_support_cap_reason():
+def test_support_above_512_gets_tmi_fields():
+    # no support cap: on a binary space the Brier divergence is 2 (b - b')^2,
+    # so eu = eu_rmi = 2 Var(b) and eu_tmi = 4 Var(b)
     n = 513
     biases = [i / (n + 1) + 1e-4 for i in range(n)]
     m = binary(biases, [1.0 / n] * n)
     r = decompose(m, BRIER)
-    assert r.tmi_reason == "support-above-512"
-    assert r.eu_tmi is None
-    assert r.eu == pytest.approx(r.pu - r.au, abs=1e-15)
+    assert r.tmi_reason is None
+    var = sum(b * b for b in biases) / n - (sum(biases) / n) ** 2
+    assert r.eu == pytest.approx(2 * var, abs=1e-12)
+    assert r.eu_rmi == pytest.approx(2 * var, abs=1e-12)
+    assert r.eu_tmi == pytest.approx(4 * var, abs=1e-12)
+    assert r.pu_tmi == pytest.approx(r.au + r.eu_tmi, abs=1e-15)
 
 
 @settings(deadline=None, max_examples=60)
@@ -131,6 +137,9 @@ def test_default_t_grid_sizes():
     assert len(default_t_grid(5)) == 243
     assert len(default_t_grid(6)) == 243
     assert all(all(-1.0 <= x <= 1.0 for x in t) for t in default_t_grid(6))
+    # the first 243 tuples of the lexicographic grid
+    for l, values in ((3, (-1.0, -0.5, 0.0, 0.5, 1.0)), (6, (-1.0, 0.0, 1.0))):
+        assert default_t_grid(l) == list(itertools.product(values, repeat=l))[:243]
 
 
 def test_mgf_diagnostic_separates_matched_moment_pair():

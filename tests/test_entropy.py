@@ -56,6 +56,15 @@ def test_polynomial_value_binary_only():
         entropy_value(g, SimplexPoint((0.2, 0.3, 0.5)))
 
 
+def test_divergence_and_loss_need_one_label_count():
+    p3 = SimplexPoint((0.2, 0.3, 0.5))
+    for g in (EntropySpec.shannon(), EntropySpec.brier()):
+        with pytest.raises(DimensionMismatch):
+            divergence(g, P37, p3)
+        with pytest.raises(DimensionMismatch):
+            proper_loss(g, p3, P37)
+
+
 def test_entropy_spec_validation():
     with pytest.raises(DomainError):
         EntropySpec.shannon(1.0)

@@ -65,6 +65,16 @@ def test_mixture_weight_validation():
             mixture_from_arrays([(0.5, 0.5)], [bad], BINARY)
 
 
+@pytest.mark.parametrize("num_points, num_weights", [(2, 1), (1, 2), (3, 0)])
+def test_mixture_from_arrays_rejects_unequal_lengths(num_points, num_weights):
+    points = [(0.5, 0.5), (0.2, 0.8), (1.0, 0.0)][:num_points]
+    weights = [1.0, 0.0][:num_weights]
+    with pytest.raises(InvalidDistribution, match=f"{num_points} points but {num_weights} weights"):
+        mixture_from_arrays(points, weights, BINARY)
+    with pytest.raises(InvalidDistribution):
+        mixture_from_arrays(np.array(points), np.array(weights), BINARY)
+
+
 @pytest.mark.parametrize(
     "weights,total", [((0.5, np.nan), 1.0), ((np.inf, 0.5), 1.0), ((0.5, 0.5), np.nan)]
 )

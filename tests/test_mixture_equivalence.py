@@ -189,12 +189,15 @@ def test_mixture_equality_is_exact_and_unhashable():
 
 
 def test_library_paths_build_no_simplex_points(tmp_path, monkeypatch):
-    # the pipeline works on arrays end to end; SimplexPoints are built only
-    # for per-point callers (support, centroid), never on these paths
+    # the pipeline works on arrays end to end: no path below builds a checked
+    # SimplexPoint or reads Mixture.support (per-point callers' view)
     from hocal.calibrate import CalibrationTable, SnapshotDataset, koc_error, posthoc_calibrate
+    from hocal.decompose import decompose, loss_breakdown, mgf_diagnostic
+    from hocal.entropy import EntropySpec
     from hocal.io import read_calibration_table, write_calibration_table
     from hocal.mixture import RngSeed, project_k
-    from hocal.moments import estimate_moments
+    from hocal.moments import chebyshev_fit, estimate_moments
+    from hocal.predset import build_mass_set, coverage, enlarge, moment_interval
     from hocal.synth import (
         BinaryRegression, RandomMixtureSpec, bayes_mixtures, gen_dataset, random_mixture,
         reference_table,
@@ -208,7 +211,11 @@ def test_library_paths_build_no_simplex_points(tmp_path, monkeypatch):
         calls.append(self)
         original(self)
 
+    def no_support(self):
+        raise AssertionError("a library path read Mixture.support")
+
     monkeypatch.setattr(SimplexPoint, "__post_init__", counting)
+    monkeypatch.setattr(Mixture, "support", property(no_support))
     SimplexPoint((0.5, 0.5))
     assert len(calls) == 1
     calls.clear()
@@ -237,4 +244,16 @@ def test_library_paths_build_no_simplex_points(tmp_path, monkeypatch):
     )
     koc_error(table3, ref3)
     w1_lattice(table3.entries["p0"], ref3.entries["p0"], k)
+
+    for g in (EntropySpec.shannon(), EntropySpec.brier(binary_scaled=True)):
+        for tab, reference in ((table, ref), (table3, ref3)):
+            for pid in tab.partitions:
+                decompose(tab.entries[pid], g)
+                loss_breakdown(tab.entries[pid], reference.entries[pid], g)
+                coverage(enlarge(build_mass_set(tab.entries[pid], 0.1), 0.05), reference.entries[pid])
+        chebyshev_fit(g, 8)
+    for pid in table.partitions:
+        mgf_diagnostic(table.entries[pid], ref.entries[pid])
+        interval = moment_interval(estimate_moments(table.entries[pid], 6, eps=0.1), 0.2)
+        coverage(interval, ref.entries[pid])
     assert calls == []

@@ -15,7 +15,6 @@ from hocal.moments import (
     estimate_moments,
     moment_weight,
     poly_au_estimate,
-    true_moments,
 )
 from hocal.simplex import LabelSpace, SimplexPoint, Snapshot
 from hocal.synth import RandomMixtureSpec, random_mixture
@@ -32,6 +31,11 @@ SHANNON_FIT_SUP = {
     12: 0.007794598,
     16: 0.004564043,
 }
+
+
+def true_moments(m, i):
+    """E[p^i] under a binary mixture itself: the oracle moment recovery must hit."""
+    return float(m.weights_array() @ m.points_array()[:, 1] ** i)
 
 
 def binary(biases, weights):
@@ -180,9 +184,3 @@ def test_moments_are_lipschitz_in_bias(seed):
     b1, b2 = gen.random(2)
     for i in range(1, 6):
         assert abs(b1**i - b2**i) <= i * abs(b1 - b2) + 1e-15
-
-
-def test_true_moments_binary_only():
-    m = mixture_from_arrays([(0.2, 0.3, 0.5)], [1.0], LabelSpace(3))
-    with pytest.raises(DimensionMismatch):
-        true_moments(m, 1)

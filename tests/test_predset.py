@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,26 @@ def test_enlarge_and_contains():
     assert not grown.contains(SimplexPoint((0.3, 0.7)))
     with pytest.raises(DomainError):
         enlarge(s, -0.1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_radius_and_delta_must_be_finite_and_non_negative(bad):
+    s = PredictionSet(centers=(SimplexPoint((0.5, 0.5)),), radius=0.0)
+    with pytest.raises(DomainError):
+        PredictionSet(centers=s.centers, radius=bad)
+    with pytest.raises(DomainError):
+        enlarge(s, bad)
+    assert enlarge(s, 0.0) == s
+
+
+def test_membership_on_rows_matches_contains():
+    s = PredictionSet(centers=(SimplexPoint((0.5, 0.5)), SimplexPoint((0.9, 0.1))), radius=0.1)
+    interval = IntervalSet(lo=0.2, hi=0.55)
+    rows = [(0.5, 0.5), (0.46, 0.54), (0.8, 0.2), (0.86, 0.14), (0.3, 0.7), (1.0, 0.0)]
+    for membership in (s, interval):
+        expected = [membership.contains(SimplexPoint(r)) for r in rows]
+        assert membership.contains_rows(np.array(rows)).tolist() == expected
+    assert [s.contains(SimplexPoint(r)) for r in rows] == [True, True, False, True, False, False]
 
 
 def test_coverage_counts_contained_mass():
