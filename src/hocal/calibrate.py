@@ -280,6 +280,8 @@ def required_samples(space: LabelSpace, k: int, eps: float, delta: float) -> int
     ceil(2 (|Y^(k)| ln 2 + ln(1/delta)) / eps^2) with |Y^(k)| the snapshot
     lattice size.
     """
+    if k < 1:
+        raise DomainError(f"snapshot size must be >= 1, got {k}")
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
     if not 0.0 < delta < 1.0:
@@ -291,6 +293,8 @@ def required_samples(space: LabelSpace, k: int, eps: float, delta: float) -> int
 def hoc_bound(eps: float, space: LabelSpace, k: int) -> float:
     """Higher-order calibration error implied by k-th order error eps:
     eps + l / (2 sqrt(k))."""
+    if k < 1:
+        raise DomainError(f"snapshot size must be >= 1, got {k}")
     if not 0.0 <= eps < math.inf:
         raise DomainError(f"eps must be finite and non-negative, got {eps}")
     return eps + space.num_labels / (2.0 * math.sqrt(k))

@@ -130,7 +130,7 @@ def moment_interval(mv: MomentVector, alpha: float) -> IntervalSet:
 
 def sqrt_eps_rule(eps: float) -> tuple:
     """The default (alpha, delta) = (sqrt(eps), sqrt(eps)) splitting rule."""
-    if eps < 0:
-        raise DomainError(f"eps must be non-negative, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and non-negative, got {eps}")
     root = eps**0.5
     return root, root

@@ -1,16 +1,15 @@
 """Wasserstein-1 distance between mixtures under the l1 ground metric.
 
 Three routes, never collapsed: binary mixtures use the exact 1-D quantile
-formula W1 = 2 * integral |F_a - F_b| over the bias coordinate (the
-monotone coupling is optimal on a line); general supports solve the
-transportation LP exactly with HiGHS and certify the result with the
-dual solution; mixtures supported on a common k-snapshot lattice can use
-`w1_lattice`, a min-cost-flow formulation that scales to lattices far
-beyond the dense LP. Every result is checked in-function: marginals or
-node balance, dual feasibility, and agreement between the plan's cost and
-the reported value; the LP routes also check the primal-dual objective gap
-and the non-negativity of their plan or flow, each to 1e-8 or better.
-scipy is imported only when an LP is built or solved.
+formula (the monotone coupling is optimal on a line), checked against both
+marginals and against 2 * integral |F_a - F_b| over the bias coordinate;
+general supports solve the dense transportation LP with HiGHS; mixtures on
+a common k-snapshot lattice can use `w1_lattice`, a min-cost flow over
+single-label moves that scales far beyond the dense LP. Both LP routes pass
+one certificate, `_certified_lp`: non-negativity, balance of the full
+equality system, dual feasibility, complementary slackness and the
+primal-dual gap, each to 1e-8. scipy is imported only when an LP is built
+or solved.
 """
 
 from __future__ import annotations
@@ -29,38 +28,64 @@ CHECK_TOL = 1e-8
 # by this factor and dividing the flow back down leaves marginal residuals
 # at the 1e-15 level instead of ~1e-6.
 _SUPPLY_SCALE = 1e8
+# The (supply scale, presolve) steps _solve_lp tries in order; each has been
+# the first to succeed on some LP (README, "Distances").
+_LADDER = ((_SUPPLY_SCALE, True), (_SUPPLY_SCALE, False), (1e6, True))
 
 
 class SolverFailure(HocalError):
     """The LP solver returned something that fails its own certificate."""
 
 
-def _solve_lp(cost, a_eq, b_eq, method="highs"):
-    """linprog over a ladder of supply scales; returns (result, scale used).
+def _solve_lp(cost, a_eq, b_eq, method):
+    """linprog over the steps of _LADDER; the first success and its scale.
 
-    Scaling the right-hand side up makes HiGHS's absolute feasibility
-    tolerance sharper in relative terms, but a system whose supplies span
-    many orders of magnitude (projection weights go down to multinomial
-    tail masses) can be misjudged infeasible at the largest scale. Walk
-    down the ladder, also retrying without presolve, until a solve
-    succeeds; the caller's certificate checks remain the correctness gate.
+    Presolve can misjudge a scaled system whose supplies span many orders of
+    magnitude (multinomial tail masses) infeasible. The caller's certificate
+    remains the correctness gate.
     """
     from scipy.optimize import linprog
 
-    res = None
-    for scale in (_SUPPLY_SCALE, 1e6, 1.0):
-        for presolve in (True, False):
-            res = linprog(
-                cost,
-                A_eq=a_eq,
-                b_eq=b_eq * scale,
-                bounds=(0, None),
-                method=method,
-                options=None if presolve else {"presolve": False},
-            )
-            if res.status == 0:
-                return res, scale
-    return res, 1.0
+    for scale, presolve in _LADDER:
+        res = linprog(
+            cost,
+            A_eq=a_eq,
+            b_eq=b_eq * scale,
+            bounds=(0, None),
+            method=method,
+            options=None if presolve else {"presolve": False},
+        )
+        if res.status == 0:
+            break
+    return res, scale
+
+
+def _certified_lp(cost, a_full, b_full, method):
+    """x >= 0 minimizing cost @ x subject to a_full @ x = b_full, certified.
+
+    The last row of the rank-deficient flow system `a_full` is redundant:
+    HiGHS gets the others and the dropped row's dual is fixed at 0. x must
+    be non-negative and balance the full system, the dual y feasible
+    (reduced costs cost - a_full.T @ y >= 0) and complementary to x where
+    x > 1e-12, and the objectives equal, each to CHECK_TOL.
+    """
+    res, scale = _solve_lp(cost, a_full[:-1], b_full[:-1], method)
+    if res.status != 0:
+        raise SolverFailure(f"{method} LP failed: {res.message}")
+    x = res.x / scale
+    if x.min() < -CHECK_TOL:
+        raise SolverFailure("negative mass or flow below -1e-8")
+    if np.abs(a_full @ x - b_full).max() > CHECK_TOL:
+        raise SolverFailure("marginal or balance residual above 1e-8")
+    y = np.append(res.eqlin.marginals, 0.0)
+    reduced = cost - a_full.T @ y
+    if reduced.min() < -CHECK_TOL:
+        raise SolverFailure("dual infeasibility above 1e-8")
+    if np.abs(reduced[x > 1e-12]).max(initial=0.0) > CHECK_TOL:
+        raise SolverFailure("complementary slackness residual above 1e-8")
+    if abs(b_full @ y - cost @ x) > CHECK_TOL:
+        raise SolverFailure("primal and dual objectives disagree")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,46 +119,31 @@ def _l1_cost(apts: np.ndarray, bpts: np.ndarray) -> np.ndarray:
     return np.abs(apts[:, None, :] - bpts[None, :, :]).sum(axis=2)
 
 
-def _verify(cost, coupling, aw, bw, ground):
-    """Certify marginals and that the plan, priced at `ground`, costs `cost`."""
-    if np.abs(coupling.row_marginals() - aw).max() > CHECK_TOL:
-        raise SolverFailure("coupling row marginals drift above 1e-8")
-    if np.abs(coupling.col_marginals() - bw).max() > CHECK_TOL:
-        raise SolverFailure("coupling column marginals drift above 1e-8")
-    if abs(float((ground * coupling.mass).sum()) - cost) > CHECK_TOL:
-        raise SolverFailure("coupling cost disagrees with reported distance")
-
-
 def _transport_constraints(m: int, n: int):
     """Row-sum and column-sum constraints of the m x n transport LP, as scipy CSC.
 
-    Variable i*n + j is the mass moved from row i to column j. Row-sum and
-    column-sum constraints are rank deficient together, so the last
-    column-sum constraint is dropped: rows 0..m-1 are the row sums, rows
-    m..m+n-2 the first n-1 column sums. Each variable's column holds its
-    row-sum entry, then its column-sum entry unless j is the last column.
+    Variable i*n + j is the mass moved from row i to column j; its column
+    holds a 1 in row i (the row sums) and in row m + j (the column sums).
+    Both blocks sum to the total mass, so the last row is redundant.
     """
     from scipy import sparse
 
-    j = np.tile(np.arange(n), m)
-    has_col = j < n - 1
     indices = np.empty((m * n, 2), dtype=np.int32)
     indices[:, 0] = np.repeat(np.arange(m), n)
-    indices[:, 1] = m + j
-    indptr = np.zeros(m * n + 1, dtype=np.int32)
-    np.cumsum(1 + has_col, out=indptr[1:])
-    indices = indices[np.column_stack([np.ones(m * n, dtype=bool), has_col])]
+    indices[:, 1] = m + np.tile(np.arange(n), m)
+    indptr = np.arange(0, 2 * m * n + 1, 2, dtype=np.int32)
     return sparse.csc_matrix(
-        (np.ones(len(indices)), indices, indptr), shape=(m + n - 1, m * n)
+        (np.ones(2 * m * n), indices.ravel(), indptr), shape=(m + n, m * n)
     )
 
 
 def _w1_binary(a: Mixture, b: Mixture):
     """Exact 1-D route: monotone coupling plus an independent CDF integral.
 
-    On the bias line the optimal plan pairs quantiles in order. The cost of
-    that plan must reproduce 2 * integral |F_a - F_b| dt; both are computed
-    and compared, so a bug in either route cannot go unnoticed.
+    On the bias line the optimal plan pairs quantiles in order. The plan
+    must carry both marginals, and its cost must reproduce
+    2 * integral |F_a - F_b| dt; both are computed and compared, so a bug in
+    either route cannot go unnoticed.
     """
     a_bias, b_bias = a.points_array()[:, 1], b.points_array()[:, 1]
     a_w, b_w = a.weights_array(), b.weights_array()
@@ -159,6 +169,8 @@ def _w1_binary(a: Mixture, b: Mixture):
             if j == b.size:
                 break
             left_b = b_w[ib[j]]
+    if max(np.abs(mass.sum(axis=1) - a_w).max(), np.abs(mass.sum(axis=0) - b_w).max()) > CHECK_TOL:
+        raise SolverFailure("quantile coupling marginals drift above 1e-8")
 
     # independent check: 2 * integral of |F_a - F_b| over the bias axis
     grid = np.unique(np.concatenate([a_bias, b_bias]))
@@ -171,39 +183,21 @@ def _w1_binary(a: Mixture, b: Mixture):
     return cost, Coupling(a.points_array(), b.points_array(), mass)
 
 
-def _w1_lp(a: Mixture, b: Mixture, cost_mat: np.ndarray):
-    """Exact transportation LP (HiGHS dual simplex) with dual certification.
-
-    `cost_mat` is the ground cost between the two supports. The solved plan
-    must be non-negative, the duals feasible and complementary to it, and
-    the dual objective equal to the plan's cost, each to 1e-8.
-    """
+def _w1_lp(a: Mixture, b: Mixture):
+    """Exact transportation LP (HiGHS dual simplex), certified by _certified_lp."""
     aw, bw = a.weights_array(), b.weights_array()
     m, n = len(aw), len(bw)
+    cost_mat = _l1_cost(a.points_array(), b.points_array())
 
     if m == 1:
         mass = bw[None, :].copy()
     elif n == 1:
         mass = aw[:, None].copy()
     else:
-        a_eq = _transport_constraints(m, n)
-        b_eq = np.concatenate([aw, bw[:-1]])
-        res, scale = _solve_lp(cost_mat.ravel(), a_eq, b_eq)
-        if res.status != 0:
-            raise SolverFailure(f"transport LP failed: {res.message}")
-        mass = res.x.reshape(m, n) / scale
-        if mass.min() < -CHECK_TOL:
-            raise SolverFailure("negative transport mass below -1e-8")
-        duals = np.asarray(res.eqlin.marginals)
-        u = duals[:m]
-        v = np.concatenate([duals[m:], [0.0]])
-        slack = cost_mat - u[:, None] - v[None, :]
-        if slack.min() < -CHECK_TOL:
-            raise SolverFailure("dual infeasibility above 1e-8")
-        if np.abs(slack[mass > 1e-12]).max(initial=0.0) > CHECK_TOL:
-            raise SolverFailure("complementary slackness residual above 1e-8")
-        if abs(u @ aw + v @ bw - float((cost_mat * mass).sum())) > CHECK_TOL:
-            raise SolverFailure("primal and dual objectives disagree")
+        flat = _certified_lp(
+            cost_mat.ravel(), _transport_constraints(m, n), np.concatenate([aw, bw]), "highs"
+        )
+        mass = flat.reshape(m, n)
 
     total = float((cost_mat * mass).sum())
     return total, Coupling(a.points_array(), b.points_array(), mass)
@@ -231,10 +225,7 @@ def wasserstein1(
         raise DimensionMismatch("the CDF route only applies to binary spaces")
     if method == "lp" and a.size + b.size > support_cap:
         raise CapExceeded(f"combined support {a.size + b.size} exceeds support_cap={support_cap}")
-    ground = _l1_cost(a.points_array(), b.points_array())
-    cost, coupling = _w1_binary(a, b) if method == "cdf" else _w1_lp(a, b, ground)
-    _verify(cost, coupling, a.weights_array(), b.weights_array(), ground)
-    return cost, coupling
+    return _w1_binary(a, b) if method == "cdf" else _w1_lp(a, b)
 
 
 DEFAULT_NODE_CAP = 100_000
@@ -249,6 +240,8 @@ def _move_graph(space, k: int, cap: int):
     histogram by exactly 2/k in l1. Any two lattice points at l1 distance
     d are joined by d*k/2 such moves and no fewer, so the shortest-path
     metric of this graph with edge cost 2/k reproduces the l1 metric.
+    Returns the node-by-edge incidence matrix: +1 at the edge's source
+    point, -1 at its target.
     """
     from scipy import sparse
 
@@ -263,12 +256,11 @@ def _move_graph(space, k: int, cap: int):
     tails = _lattice_rank(moved, k)
     num_edges = len(heads)
     edges = np.arange(num_edges)
-    incidence = sparse.csc_matrix(
+    return sparse.csc_matrix(
         (np.concatenate([np.ones(num_edges), -np.ones(num_edges)]),
          (np.concatenate([heads, tails]), np.concatenate([edges, edges]))),
         shape=(len(counts), num_edges),
     )
-    return heads, tails, incidence
 
 
 def _lattice_index(m: Mixture, k: int) -> np.ndarray:
@@ -290,33 +282,19 @@ def w1_lattice(
     flow with one node per lattice point and one variable per move, far
     smaller than the dense LP's one variable per support pair. The flow
     lives on edges rather than point pairs, so only the cost is returned;
-    the result is certified in-function against the dual solution. Raises
+    the result is certified in-function by _certified_lp. Raises
     DomainError for points off the lattice and CapExceeded when the
     lattice has more than `node_cap` points.
     """
     _check_same_space(a, b)
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"snapshot size must be a positive integer, got {k!r}")
-    heads, tails, incidence = _move_graph(a.space, k, node_cap)
+    incidence = _move_graph(a.space, k, node_cap)
     supply = np.zeros(incidence.shape[0])
     np.add.at(supply, _lattice_index(a, k), a.weights_array())
     np.subtract.at(supply, _lattice_index(b, k), b.weights_array())
     if np.abs(supply).max() == 0.0:
         return 0.0
     cost = np.full(incidence.shape[1], 2.0 / k)
-    res, scale = _solve_lp(cost, incidence[:-1], supply[:-1], method="highs-ipm")
-    if res.status != 0:
-        raise SolverFailure(f"lattice flow LP failed: {res.message}")
-    flow = res.x / scale
-    if flow.min() < -CHECK_TOL:
-        raise SolverFailure("negative flow below -1e-8")
-    total = float(cost @ flow)
-    if np.abs(incidence @ flow - supply).max() > CHECK_TOL:
-        raise SolverFailure("flow balance residual above 1e-8")
-    duals = np.concatenate([np.asarray(res.eqlin.marginals), [0.0]])
-    if (cost - (duals[heads] - duals[tails])).min() < -CHECK_TOL:
-        raise SolverFailure("dual infeasibility above 1e-8")
-    if abs(total - float(supply[:-1] @ duals[:-1])) > CHECK_TOL:
-        raise SolverFailure("primal and dual objectives disagree")
-    return total
-
+    flow = _certified_lp(cost, incidence, supply, "highs-ipm")
+    return float(cost @ flow)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hocal.cli import main, parse_entropy, parse_nature
 from hocal.entropy import EntropySpec
@@ -340,3 +345,103 @@ def test_bad_eps_gives_a_json_error(tmp_path, capsys, eps, command):
 def test_bad_delta_gives_a_json_error(tmp_path, capsys, delta):
     argv = ["predset", "--delta", delta, "--alpha", "0.2", "--kind", "mass"]
     _assert_domain_error_naming("delta", argv, tmp_path, capsys)
+
+
+# --- the CLI contract under malformed input -------------------------------
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.text(max_size=3),
+)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.lists(st.lists(_SCALARS, max_size=3), max_size=3),
+)
+
+
+def _records(keys, valid):
+    """Lines that are a valid record, a record with fuzzed fields, or junk."""
+    fuzzed = st.dictionaries(st.sampled_from(keys), _VALUES, max_size=len(keys))
+    return st.one_of(
+        st.just(valid),
+        fuzzed.map(lambda rec: json.dumps(rec, allow_nan=True)),
+        st.text(max_size=12),
+    )
+
+
+_DATASET_HEADER = st.sampled_from([
+    '{"format_version": 1, "k": 2, "num_labels": 3}',
+    '{"format_version": 1, "k": 0, "num_labels": 3}',
+    '{"format_version": 2, "k": 2, "num_labels": 3}',
+    '{"format_version": 1, "k": 2.5, "num_labels": true}',
+    "[]",
+    "",
+])
+_TABLE_HEADER = st.sampled_from([
+    '{"format_version": 1, "k": 2, "kind": "calibration_table", "num_labels": 3}',
+    '{"format_version": 1, "k": 2, "kind": "dataset", "num_labels": 3}',
+    '{"format_version": 1, "k": -1, "kind": "calibration_table", "num_labels": 3}',
+    "{",
+])
+_DATASET_LINES = st.lists(
+    _records(["labels", "partition"], '{"labels": [0, 2], "partition": "a"}'), max_size=4
+)
+_TABLE_LINES = st.lists(
+    _records(
+        ["count", "partition", "points", "weights"],
+        '{"count": 2, "partition": "a", "points": [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]], '
+        '"weights": [0.25, 0.75]}',
+    ),
+    max_size=4,
+)
+_NUMBER = st.one_of(
+    st.integers(min_value=-3, max_value=40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "x", "1e309", "-0", "0x10", "1_000", " 2"]),
+    st.text(max_size=4),
+)
+_COMMANDS = [
+    ["calibrate", "--data", "{dataset}", "--out", "{dir}/t.ldjson"],
+    ["decompose", "--table", "{table}", "--entropy", "brier", "--out", "{dir}/d.csv"],
+    ["moments", "--table", "{table}", "--eps", "{a}", "--out", "{dir}/m.csv"],
+    ["evaluate", "--table", "{table}", "--reference", "{table}", "--out", "{dir}/w.csv"],
+    ["predset", "--table", "{table}", "--alpha", "{a}", "--delta", "{b}",
+     "--reference", "{table}", "--audit", "{dir}/a.csv", "--out", "{dir}/s.ldjson"],
+    ["predset", "--table", "{table}", "--kind", "interval", "--alpha", "{a}",
+     "--eps", "{b}", "--out", "{dir}/i.ldjson"],
+    ["bounds", "--l", "{a}", "--k", "{b}", "--eps", "{c}", "--delta", "{d}"],
+    ["fitpoly", "--entropy", "shannon2", "--degree", "{a}"],
+    ["gen", "--nature", "two-scenario-2", "--n", "{a}", "--k", "{b}", "--seed", "{c}",
+     "--out", "{dir}/g.ldjson"],
+]
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    command=st.sampled_from(_COMMANDS),
+    numbers=st.lists(_NUMBER, min_size=4, max_size=4),
+    dataset=st.tuples(_DATASET_HEADER, _DATASET_LINES),
+    table=st.tuples(_TABLE_HEADER, _TABLE_LINES),
+)
+def test_cli_contract_holds_for_malformed_files_and_numbers(command, numbers, dataset, table):
+    # any input ends in exit 0, 1 or 2, and every failure is one line of
+    # JSON on stderr
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"dir": tmp, "dataset": f"{tmp}/ds.ldjson", "table": f"{tmp}/table.ldjson"}
+        for key, (header, lines) in (("dataset", dataset), ("table", table)):
+            with open(paths[key], "w", encoding="utf-8") as fh:
+                fh.write("\n".join([header, *lines]) + "\n")
+        argv = [arg.format(**paths, **dict(zip("abcd", numbers))) for arg in command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code != 0:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,8 +148,9 @@ def test_sqrt_eps_rule():
     alpha, delta = sqrt_eps_rule(0.04)
     assert alpha == pytest.approx(0.2, abs=1e-15)
     assert delta == pytest.approx(0.2, abs=1e-15)
-    with pytest.raises(DomainError):
-        sqrt_eps_rule(-1e-3)
+    for eps in (-1e-3, -0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="eps must be finite and non-negative"):
+            sqrt_eps_rule(eps)
 
 
 @settings(deadline=None, max_examples=50)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -5,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hocal.errors import CapExceeded, DimensionMismatch, DomainError
-from hocal.mixture import RngSeed, mixture_from_arrays
+from hocal.mixture import RngSeed, mixture_from_arrays, project_k
 from hocal.simplex import LabelSpace, enumerate_snapshot_space, snapshot_to_point
 from hocal.synth import RandomMixtureSpec
 from hocal.synth import random_mixture as draw_mixture
 import hocal.transport
 from hocal.transport import (
     SolverFailure,
+    _certified_lp,
     _transport_constraints,
     w1_lattice,
     wasserstein1,
@@ -233,20 +236,66 @@ def test_w1_lattice_node_cap_and_space_mismatch():
         w1_lattice(a, c, 2)
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 5), (3, 2), (4, 3), (4, 33), (7, 6)])
+def _reduced_assembly(m, n):
+    # the reduced system HiGHS was given before the full-system build: the
+    # last column-sum row dropped at assembly time
+    j = np.tile(np.arange(n), m)
+    has_col = j < n - 1
+    indices = np.empty((m * n, 2), dtype=np.int32)
+    indices[:, 0] = np.repeat(np.arange(m), n)
+    indices[:, 1] = m + j
+    indptr = np.zeros(m * n + 1, dtype=np.int32)
+    np.cumsum(1 + has_col, out=indptr[1:])
+    indices = indices[np.column_stack([np.ones(m * n, dtype=bool), has_col])]
+    return sparse.csc_matrix(
+        (np.ones(len(indices)), indices, indptr), shape=(m + n - 1, m * n)
+    )
+
+
+@pytest.mark.parametrize(
+    "m,n", [(2, 2), (2, 5), (3, 2), (4, 3), (4, 33), (7, 6), (120, 153)]
+)
 def test_transport_constraints_match_the_kron_assembly(m, n):
     # the direct CSC assembly replaces kron/vstack; same matrix, same layout
     rows = sparse.kron(sparse.eye(m), np.ones((1, n)))
-    cols = sparse.kron(np.ones((1, m)), sparse.eye(n)).tocsr()[:-1]
+    cols = sparse.kron(np.ones((1, m)), sparse.eye(n))
     expected = sparse.vstack([rows, cols]).tocsc()
-    got = _transport_constraints(m, n)
-    assert got.shape == expected.shape == (m + n - 1, m * n)
-    assert np.array_equal(got.toarray(), expected.toarray())
     # kron stores explicit zeros when n == 2; the stored nonzeros must agree
     expected.eliminate_zeros()
+    got = _transport_constraints(m, n)
+    assert got.shape == expected.shape == (m + n, m * n)
     assert np.array_equal(got.indptr, expected.indptr)
     assert np.array_equal(got.indices, expected.indices)
     assert np.array_equal(got.data, expected.data)
+    # HiGHS gets the full system without its last row: the same arrays as
+    # the former reduced assembly, so every solve sees identical inputs
+    reduced, old = got[:-1], _reduced_assembly(m, n)
+    assert reduced.shape == old.shape
+    assert np.array_equal(reduced.indptr, old.indptr)
+    assert np.array_equal(reduced.indices, old.indices)
+    assert np.array_equal(reduced.data, old.data)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([(2, "cdf"), (2, "lp"), (3, "lp")]),
+)
+def test_reported_w1_is_the_cost_of_a_coupling_of_the_inputs(seed, case):
+    # the reported distance is the price of the returned plan, and the plan
+    # carries both inputs
+    labels, method = case
+    spec = RandomMixtureSpec(num_labels=labels, support_size=5, dirichlet_alpha=0.7)
+    a = draw_mixture(spec, RngSeed(seed))
+    b = draw_mixture(spec, RngSeed(seed + 50_000))
+    cost, coupling = wasserstein1(a, b, method=method)
+    assert abs(cost - coupling.cost()) <= 1e-12
+    assert np.abs(coupling.row_marginals() - a.weights_array()).max() <= 1e-9
+    assert np.abs(coupling.col_marginals() - b.weights_array()).max() <= 1e-9
+    assert coupling.mass.min() >= -1e-12
+
+
+_SCALE = hocal.transport._SUPPLY_SCALE
 
 
 def _nudge_plan(res, m, n):
@@ -262,39 +311,50 @@ def _nudge_plan(res, m, n):
     res.x = x.ravel()
 
 
-def _scale_plan(res, m, n):
+def _scale_solution(res, *shape):
     res.x = res.x * (1.0 + 1e-6)
 
 
-def _shift_dual(res, m, n):
-    res.eqlin.marginals = np.asarray(res.eqlin.marginals) + 1e-6
+def _raise_duals(res, *shape):
+    # reduced costs become (1 + e) r - e c: negative wherever the solution
+    # is supported (r = 0) at a positive cost
+    res.eqlin.marginals = np.asarray(res.eqlin.marginals) * (1.0 + 1e-4)
 
 
-_SCALE = hocal.transport._SUPPLY_SCALE
+def _lower_duals(res, *shape):
+    # reduced costs become (1 - e) r + e c >= 0: still feasible, but no
+    # longer zero where the solution is supported at a positive cost
+    res.eqlin.marginals = np.asarray(res.eqlin.marginals) * (1.0 - 1e-4)
+
+
+SHARED_PERTURBATIONS = [
+    (_scale_solution, "marginal or balance residual"),
+    (_raise_duals, "dual infeasibility"),
+    (_lower_duals, "complementary slackness"),
+]
+
+
+def _perturbed_solve(perturb, *shape):
+    solve = hocal.transport._solve_lp
+
+    def perturbed(cost, a_eq, b_eq, method):
+        res, scale = solve(cost, a_eq, b_eq, method)
+        assert scale == _SCALE
+        perturb(res, *shape)
+        return res, scale
+
+    return perturbed
 
 
 @pytest.mark.parametrize(
-    "perturb,message",
-    [
-        (_nudge_plan, "negative transport mass"),
-        (_scale_plan, "primal and dual objectives disagree"),
-        (_shift_dual, None),
-    ],
+    "perturb,message", [(_nudge_plan, "negative mass or flow")] + SHARED_PERTURBATIONS
 )
 def test_dense_lp_certificate_rejects_a_perturbed_plan_or_dual(monkeypatch, perturb, message):
     space = LabelSpace(3)
     a = mixture_from_arrays([(0.6, 0.3, 0.1), (0.1, 0.1, 0.8), (0.3, 0.4, 0.3)], [0.2, 0.5, 0.3], space)
     b = mixture_from_arrays([(0.2, 0.2, 0.6), (0.7, 0.2, 0.1), (0.1, 0.8, 0.1)], [0.4, 0.4, 0.2], space)
-    solve = hocal.transport._solve_lp
-
-    def perturbed(cost, a_eq, b_eq, method="highs"):
-        res, scale = solve(cost, a_eq, b_eq, method)
-        assert scale == _SCALE
-        perturb(res, a.size, b.size)
-        return res, scale
-
     wasserstein1(a, b, method="lp")
-    monkeypatch.setattr(hocal.transport, "_solve_lp", perturbed)
+    monkeypatch.setattr(hocal.transport, "_solve_lp", _perturbed_solve(perturb, a.size, b.size))
     with pytest.raises(SolverFailure, match=message):
         wasserstein1(a, b, method="lp")
 
@@ -303,7 +363,8 @@ def _negative_cycle(res):
     # -eps on two opposite moves u -> v and v -> u keeps every node balanced
     # and drives a zero flow negative
     x = res.x.copy()
-    heads, tails, _ = hocal.transport._move_graph(LabelSpace(3), 2, hocal.transport.DEFAULT_NODE_CAP)
+    incidence = hocal.transport._move_graph(LabelSpace(3), 2, hocal.transport.DEFAULT_NODE_CAP)
+    heads, tails = incidence.toarray().argmax(axis=0), incidence.toarray().argmin(axis=0)
     back = {(h, t): e for e, (h, t) in enumerate(zip(heads.tolist(), tails.tolist()))}
     e = int(np.flatnonzero(x == x.min())[0])
     x[e] -= 1e-6 * _SCALE
@@ -311,19 +372,76 @@ def _negative_cycle(res):
     res.x = x
 
 
+LATTICE_A = ([(1.0, 0.0, 0.0), (0.5, 0.5, 0.0)], [0.7, 0.3])
+LATTICE_B = ([(0.0, 0.5, 0.5), (0.0, 0.0, 1.0)], [0.4, 0.6])
+
+
 def test_lattice_flow_certificate_rejects_negative_flow(monkeypatch):
     space = LabelSpace(3)
-    a = mixture_from_arrays([(1.0, 0.0, 0.0), (0.5, 0.5, 0.0)], [0.7, 0.3], space)
-    b = mixture_from_arrays([(0.0, 0.5, 0.5), (0.0, 0.0, 1.0)], [0.4, 0.6], space)
-    solve = hocal.transport._solve_lp
-
-    def perturbed(cost, a_eq, b_eq, method="highs"):
-        res, scale = solve(cost, a_eq, b_eq, method)
-        assert scale == _SCALE
-        _negative_cycle(res)
-        return res, scale
-
+    a, b = mixture_from_arrays(*LATTICE_A, space), mixture_from_arrays(*LATTICE_B, space)
     w1_lattice(a, b, 2)
-    monkeypatch.setattr(hocal.transport, "_solve_lp", perturbed)
-    with pytest.raises(SolverFailure, match="negative flow"):
+    monkeypatch.setattr(hocal.transport, "_solve_lp", _perturbed_solve(_negative_cycle))
+    with pytest.raises(SolverFailure, match="negative mass or flow"):
         w1_lattice(a, b, 2)
+
+
+@pytest.mark.parametrize("perturb,message", SHARED_PERTURBATIONS)
+def test_lattice_flow_certificate_rejects_a_perturbed_flow_or_dual(monkeypatch, perturb, message):
+    space = LabelSpace(3)
+    a, b = mixture_from_arrays(*LATTICE_A, space), mixture_from_arrays(*LATTICE_B, space)
+    w1_lattice(a, b, 2)
+    monkeypatch.setattr(hocal.transport, "_solve_lp", _perturbed_solve(perturb))
+    with pytest.raises(SolverFailure, match=message):
+        w1_lattice(a, b, 2)
+
+
+def _hand_solved(monkeypatch, x, y, status=0):
+    res = SimpleNamespace(status=status, message="infeasible", x=np.array([x]),
+                          eqlin=SimpleNamespace(marginals=np.array([y])))
+    monkeypatch.setattr(hocal.transport, "_solve_lp", lambda *args: (res, 1.0))
+
+
+# one edge carrying one unit from node 0 to node 1 at cost 100
+EDGE = (np.array([100.0]), sparse.csc_matrix(np.array([[1.0], [-1.0]])), np.array([1.0, -1.0]))
+
+
+def test_certified_lp_rejects_a_duality_gap(monkeypatch):
+    # the plan overshoots the supply by 9e-9 (inside the balance gate) and
+    # the dual is exactly feasible and complementary, but the large dual
+    # turns the overshoot into a 9e-7 gap
+    _hand_solved(monkeypatch, 1.0, 100.0)
+    assert np.array_equal(_certified_lp(*EDGE, "highs"), [1.0])
+    _hand_solved(monkeypatch, 1.0 + 9e-9, 100.0)
+    with pytest.raises(SolverFailure, match="primal and dual objectives disagree"):
+        _certified_lp(*EDGE, "highs")
+
+
+def test_certified_lp_rejects_a_failed_solve(monkeypatch):
+    _hand_solved(monkeypatch, 1.0, 100.0, status=2)
+    with pytest.raises(SolverFailure, match="highs LP failed: infeasible"):
+        _certified_lp(*EDGE, "highs")
+
+
+@pytest.mark.parametrize("trial,failures", [(1, 1), (26, 2)])
+def test_each_retry_step_is_the_first_to_solve_some_transport_lp(monkeypatch, trial, failures):
+    # W1(m, proj_32 m) for two of criterion 2's 4-label mixtures: HiGHS
+    # presolve judges the scaled system infeasible. Trial 1 solves with
+    # presolve off, trial 26 only at supply scale 1e6 (HiGHS in scipy 1.17).
+    import scipy.optimize
+
+    assert hocal.transport._LADDER == ((_SCALE, True), (_SCALE, False), (1e6, True))
+    spec = RandomMixtureSpec(num_labels=4, support_size=4, dirichlet_alpha=2.0)
+    m = draw_mixture(spec, RngSeed(10_000 * 4 + 100 * 32 + trial))
+    target = project_k(m, 32)
+    linprog, statuses = scipy.optimize.linprog, []
+
+    def recording(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recording)
+    cost, coupling = wasserstein1(m, target, support_cap=10_000)
+    assert statuses == [2] * failures + [0]
+    assert cost <= 4 / (2 * np.sqrt(32))
+    assert abs(cost - coupling.cost()) <= 1e-12
