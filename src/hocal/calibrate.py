@@ -15,29 +15,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, EmptyPartition, InvalidDistribution
-from .mixture import Mixture, _lattice_counts, _readonly, mixture_from_arrays
+from .mixture import Mixture, _lattice_counts, _readonly, _running_sum, mixture_from_arrays
 from .simplex import LabelSpace, Snapshot, simplex_rows, snapshot_space_size
 from .transport import DEFAULT_SUPPORT_CAP, wasserstein1
 
 
-def _check_records(shape, codes, names, space: LabelSpace, k: int):
-    """Every record has l labels, size k and no negative count.
-
-    `shape` holds one (label count, size, smallest count) row per record.
-    The first record that fails raises, naming its partition.
-    """
+def _check_records(counts, dims, codes, names, space: LabelSpace, k: int):
+    """Every record has l labels, size k and no negative count; record i has
+    `dims[i]` labels and the counts in row i. The first record that fails
+    raises, naming its partition."""
     l = space.num_labels
-    bad = np.flatnonzero((shape[:, 0] != l) | (shape[:, 1] != k) | (shape[:, 2] < 0))
+    sizes, lows = counts.sum(axis=1), counts.min(axis=1, initial=0)
+    bad = np.flatnonzero((dims != l) | (sizes != k) | (lows < 0))
     if not bad.size:
         return
-    (dim, size, low), pid = shape[bad[0]].tolist(), names[codes[bad[0]]]
-    if dim != l:
+    i = bad[0]
+    pid = names[codes[i]]
+    if dims[i] != l:
         raise DimensionMismatch(
-            f"partition {pid!r}: snapshot over {dim} labels in a {l}-label dataset"
+            f"partition {pid!r}: snapshot over {dims[i]} labels in a {l}-label dataset"
         )
-    if low < 0:
+    if lows[i] < 0:
         raise InvalidDistribution(f"partition {pid!r}: negative count in a snapshot")
-    raise InvalidDistribution(f"partition {pid!r}: snapshot of size {size}, expected {k}")
+    raise InvalidDistribution(f"partition {pid!r}: snapshot of size {sizes[i]}, expected {k}")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -58,34 +58,33 @@ class SnapshotDataset:
     k: int
 
     def __init__(self, records, space: LabelSpace, k: int):
-        records = [(str(pid), snap) for pid, snap in records]
-        names = sorted({pid for pid, _ in records})
-        code_of = {pid: i for i, pid in enumerate(names)}
-        codes = np.array([code_of[pid] for pid, _ in records], dtype=np.int64)
-        shape = [(snap.dim, snap.k, min(snap.counts)) for _, snap in records]
-        _check_records(np.array(shape, dtype=np.int64).reshape(-1, 3), codes, names, space, k)
-        counts = np.array([snap.counts for _, snap in records], dtype=np.int64)
-        self._store(counts.reshape(-1, space.num_labels), codes, names, space, k)
+        records = list(records)
+        counts, pids = [snap.counts for _, snap in records], [pid for pid, _ in records]
+        ds = self._from_columns(counts, np.arange(len(records)), pids, space, k)
+        self._store(ds.counts, ds.codes, ds.names, space, k)
 
     @classmethod
     def _from_columns(cls, counts, codes, names, space: LabelSpace, k: int) -> "SnapshotDataset":
-        """A dataset from an (n, l) int count matrix and codes into `names`.
+        """A dataset from count vectors and their codes into `names`.
 
-        `names` are distinct ids; they may include ids that no record uses
-        and need not be sorted. The stored codes index the sorted ids in use.
+        `counts` is an (n, l) int matrix or a sequence of count vectors,
+        which may differ in length. `names` may repeat ids, include ids
+        that no record uses, and need not be sorted; they are stored as
+        strings. The stored codes index the sorted ids in use.
         """
-        used, codes = np.unique(codes, return_inverse=True)
-        names = [str(names[i]) for i in used]
-        order = np.argsort(names, kind="stable")
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        codes = rank[codes]
-        names = [names[i] for i in order]
-        counts = np.asarray(counts, dtype=np.int64)
-        shape = np.column_stack(
-            [np.full(len(counts), counts.shape[1]), counts.sum(axis=1), counts.min(axis=1)]
-        )
-        _check_records(shape, codes, names, space, k)
+        used, codes = np.unique(np.asarray(codes, dtype=np.int64), return_inverse=True)
+        used = [str(names[i]) for i in used]
+        names = sorted(set(used))
+        rank = {pid: i for i, pid in enumerate(names)}
+        codes = np.array([rank[pid] for pid in used], dtype=np.int64)[codes]
+        l = space.num_labels
+        if isinstance(counts, np.ndarray):
+            counts, dims = counts.astype(np.int64, copy=False), np.full(len(counts), counts.shape[1])
+        else:  # a vector of the wrong length fails on its length alone
+            dims = np.array([len(c) for c in counts], dtype=np.int64)
+            counts = np.array([c if len(c) == l else (0,) * l for c in counts], dtype=np.int64)
+            counts = counts.reshape(-1, l)
+        _check_records(counts, dims, codes, names, space, k)
         ds = object.__new__(cls)
         ds._store(counts, codes, names, space, k)
         return ds
@@ -184,9 +183,9 @@ def _empirical_groups(ds: SnapshotDataset) -> dict:
 
     Built from the distinct (partition, counts) rows, with the bits of
     `empirical_mixture` over every record's `snapshot_to_point`: a point
-    seen m times among a partition's n records weighs the m-fold sequential
-    sum of 1/n, the total is the Python sum of n copies of 1/n, and the
-    weights are divided by it only when it is not exactly 1.
+    seen m times among a partition's n records weighs the left-to-right sum
+    of m copies of 1/n, the total is that sum of all n, and the weights are
+    divided by it only when it is not exactly 1.
     """
     first, inverse = ds._distinct_rows()
     multiplicity = np.bincount(inverse)
@@ -194,15 +193,13 @@ def _empirical_groups(ds: SnapshotDataset) -> dict:
     points = simplex_rows(ds.counts[first] / ds.k)  # snapshot_to_point of every row
     # by partition, then in the sorted coordinate order Mixture stores
     order = np.lexsort((*points.T[::-1], row_codes))
-    distinct = np.bincount(row_codes, minlength=len(ds.names))
-    ends = np.cumsum(distinct)
-    sizes = np.bincount(ds.codes, minlength=len(ds.names))
+    groups = np.split(order, np.cumsum(np.bincount(row_codes))[:-1])
+    sizes = np.bincount(ds.codes).tolist()
     out = {}
-    for code, pid in enumerate(ds.names):
-        n = int(sizes[code])
-        rows = order[ends[code] - distinct[code]:ends[code]]
-        weights = np.cumsum(np.full(n, 1.0 / n))[multiplicity[rows] - 1]
-        out[pid] = Mixture._from_distinct(points[rows], weights, sum([1.0 / n] * n), ds.space), n
+    for pid, rows, n in zip(ds.names, groups, sizes):
+        running = np.cumsum(np.full(n, 1.0 / n))
+        weights = running[multiplicity[rows] - 1]
+        out[pid] = Mixture._from_distinct(points[rows], weights, running[-1], ds.space), n
     return out
 
 
@@ -260,12 +257,10 @@ def koc_error(
         per[pid], _ = wasserstein1(
             table.entries[pid], reference.entries[pid], support_cap=support_cap
         )
-    if table.counts and sum(table.counts.get(p, 0) for p in per) > 0:
-        weights = {p: table.counts.get(p, 0) for p in per}
-    else:
-        weights = {p: 1 for p in per}
-    total = sum(weights.values())
-    weighted = sum(per[p] * weights[p] for p in per) / total
+    weights = np.array([(table.counts or {}).get(p, 0) for p in per])
+    if not weights.sum() > 0:
+        weights = np.ones(len(per), dtype=np.int64)
+    weighted = _running_sum(np.fromiter(per.values(), dtype=float) * weights) / weights.sum()
     return CalibrationScore(
         per_partition=per,
         worst=max(per.values()),

@@ -63,8 +63,7 @@ def read_snapshot_dataset(path) -> SnapshotDataset:
     header = _parse_header(lines, path)
     num_labels, k = header["num_labels"], header["k"]
     row_of = {}  # line text -> index of its distinct row
-    code_of = {}  # partition id -> code
-    row_codes, row_counts = [], []
+    row_pids, row_counts = [], []
     picks = []  # distinct row of each record
     for lineno, raw in enumerate(lines[1:], start=2):
         row = row_of.get(raw)
@@ -73,19 +72,14 @@ def read_snapshot_dataset(path) -> SnapshotDataset:
                 continue
             pid, counts = _parse_record(raw, path, lineno, num_labels, k)
             row = row_of[raw] = len(row_counts)
-            row_codes.append(code_of.setdefault(pid, len(code_of)))
+            row_pids.append(pid)
             row_counts.append(counts)
         picks.append(row)
     if not picks:
         raise FormatError(f"{path}: no records")
     picks = np.array(picks, dtype=np.int64)
-    return SnapshotDataset._from_columns(
-        np.array(row_counts, dtype=np.int64)[picks],
-        np.array(row_codes, dtype=np.int64)[picks],
-        list(code_of),
-        LabelSpace(num_labels),
-        k,
-    )
+    counts = np.array(row_counts, dtype=np.int64)[picks]
+    return SnapshotDataset._from_columns(counts, picks, row_pids, LabelSpace(num_labels), k)
 
 
 def _parse_record(raw, path, lineno, num_labels, k):

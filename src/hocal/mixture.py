@@ -22,7 +22,8 @@ from .simplex import (
     LabelSpace,
     SimplexPoint,
     Snapshot,
-    enumerate_snapshot_space,
+    _check_lattice_size,
+    _snapshot_counts,
     simplex_rows,
 )
 
@@ -264,22 +265,22 @@ def _lattice_rank(counts: np.ndarray, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _lattice(space: LabelSpace, k: int, cap: int):
-    """Cached snapshot lattice: the (N, l) float count matrix and log
-    multinomial coefficients in lattice order, the lattice indices in the
-    sorted order Mixture stores, and the points' coordinates in that order."""
+def _lattice(space: LabelSpace, k: int):
+    """Snapshot lattice, cached per (space, k), uncapped: the (N, l) float count
+    matrix and log multinomial coefficients in lattice order, the lattice indices
+    in the sorted order Mixture stores, and the points' coordinates in that order."""
     from scipy.special import gammaln  # not math.lgamma: the two differ in the last bit
 
-    counts = np.array([s.counts for s in enumerate_snapshot_space(space, k, cap)], dtype=float)
+    counts = _snapshot_counts(space, k).astype(float)
     logcoef = gammaln(k + 1) - gammaln(counts + 1.0).sum(axis=1)
     coords = simplex_rows(counts / k)
     order = np.lexsort(coords.T[::-1])
     return counts, logcoef, order, coords[order]
 
 
-def _projection_masses(m: Mixture, k: int, cap: int) -> np.ndarray:
+def _projection_masses(m: Mixture, k: int) -> np.ndarray:
     """Projected mass of every lattice point, in lattice order."""
-    counts, logcoef, _, _ = _lattice(m.space, k, cap)
+    counts, logcoef, _, _ = _lattice(m.space, k)
     mass = np.zeros(len(counts))
     for p, weight in zip(m.points_array(), m.weights_array().tolist()):
         pos = p > 0.0
@@ -300,13 +301,14 @@ def project_k(m: Mixture, k: int, cap: int = DEFAULT_ENUM_CAP) -> Mixture:
     computed in log space. Zero-mass lattice points are dropped, so a
     deterministic component (a vertex) projects to a point mass at itself.
     """
-    mass = _projection_masses(m, k, cap)
-    _, _, order, probs = _lattice(m.space, k, cap)
+    _check_lattice_size(m.space, k, cap)
+    mass = _projection_masses(m, k)
+    _, _, order, probs = _lattice(m.space, k)
     # lattice points are 2/k apart in l1, so the merge could never fire
     keep = mass > 0.0
     in_order = keep[order]
     return Mixture._from_distinct(
-        probs[in_order], mass[order[in_order]], sum(mass[keep].tolist()), m.space
+        probs[in_order], mass[order[in_order]], _running_sum(mass[keep]), m.space
     )
 
 

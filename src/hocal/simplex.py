@@ -8,6 +8,7 @@ such normalized histograms has C(k+l-1, l-1) points.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,29 +35,16 @@ class LabelSpace:
 
 @dataclass(frozen=True)
 class SimplexPoint:
-    """A probability vector over the labels of one LabelSpace.
-
-    Entries must be finite, non-negative and sum to 1 within 1e-9; the stored
-    vector is renormalized exactly so downstream identities see mass 1.
+    """A probability vector over the labels of one LabelSpace: the one-row
+    case of `simplex_rows`, which checks it and renormalizes it exactly so
+    downstream identities see mass 1.
     """
 
     probs: tuple
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        if len(probs) < 2:
-            raise InvalidDistribution("a simplex point needs at least 2 entries")
-        if any(p < -1e-12 for p in probs):
-            raise InvalidDistribution(f"negative probability in {probs}")
-        probs = tuple(max(p, 0.0) for p in probs)
-        total = sum(probs)
-        if not math.isfinite(total):  # NaN or inf anywhere makes the sum non-finite
-            raise InvalidDistribution(f"non-finite probability in {probs}")
-        if abs(total - 1.0) > SUM_TOL:
-            raise InvalidDistribution(f"probabilities sum to {total}, expected 1")
-        if total != 1.0:
-            probs = tuple(p / total for p in probs)
-        object.__setattr__(self, "probs", probs)
+        row = simplex_rows([[float(p) for p in self.probs]])[0]
+        object.__setattr__(self, "probs", tuple(row.tolist()))
 
     @classmethod
     def _trusted(cls, probs) -> "SimplexPoint":
@@ -81,17 +69,24 @@ class SimplexPoint:
 
 
 def simplex_rows(raw) -> np.ndarray:
-    """SimplexPoint's check and exact renormalization on every row of an
-    (n, l) array; the first bad row raises its SimplexPoint error. The
-    running (cumulative) sum is Python's `sum` bit for bit."""
+    """Every row of an (n, l) array checked and renormalized as a simplex
+    point; the first bad row raises. Entries below -1e-12 are refused, small
+    negatives clamped to 0; the left-to-right sum from 0.0 must be finite and
+    within 1e-9 of 1, and divides the row unless it is exactly 1."""
     raw = np.asarray(raw, dtype=float)
     if raw.shape[1] < 2:
-        SimplexPoint(tuple(raw[0].tolist()))  # raises its own error
+        raise InvalidDistribution("a simplex point needs at least 2 entries")
     rows = np.where(raw < 0.0, 0.0, raw)  # max(p, 0.0): keeps -0.0 and NaN
-    total = np.cumsum(rows, axis=1)[:, -1]
-    bad = (raw < -1e-12).any(axis=1) | ~(np.abs(total - 1.0) <= SUM_TOL)
-    if bad.any():
-        SimplexPoint(tuple(raw[bad][0].tolist()))  # raises its own error
+    total = np.cumsum(rows, axis=1)[:, -1] + 0.0  # + 0.0: a sum from 0.0 is never -0.0
+    negative = (raw < -1e-12).any(axis=1)
+    bad = np.flatnonzero(negative | ~(np.abs(total - 1.0) <= SUM_TOL))
+    if bad.size:
+        i = bad[0]
+        if negative[i]:
+            raise InvalidDistribution(f"negative probability in {tuple(raw[i].tolist())}")
+        if not math.isfinite(total[i]):
+            raise InvalidDistribution(f"non-finite probability in {tuple(rows[i].tolist())}")
+        raise InvalidDistribution(f"probabilities sum to {float(total[i])}, expected 1")
     off = total != 1.0
     rows[off] /= total[off, None]
     return rows
@@ -124,7 +119,7 @@ class Snapshot:
 
 def l1_rows(points: np.ndarray, center) -> np.ndarray:
     """l1 distance from every row of an (n, l) array to one point, each
-    summed left to right as Python's `sum` does."""
+    summed left to right."""
     center = np.asarray(center, dtype=float)
     if points.shape[1] != len(center):
         raise DimensionMismatch(f"{points.shape[1]}-label point vs {len(center)}-label point")
@@ -138,12 +133,30 @@ def l1_distance(a: SimplexPoint, b: SimplexPoint) -> float:
 
 def snapshot_to_point(s: Snapshot) -> SimplexPoint:
     """The normalized count histogram counts/k as a simplex point."""
-    k = s.k
-    return SimplexPoint(tuple(c / k for c in s.counts))
+    return SimplexPoint(np.divide(s.counts, s.k))
 
 
 def snapshot_space_size(space: LabelSpace, k: int) -> int:
     return math.comb(k + space.num_labels - 1, space.num_labels - 1)
+
+
+def _check_lattice_size(space: LabelSpace, k: int, cap: int):
+    """Refuse a snapshot size below 1 and a lattice of more than `cap` points."""
+    if k < 1:
+        raise InvalidDistribution(f"snapshot size must be >= 1, got {k}")
+    size = snapshot_space_size(space, k)
+    if size > cap:
+        raise CapExceeded(f"snapshot space has {size} points, above the cap of {cap}")
+
+
+def _snapshot_counts(space: LabelSpace, k: int) -> np.ndarray:
+    """Every size-k count vector, uncapped, as an (N, l) int64 matrix in
+    enumeration order: the gaps between l - 1 bars among k + l - 1 slots,
+    bar positions in reversed lexicographic order."""
+    l = space.num_labels
+    bars = itertools.chain.from_iterable(itertools.combinations(range(k + l - 1), l - 1))
+    bars = np.fromiter(bars, dtype=np.int64).reshape(-1, l - 1)[::-1]
+    return np.diff(bars, axis=1, prepend=-1, append=k + l - 1) - 1
 
 
 def enumerate_snapshot_space(
@@ -155,20 +168,5 @@ def enumerate_snapshot_space(
     so for binary spaces the label-1 frequency increases along the list.
     Raises CapExceeded when C(k+l-1, l-1) exceeds `cap`.
     """
-    if k < 1:
-        raise InvalidDistribution(f"snapshot size must be >= 1, got {k}")
-    size = snapshot_space_size(space, k)
-    if size > cap:
-        raise CapExceeded(
-            f"snapshot space has {size} points, above the cap of {cap}"
-        )
-
-    def compositions(total, slots):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in compositions(total - first, slots - 1):
-                yield (first,) + rest
-
-    return [Snapshot(c) for c in compositions(k, space.num_labels)]
+    _check_lattice_size(space, k, cap)
+    return [Snapshot(row) for row in _snapshot_counts(space, k).tolist()]

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, DomainError, HocalError
 from .mixture import Mixture, _lattice, _lattice_counts, _lattice_rank
+from .simplex import _check_lattice_size
 
 DEFAULT_SUPPORT_CAP = 2000
 CHECK_TOL = 1e-8
@@ -31,14 +32,17 @@ _SUPPLY_SCALE = 1e8
 # The (supply scale, presolve) steps _solve_lp tries in order; each has been
 # the first to succeed on some LP (README, "Distances").
 _LADDER = ((_SUPPLY_SCALE, True), (_SUPPLY_SCALE, False), (1e6, True))
+# HiGHS's default dual tolerance admits reduced costs down to -1e-7, looser than CHECK_TOL
+_DUAL_RETRY_TOL = 1e-10
 
 
 class SolverFailure(HocalError):
     """The LP solver returned something that fails its own certificate."""
 
 
-def _solve_lp(cost, a_eq, b_eq, method):
-    """linprog over the steps of _LADDER; the first success and its scale.
+def _solve_lp(cost, a_eq, b_eq, method, dual_tol=None):
+    """linprog over the steps of _LADDER, at dual feasibility tolerance
+    `dual_tol` (None: HiGHS's default); the first success and its scale.
 
     Presolve can misjudge a scaled system whose supplies span many orders of
     magnitude (multinomial tail masses) infeasible. The caller's certificate
@@ -53,23 +57,24 @@ def _solve_lp(cost, a_eq, b_eq, method):
             b_eq=b_eq * scale,
             bounds=(0, None),
             method=method,
-            options=None if presolve else {"presolve": False},
+            options={"presolve": presolve, "dual_feasibility_tolerance": dual_tol},
         )
         if res.status == 0:
             break
     return res, scale
 
 
-def _certified_lp(cost, a_full, b_full, method):
+def _certified_lp(cost, a_full, b_full, method, dual_tol=None):
     """x >= 0 minimizing cost @ x subject to a_full @ x = b_full, certified.
 
     The last row of the rank-deficient flow system `a_full` is redundant:
     HiGHS gets the others and the dropped row's dual is fixed at 0. x must
     be non-negative and balance the full system, the dual y feasible
     (reduced costs cost - a_full.T @ y >= 0) and complementary to x where
-    x > 1e-12, and the objectives equal, each to CHECK_TOL.
+    x > 1e-12, and the objectives equal, each to CHECK_TOL. Only a failed
+    dual check is retried, once, at _DUAL_RETRY_TOL.
     """
-    res, scale = _solve_lp(cost, a_full[:-1], b_full[:-1], method)
+    res, scale = _solve_lp(cost, a_full[:-1], b_full[:-1], method, dual_tol)
     if res.status != 0:
         raise SolverFailure(f"{method} LP failed: {res.message}")
     x = res.x / scale
@@ -80,6 +85,8 @@ def _certified_lp(cost, a_full, b_full, method):
     y = np.append(res.eqlin.marginals, 0.0)
     reduced = cost - a_full.T @ y
     if reduced.min() < -CHECK_TOL:
+        if dual_tol is None:
+            return _certified_lp(cost, a_full, b_full, method, _DUAL_RETRY_TOL)
         raise SolverFailure("dual infeasibility above 1e-8")
     if np.abs(reduced[x > 1e-12]).max(initial=0.0) > CHECK_TOL:
         raise SolverFailure("complementary slackness residual above 1e-8")
@@ -232,7 +239,7 @@ DEFAULT_NODE_CAP = 100_000
 
 
 @lru_cache(maxsize=32)
-def _move_graph(space, k: int, cap: int):
+def _move_graph(space, k: int):
     """Single-label-move graph over the k-snapshot lattice, cached per (space, k).
 
     Nodes are the lattice points; each directed edge shifts one of the k
@@ -245,7 +252,7 @@ def _move_graph(space, k: int, cap: int):
     """
     from scipy import sparse
 
-    counts = _lattice(space, k, cap)[0].astype(np.int64)
+    counts = _lattice(space, k)[0].astype(np.int64)
     l = space.num_labels
     moves = np.array([(i, j) for i in range(l) for j in range(l) if i != j])
     # edges ordered by node, then source label, then target label
@@ -289,7 +296,8 @@ def w1_lattice(
     _check_same_space(a, b)
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"snapshot size must be a positive integer, got {k!r}")
-    incidence = _move_graph(a.space, k, node_cap)
+    _check_lattice_size(a.space, k, node_cap)
+    incidence = _move_graph(a.space, k)
     supply = np.zeros(incidence.shape[0])
     np.add.at(supply, _lattice_index(a, k), a.weights_array())
     np.subtract.at(supply, _lattice_index(b, k), b.weights_array())

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hocal.calibrate import (
@@ -59,6 +60,30 @@ def test_dataset_validation():
         make_dataset([("a", Snapshot((1, 1, 1)))])  # wrong label count
     with pytest.raises(InvalidDistribution):
         make_dataset([("a", Snapshot((1, 2)))])  # k mismatch
+
+
+def test_dataset_check_names_the_first_bad_record():
+    three = LabelSpace(3)
+    good, big, short = Snapshot((1, 1, 0)), Snapshot((3, 0, 0)), Snapshot((1, 1))
+    with pytest.raises(InvalidDistribution, match="partition 'b': snapshot of size 3, expected 2"):
+        SnapshotDataset([("a", good), ("b", big), ("c", short)], three, 2)
+    with pytest.raises(
+        DimensionMismatch, match="partition 'c': snapshot over 2 labels in a 3-label dataset"
+    ):
+        SnapshotDataset([("a", good), ("c", short), ("b", big)], three, 2)
+    with pytest.raises(
+        DimensionMismatch, match="partition 'd': snapshot over 4 labels in a 3-label dataset"
+    ):
+        SnapshotDataset([("a", good), ("d", Snapshot((1, 1, 0, 0)))], three, 2)
+    counts = np.array([[1, 1, 0], [3, -1, 0]])
+    with pytest.raises(InvalidDistribution, match="partition 'x': negative count in a snapshot"):
+        SnapshotDataset._from_columns(counts, np.array([0, 1]), ["y", "x"], three, 2)
+    with pytest.raises(
+        DimensionMismatch, match="partition 'y': snapshot over 2 labels in a 3-label dataset"
+    ):
+        SnapshotDataset._from_columns(np.array([[1, 1]]), np.array([0]), ["y"], three, 2)
+    empty = SnapshotDataset([], three, 2)
+    assert len(empty) == 0 and empty.counts.shape == (0, 3) and empty.names == ()
 
 
 def test_table_entries_must_sit_on_the_lattice():

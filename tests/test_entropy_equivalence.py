@@ -2,8 +2,9 @@
 per-point code it replaced.
 
 The reference below is that code as it was when every consumer looped over
-`Mixture.support` in Python: one SimplexPoint at a time, with Python `sum`,
-`+=` loops and `itertools.product` over point pairs. It has no support cap.
+`Mixture.support` in Python: one SimplexPoint at a time, with left-to-right
+sums (Python `sum` up to 3.11), `+=` loops and `itertools.product` over
+point pairs. It has no support cap.
 For Shannon and Brier (both scalings), and for polynomial entropies, the
 array path must give the same bits. Exponential entropies may differ by
 1e-13: `np.exp` and `math.exp` disagree in the last bit for a few percent
@@ -34,6 +35,14 @@ from hocal.predset import IntervalSet, build_mass_set, coverage, enlarge
 from hocal.simplex import LabelSpace, SimplexPoint
 
 # -- the per-point reference -------------------------------------------------
+
+
+def left_to_right(terms):
+    """0.0 + terms[0] + terms[1] + ..., one rounding per step on any Python."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return float(total)
 
 
 def ref_entropy_value(g, p):
@@ -93,7 +102,7 @@ def ref_centroid(m):
 
 
 def ref_average_entropy(m, g):
-    return float(sum(w * ref_entropy_value(g, p) for p, w in m.support))
+    return left_to_right(w * ref_entropy_value(g, p) for p, w in m.support)
 
 
 def ref_decompose(m, g):
@@ -121,9 +130,9 @@ def ref_decompose(m, g):
 def ref_loss_breakdown(predicted, bayes, g):
     q_bar = ref_centroid(predicted)
     p_bar = ref_centroid(bayes)
-    expected_loss = float(sum(w * ref_proper_loss(g, p, q_bar) for p, w in bayes.support))
+    expected_loss = left_to_right(w * ref_proper_loss(g, p, q_bar) for p, w in bayes.support)
     avg_au = ref_average_entropy(bayes, g)
-    grouping_loss = float(sum(w * ref_divergence(g, p, p_bar) for p, w in bayes.support))
+    grouping_loss = left_to_right(w * ref_divergence(g, p, p_bar) for p, w in bayes.support)
     foc_error = ref_divergence(g, p_bar, q_bar)
     return (expected_loss, avg_au, grouping_loss + foc_error, grouping_loss, foc_error)
 
@@ -141,13 +150,13 @@ def ref_build_mass_set(m, alpha):
 
 
 def ref_l1(a, b):
-    return float(sum(abs(x - y) for x, y in zip(a.probs, b.probs)))
+    return left_to_right(abs(x - y) for x, y in zip(a.probs, b.probs))
 
 
 def ref_coverage(centers, radius, m):
-    return float(sum(
+    return left_to_right(
         w for p, w in m.support if any(ref_l1(p, c) <= radius for c in centers)
-    ))
+    )
 
 
 # -- comparison helpers ------------------------------------------------------
@@ -236,7 +245,7 @@ def test_prediction_sets_keep_their_bits(m, other, alpha, delta):
         assert hexed(coverage(grown, target)) == hexed(ref_coverage(expected, grown.radius, target))
     if m.space.num_labels == 2:
         interval = IntervalSet(lo=min(delta, 0.5), hi=0.5 + delta / 2)
-        expected = float(sum(w for p, w in m.support if interval.lo <= p.bias <= interval.hi))
+        expected = left_to_right(w for p, w in m.support if interval.lo <= p.bias <= interval.hi)
         assert hexed(coverage(interval, m)) == hexed(expected)
 
 

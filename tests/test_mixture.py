@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hocal.calibrate import CalibrationTable
-from hocal.errors import DomainError, InvalidDistribution
+from hocal.errors import CapExceeded, DomainError, InvalidDistribution
 from hocal.moments import estimate_moments
-from hocal.transport import w1_lattice
+from hocal.transport import _move_graph, w1_lattice
 from hocal.mixture import (
     Mixture,
     RngSeed,
@@ -17,7 +17,7 @@ from hocal.mixture import (
     sample_snapshots,
 )
 from hocal.mixture import _lattice, _projection_masses
-from hocal.simplex import DEFAULT_ENUM_CAP, LabelSpace, SimplexPoint, Snapshot, snapshot_to_point
+from hocal.simplex import LabelSpace, SimplexPoint, Snapshot, snapshot_to_point
 from hocal.synth import RandomMixtureSpec, random_mixture
 
 BINARY = LabelSpace(2)
@@ -162,10 +162,10 @@ def test_project_k_matches_the_generic_constructor(l, k):
     spec = RandomMixtureSpec(num_labels=l, support_size=4, dirichlet_alpha=2.0)
     mixtures = [random_mixture(spec, RngSeed(500 * l + 10 * k + t)) for t in range(5)]
     mixtures += list(_edge_mixtures(l))
-    counts = _lattice(LabelSpace(l), k, DEFAULT_ENUM_CAP)[0]
+    counts = _lattice(LabelSpace(l), k)[0]
     points = [snapshot_to_point(Snapshot(tuple(c))) for c in counts.astype(int).tolist()]
     for m in mixtures:
-        mass = _projection_masses(m, k, DEFAULT_ENUM_CAP)
+        mass = _projection_masses(m, k)
         generic = Mixture(
             tuple((points[i], mass[i]) for i in np.flatnonzero(mass > 0.0)), m.space
         )
@@ -259,3 +259,23 @@ def test_one_lattice_rule_for_tables_moments_and_w1_lattice(k):
         estimate_moments(off, k, eps=0.0)
     with pytest.raises(DomainError):
         w1_lattice(off, on, k)
+
+
+def test_project_k_and_w1_lattice_share_one_lattice_per_space_and_k():
+    # project_k (cap 10^6) and w1_lattice (node cap 10^5) check their caps
+    # before the cache, so the two build and hold one lattice between them
+    _lattice.cache_clear()
+    _move_graph.cache_clear()
+    spec = RandomMixtureSpec(num_labels=3, support_size=4, dirichlet_alpha=2.0)
+    f, h = random_mixture(spec, RngSeed(1)), random_mixture(spec, RngSeed(2))
+    pf, ph = project_k(f, 8), project_k(h, 8)
+    w1_lattice(pf, ph, 8)
+    assert _lattice.cache_info().currsize == 1
+    assert _move_graph.cache_info().currsize == 1
+    with pytest.raises(CapExceeded, match="snapshot space has 45 points, above the cap of 44"):
+        project_k(f, 8, cap=44)
+    with pytest.raises(CapExceeded, match="snapshot space has 45 points, above the cap of 44"):
+        w1_lattice(pf, ph, 8, node_cap=44)
+    with pytest.raises(InvalidDistribution, match="snapshot size must be >= 1, got 0"):
+        project_k(f, 0)
+    assert _lattice.cache_info().currsize == 1

@@ -62,7 +62,9 @@ def reference_mixture(points, weights, space):
             raise HocalError("dimension")
         if not 0.0 < weight < math.inf:
             raise HocalError(f"weight {weight} is not positive and finite")
-    total = sum(w for _, w in pairs)
+    total = 0.0  # left to right, as Python's `sum` up to 3.11
+    for _, w in pairs:
+        total += w
     if not abs(total - 1.0) <= 1e-9:
         raise HocalError(f"weights sum to {total}, expected 1")
     merged = _reference_merge(pairs)

@@ -1,19 +1,64 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hocal.errors import CapExceeded, DimensionMismatch, InvalidDistribution
+from hocal.mixture import _lattice_rank
 from hocal.simplex import (
     LabelSpace,
     SimplexPoint,
     Snapshot,
+    _snapshot_counts,
     enumerate_snapshot_space,
     l1_distance,
+    simplex_rows,
     snapshot_space_size,
     snapshot_to_point,
 )
+
+
+def left_to_right(terms):
+    """0.0 + terms[0] + terms[1] + ..., one rounding per step on any Python."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def reference_simplex_point(probs):
+    """The simplex-point rule as SimplexPoint once checked it, one entry at a time."""
+    probs = tuple(float(p) for p in probs)
+    if len(probs) < 2:
+        raise InvalidDistribution("a simplex point needs at least 2 entries")
+    if any(p < -1e-12 for p in probs):
+        raise InvalidDistribution(f"negative probability in {probs}")
+    probs = tuple(max(p, 0.0) for p in probs)
+    total = left_to_right(probs)
+    if not math.isfinite(total):
+        raise InvalidDistribution(f"non-finite probability in {probs}")
+    if abs(total - 1.0) > 1e-9:
+        raise InvalidDistribution(f"probabilities sum to {total}, expected 1")
+    return tuple(p / total for p in probs) if total != 1.0 else probs
+
+
+def reference_compositions(total, slots):
+    """The recursive generator that once fixed the lattice order."""
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in reference_compositions(total - first, slots - 1):
+            yield (first,) + rest
+
+
+def outcome(rule, probs):
+    try:
+        return tuple(x.hex() for x in rule(probs))
+    except InvalidDistribution as exc:
+        return str(exc)
 
 
 def test_label_space_rejects_degenerate_sizes():
@@ -44,6 +89,50 @@ def test_simplex_point_rejects_bad_vectors():
     for bad in ((math.nan, 1.0), (0.5, math.nan), (math.inf, 0.0), (math.inf, -math.inf)):
         with pytest.raises(InvalidDistribution):
             SimplexPoint(bad)
+
+
+BAD_ROWS = [
+    (0.5, 0.6),
+    (-0.1, 1.1),
+    (1.0,),
+    (),
+    (math.nan, 1.0),
+    (0.5, math.nan),
+    (math.inf, 0.0),
+    (math.inf, -math.inf),
+    (-1e-13, math.nan),
+    (-0.0, -0.0),
+    (0.0, 0.0, 0.0),
+    (0.2, 0.3, 0.4),
+]
+
+
+@pytest.mark.parametrize("probs", BAD_ROWS)
+def test_simplex_point_errors_are_the_reference_rule_messages(probs):
+    want = outcome(reference_simplex_point, probs)
+    assert outcome(lambda p: SimplexPoint(p).probs, probs) == want
+    if len(probs) >= 2:  # the first bad row of an array raises the same error
+        good = (1.0,) + (0.0,) * (len(probs) - 1)
+        assert outcome(lambda p: simplex_rows([good, p, p[::-1]])[1], probs) == want
+
+
+def test_simplex_point_still_refuses_none():
+    with pytest.raises(TypeError):
+        SimplexPoint((None, 1.0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(min_value=-2e-12, max_value=1.0), min_size=2, max_size=6))
+def test_simplex_rows_is_the_reference_rule(raw):
+    rows = [raw, [p * (1.0 + 1e-10) for p in raw]]
+    total = left_to_right(raw)
+    if total > 0.0:
+        rows += [[p / total for p in raw], [p / total * (1.0 - 3e-10) for p in raw]]
+    for row in rows:
+        want = outcome(reference_simplex_point, row)
+        assert outcome(lambda p: SimplexPoint(p).probs, row) == want
+        if not isinstance(want, str):
+            assert outcome(lambda p: simplex_rows([p])[0], row) == want
 
 
 def test_bias_is_binary_only():
@@ -96,8 +185,32 @@ def test_enumeration_covers_the_lattice():
     assert all(s.k == 4 for s in snaps)
 
 
+@pytest.mark.parametrize("num_labels", [2, 3, 4, 5])
+def test_enumeration_matches_the_recursive_reference(num_labels):
+    space = LabelSpace(num_labels)
+    for k in range(1, 13):
+        want = list(reference_compositions(k, num_labels))
+        assert [s.counts for s in enumerate_snapshot_space(space, k)] == want
+        counts = _snapshot_counts(space, k)
+        assert counts.dtype == np.int64 and counts.tolist() == [list(c) for c in want]
+        assert np.array_equal(_lattice_rank(counts, k), np.arange(len(want)))
+
+
+@pytest.mark.parametrize("num_labels,k", [(3, 32), (4, 24), (5, 40)])
+def test_lattice_rank_inverts_the_enumeration_on_large_lattices(num_labels, k):
+    counts = _snapshot_counts(LabelSpace(num_labels), k)
+    assert len(counts) == snapshot_space_size(LabelSpace(num_labels), k)
+    assert (counts.sum(axis=1) == k).all() and counts.min() >= 0
+    assert np.array_equal(_lattice_rank(counts, k), np.arange(len(counts)))
+
+
+def test_enumeration_refuses_sizes_below_one():
+    with pytest.raises(InvalidDistribution, match="snapshot size must be >= 1, got 0"):
+        enumerate_snapshot_space(LabelSpace(3), 0)
+
+
 def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="snapshot space has 6545 points, above the cap of 100"):
         enumerate_snapshot_space(LabelSpace(4), 32, cap=100)
 
 

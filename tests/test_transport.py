@@ -337,8 +337,8 @@ SHARED_PERTURBATIONS = [
 def _perturbed_solve(perturb, *shape):
     solve = hocal.transport._solve_lp
 
-    def perturbed(cost, a_eq, b_eq, method):
-        res, scale = solve(cost, a_eq, b_eq, method)
+    def perturbed(*args):
+        res, scale = solve(*args)
         assert scale == _SCALE
         perturb(res, *shape)
         return res, scale
@@ -363,7 +363,7 @@ def _negative_cycle(res):
     # -eps on two opposite moves u -> v and v -> u keeps every node balanced
     # and drives a zero flow negative
     x = res.x.copy()
-    incidence = hocal.transport._move_graph(LabelSpace(3), 2, hocal.transport.DEFAULT_NODE_CAP)
+    incidence = hocal.transport._move_graph(LabelSpace(3), 2)
     heads, tails = incidence.toarray().argmax(axis=0), incidence.toarray().argmin(axis=0)
     back = {(h, t): e for e, (h, t) in enumerate(zip(heads.tolist(), tails.tolist()))}
     e = int(np.flatnonzero(x == x.min())[0])
@@ -444,4 +444,25 @@ def test_each_retry_step_is_the_first_to_solve_some_transport_lp(monkeypatch, tr
     cost, coupling = wasserstein1(m, target, support_cap=10_000)
     assert statuses == [2] * failures + [0]
     assert cost <= 4 / (2 * np.sqrt(32))
+    assert abs(cost - coupling.cost()) <= 1e-12
+
+
+def test_skewed_dense_lp_certifies_on_the_one_dual_retry(monkeypatch):
+    # Dirichlet alpha = 0.1: HiGHS stops with a reduced cost below -1e-8, so
+    # the first solve fails the dual check; the retry at HiGHS dual
+    # feasibility tolerance 1e-10 passes every unchanged 1e-8 gate
+    import scipy.optimize
+
+    spec = RandomMixtureSpec(num_labels=3, support_size=4, dirichlet_alpha=0.1)
+    a, b = draw_mixture(spec, RngSeed(98_165)), draw_mixture(spec, RngSeed(100_165))
+    linprog, tolerances = scipy.optimize.linprog, []
+
+    def recording(*args, **kwargs):
+        tolerances.append(kwargs["options"]["dual_feasibility_tolerance"])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recording)
+    cost, coupling = wasserstein1(a, b)
+    assert tolerances == [None, 1e-10]
+    assert cost == pytest.approx(1.455507869306154, abs=1e-12)
     assert abs(cost - coupling.cost()) <= 1e-12
