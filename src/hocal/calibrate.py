@@ -21,9 +21,11 @@ from .transport import DEFAULT_SUPPORT_CAP, wasserstein1
 
 
 def _check_records(counts, dims, codes, names, space: LabelSpace, k: int):
-    """Every record has l labels, size k and no negative count; record i has
-    `dims[i]` labels and the counts in row i. The first record that fails
-    raises, naming its partition."""
+    """Every record has l labels, size k and no negative count.
+
+    Record i has `dims[i]` labels and its counts in row i of `counts`.
+    The first record that fails raises, naming its partition.
+    """
     l = space.num_labels
     sizes, lows = counts.sum(axis=1), counts.min(axis=1, initial=0)
     bad = np.flatnonzero((dims != l) | (sizes != k) | (lows < 0))
@@ -59,31 +61,34 @@ class SnapshotDataset:
 
     def __init__(self, records, space: LabelSpace, k: int):
         records = list(records)
-        counts, pids = [snap.counts for _, snap in records], [pid for pid, _ in records]
-        ds = self._from_columns(counts, np.arange(len(records)), pids, space, k)
+        l = space.num_labels
+        dims = np.array([snap.dim for _, snap in records], dtype=np.int64)
+        # a snapshot over the wrong number of labels fails on its label count alone
+        counts = [snap.counts if snap.dim == l else (0,) * l for _, snap in records]
+        counts = np.array(counts, dtype=np.int64).reshape(-1, l)
+        pids = [pid for pid, _ in records]
+        ds = self._from_columns(counts, np.arange(len(records)), pids, space, k, dims)
         self._store(ds.counts, ds.codes, ds.names, space, k)
 
     @classmethod
-    def _from_columns(cls, counts, codes, names, space: LabelSpace, k: int) -> "SnapshotDataset":
-        """A dataset from count vectors and their codes into `names`.
+    def _from_columns(
+        cls, counts, codes, names, space: LabelSpace, k: int, dims=None
+    ) -> "SnapshotDataset":
+        """A dataset from an (n, l) int count matrix and codes into `names`.
 
-        `counts` is an (n, l) int matrix or a sequence of count vectors,
-        which may differ in length. `names` may repeat ids, include ids
-        that no record uses, and need not be sorted; they are stored as
-        strings. The stored codes index the sorted ids in use.
+        `names` may repeat ids, include ids that no record uses, and need not
+        be sorted; they are stored as strings. The stored codes index the
+        sorted ids in use. `dims[i]` is the label count of record i, by
+        default the matrix width.
         """
         used, codes = np.unique(np.asarray(codes, dtype=np.int64), return_inverse=True)
         used = [str(names[i]) for i in used]
         names = sorted(set(used))
         rank = {pid: i for i, pid in enumerate(names)}
         codes = np.array([rank[pid] for pid in used], dtype=np.int64)[codes]
-        l = space.num_labels
-        if isinstance(counts, np.ndarray):
-            counts, dims = counts.astype(np.int64, copy=False), np.full(len(counts), counts.shape[1])
-        else:  # a vector of the wrong length fails on its length alone
-            dims = np.array([len(c) for c in counts], dtype=np.int64)
-            counts = np.array([c if len(c) == l else (0,) * l for c in counts], dtype=np.int64)
-            counts = counts.reshape(-1, l)
+        counts = np.asarray(counts, dtype=np.int64)
+        if dims is None:
+            dims = np.full(len(counts), counts.shape[1])
         _check_records(counts, dims, codes, names, space, k)
         ds = object.__new__(cls)
         ds._store(counts, codes, names, space, k)
@@ -193,10 +198,13 @@ def _empirical_groups(ds: SnapshotDataset) -> dict:
     points = simplex_rows(ds.counts[first] / ds.k)  # snapshot_to_point of every row
     # by partition, then in the sorted coordinate order Mixture stores
     order = np.lexsort((*points.T[::-1], row_codes))
-    groups = np.split(order, np.cumsum(np.bincount(row_codes))[:-1])
-    sizes = np.bincount(ds.codes).tolist()
+    distinct = np.bincount(row_codes, minlength=len(ds.names))
+    ends = np.cumsum(distinct)
+    sizes = np.bincount(ds.codes, minlength=len(ds.names))
     out = {}
-    for pid, rows, n in zip(ds.names, groups, sizes):
+    for code, pid in enumerate(ds.names):
+        n = int(sizes[code])
+        rows = order[ends[code] - distinct[code]:ends[code]]
         running = np.cumsum(np.full(n, 1.0 / n))
         weights = running[multiplicity[rows] - 1]
         out[pid] = Mixture._from_distinct(points[rows], weights, running[-1], ds.space), n
@@ -257,10 +265,12 @@ def koc_error(
         per[pid], _ = wasserstein1(
             table.entries[pid], reference.entries[pid], support_cap=support_cap
         )
-    weights = np.array([(table.counts or {}).get(p, 0) for p in per])
-    if not weights.sum() > 0:
-        weights = np.ones(len(per), dtype=np.int64)
-    weighted = _running_sum(np.fromiter(per.values(), dtype=float) * weights) / weights.sum()
+    if table.counts and sum(table.counts.get(p, 0) for p in per) > 0:
+        weights = {p: table.counts.get(p, 0) for p in per}
+    else:
+        weights = {p: 1 for p in per}
+    total = sum(weights.values())
+    weighted = _running_sum(np.array([per[p] * weights[p] for p in per])) / total
     return CalibrationScore(
         per_partition=per,
         worst=max(per.values()),

@@ -78,8 +78,13 @@ def read_snapshot_dataset(path) -> SnapshotDataset:
     if not picks:
         raise FormatError(f"{path}: no records")
     picks = np.array(picks, dtype=np.int64)
-    counts = np.array(row_counts, dtype=np.int64)[picks]
-    return SnapshotDataset._from_columns(counts, picks, row_pids, LabelSpace(num_labels), k)
+    return SnapshotDataset._from_columns(
+        np.array(row_counts, dtype=np.int64)[picks],
+        picks,
+        row_pids,
+        LabelSpace(num_labels),
+        k,
+    )
 
 
 def _parse_record(raw, path, lineno, num_labels, k):

@@ -73,20 +73,20 @@ class PolyApprox:
     coeff_bound: float
 
 
-def _moment_ratios(ones, k: int, m: int) -> np.ndarray:
-    """C(c, m)/C(k, m) per label-1 count c, zero when c < m; exact ints, one rounding."""
-    return np.array([math.comb(c, m) / math.comb(k, m) for c in ones])
+def _moment_ratio(c: int, k: int, m: int) -> float:
+    """C(c, m)/C(k, m): exact integers, and int true division rounds once."""
+    return math.comb(c, m) / math.comb(k, m)
 
 
 def moment_weight(k: int, m: int, s: Snapshot) -> float:
-    """C(c_1, m)/C(k, m) where c_1 counts label 1: one row of `_moment_ratios`."""
+    """C(c_1, m)/C(k, m) where c_1 counts label 1; zero when c_1 < m."""
     if s.dim != 2:
         raise DimensionMismatch("moment recovery is defined for binary spaces")
     if not 1 <= m <= k:
         raise DomainError(f"need 1 <= m <= k, got m={m}, k={k}")
     if s.k != k:
         raise InvalidDistribution(f"snapshot has size {s.k}, expected {k}")
-    return float(_moment_ratios([s.counts[1]], k, m)[0])
+    return _moment_ratio(s.counts[1], k, m)
 
 
 def estimate_moments(kth: Mixture, k: int, eps: float) -> MomentVector:
@@ -106,8 +106,11 @@ def estimate_moments(kth: Mixture, k: int, eps: float) -> MomentVector:
         )
     ones = counts[:, 1].tolist()
     weights = kth.weights_array()
-    values = tuple(float(weights @ _moment_ratios(ones, k, m)) for m in range(1, k + 1))
-    return MomentVector(k=k, values=values, eps=eps)
+    values = []
+    for m in range(1, k + 1):
+        ratios = np.array([_moment_ratio(c, k, m) for c in ones])
+        values.append(float(weights @ ratios))
+    return MomentVector(k=k, values=tuple(values), eps=eps)
 
 
 def central_moment(mv: MomentVector, j: int) -> tuple:

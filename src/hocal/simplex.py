@@ -35,9 +35,10 @@ class LabelSpace:
 
 @dataclass(frozen=True)
 class SimplexPoint:
-    """A probability vector over the labels of one LabelSpace: the one-row
-    case of `simplex_rows`, which checks it and renormalizes it exactly so
-    downstream identities see mass 1.
+    """A probability vector over the labels of one LabelSpace.
+
+    The one-row case of `simplex_rows`, which checks it and renormalizes it
+    exactly so downstream identities see mass 1.
     """
 
     probs: tuple
@@ -146,7 +147,9 @@ def _check_lattice_size(space: LabelSpace, k: int, cap: int):
         raise InvalidDistribution(f"snapshot size must be >= 1, got {k}")
     size = snapshot_space_size(space, k)
     if size > cap:
-        raise CapExceeded(f"snapshot space has {size} points, above the cap of {cap}")
+        raise CapExceeded(
+            f"snapshot space has {size} points, above the cap of {cap}"
+        )
 
 
 def _snapshot_counts(space: LabelSpace, k: int) -> np.ndarray:
