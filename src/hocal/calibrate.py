@@ -42,7 +42,6 @@ def _check_records(counts, dims, codes, names, space: LabelSpace, k: int):
     raise InvalidDistribution(f"partition {pid!r}: snapshot of size {sizes[i]}, expected {k}")
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class SnapshotDataset:
     """(partition_id, snapshot) records, all snapshots of one size k, stored as columns.
 
@@ -51,13 +50,8 @@ class SnapshotDataset:
     `names` the sorted partition ids that have records. Records keep their
     input order. `SnapshotDataset(records, space, k)` takes an iterable of
     (partition_id, Snapshot) pairs; partition ids are stored as strings.
+    Equality compares the columns; datasets are not hashable.
     """
-
-    counts: np.ndarray
-    codes: np.ndarray
-    names: tuple
-    space: LabelSpace
-    k: int
 
     def __init__(self, records, space: LabelSpace, k: int):
         records = list(records)
@@ -66,40 +60,35 @@ class SnapshotDataset:
         # a snapshot over the wrong number of labels fails on its label count alone
         counts = [snap.counts if snap.dim == l else (0,) * l for _, snap in records]
         counts = np.array(counts, dtype=np.int64).reshape(-1, l)
-        pids = [pid for pid, _ in records]
-        ds = self._from_columns(counts, np.arange(len(records)), pids, space, k, dims)
-        self._store(ds.counts, ds.codes, ds.names, space, k)
+        self._store(counts, np.arange(len(records)), [pid for pid, _ in records], space, k, dims)
 
     @classmethod
-    def _from_columns(
-        cls, counts, codes, names, space: LabelSpace, k: int, dims=None
-    ) -> "SnapshotDataset":
+    def _from_columns(cls, counts, codes, names, space: LabelSpace, k: int) -> "SnapshotDataset":
         """A dataset from an (n, l) int count matrix and codes into `names`.
 
         `names` may repeat ids, include ids that no record uses, and need not
         be sorted; they are stored as strings. The stored codes index the
-        sorted ids in use. `dims[i]` is the label count of record i, by
-        default the matrix width.
+        sorted ids in use.
         """
-        used, codes = np.unique(np.asarray(codes, dtype=np.int64), return_inverse=True)
-        used = [str(names[i]) for i in used]
-        names = sorted(set(used))
-        rank = {pid: i for i, pid in enumerate(names)}
-        codes = np.array([rank[pid] for pid in used], dtype=np.int64)[codes]
-        counts = np.asarray(counts, dtype=np.int64)
-        if dims is None:
-            dims = np.full(len(counts), counts.shape[1])
-        _check_records(counts, dims, codes, names, space, k)
         ds = object.__new__(cls)
         ds._store(counts, codes, names, space, k)
         return ds
 
-    def _store(self, counts, codes, names, space, k):
-        object.__setattr__(self, "counts", _readonly(counts))
-        object.__setattr__(self, "codes", _readonly(codes))
-        object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "k", k)
+    def _store(self, counts, codes, names, space: LabelSpace, k: int, dims=None):
+        """Normalize names, check the records (record i has dims[i] labels) and keep columns."""
+        used, codes = np.unique(np.asarray(codes, dtype=np.int64), return_inverse=True)
+        used = [str(names[i]) for i in used]
+        self.names = tuple(sorted(set(used)))
+        rank = {pid: i for i, pid in enumerate(self.names)}
+        codes = np.array([rank[pid] for pid in used], dtype=np.int64)[codes]
+        counts = np.asarray(counts, dtype=np.int64)
+        if dims is None:
+            dims = np.full(len(counts), counts.shape[1])
+        _check_records(counts, dims, codes, self.names, space, k)
+        self.counts = _readonly(counts)
+        self.codes = _readonly(codes)
+        self.space = space
+        self.k = k
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -10,6 +10,7 @@ to the components.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import DimensionMismatch
 from .mixture import Mixture, _running_sum, centroid
 
 REASON_INFINITE = "infinite-divergence"
+T_GRID_SIZE = 243
 
 
 @dataclass(frozen=True)
@@ -131,27 +133,18 @@ def loss_breakdown(predicted: Mixture, bayes: Mixture, g: EntropySpec) -> LossBr
     )
 
 
-def default_t_grid(num_labels: int, cap: int = 243) -> list:
+def default_t_grid(num_labels: int) -> list:
     """The probe grid for mgf_diagnostic.
 
-    The full {-1, -0.5, 0, 0.5, 1}^l grid while it fits the cap, then the
-    coarser {-1, 0, 1}^l grid, truncated lexicographically as a last
-    resort.
+    The full {-1, -0.5, 0, 0.5, 1}^l grid while it has at most T_GRID_SIZE
+    points, then the coarser {-1, 0, 1}^l grid, truncated lexicographically
+    to T_GRID_SIZE points as a last resort.
     """
-    if 5**num_labels <= cap:
-        values = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    else:
-        values = np.array([-1.0, 0.0, 1.0])
-    # the first min(cap, v^l) tuples in lexicographic order are the base-v
-    # digits of 0, 1, 2, ..., most significant label first
-    rest = np.arange(min(cap, len(values) ** num_labels))
-    digits = np.empty((len(rest), num_labels), dtype=np.int64)
-    for j in range(num_labels - 1, -1, -1):
-        rest, digits[:, j] = np.divmod(rest, len(values))
-    return [tuple(t) for t in values[digits].tolist()]
+    values = (-1.0, -0.5, 0.0, 0.5, 1.0) if 5**num_labels <= T_GRID_SIZE else (-1.0, 0.0, 1.0)
+    return list(itertools.islice(itertools.product(values, repeat=num_labels), T_GRID_SIZE))
 
 
-def mgf_diagnostic(a: Mixture, b: Mixture, t_grid: list | None = None) -> float:
+def mgf_diagnostic(a: Mixture, b: Mixture) -> float:
     """Largest gap in exponential-entropy aleatoric uncertainty over a t grid.
 
     Two mixtures agree in AU under every concave entropy exactly when they
@@ -161,10 +154,8 @@ def mgf_diagnostic(a: Mixture, b: Mixture, t_grid: list | None = None) -> float:
     """
     if a.space != b.space:
         raise DimensionMismatch("mixtures live over different label spaces")
-    if t_grid is None:
-        t_grid = default_t_grid(a.space.num_labels)
     worst = 0.0
-    for t in t_grid:
+    for t in default_t_grid(a.space.num_labels):
         g = EntropySpec.exponential(t)
         gap = abs(average_entropy(a, g) - average_entropy(b, g))
         worst = max(worst, gap)

@@ -93,18 +93,6 @@ class EntropySpec:
             payload["coeffs"] = list(self.coeffs)
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EntropySpec":
-        payload = json.loads(text)
-        kind = payload.pop("kind")
-        return cls(
-            kind=kind,
-            log_base=payload.get("log_base", 2.0),
-            binary_scaled=payload.get("binary_scaled", False),
-            t=tuple(payload.get("t", ())),
-            coeffs=tuple(payload.get("coeffs", ())),
-        )
-
 
 def _check_labels(g: EntropySpec, num_labels: int):
     if g.kind == "exponential" and len(g.t) != num_labels:

@@ -294,14 +294,15 @@ def _projection_masses(m: Mixture, k: int) -> np.ndarray:
     return mass
 
 
-def project_k(m: Mixture, k: int, cap: int = DEFAULT_ENUM_CAP) -> Mixture:
+def project_k(m: Mixture, k: int) -> Mixture:
     """Exact distribution of normalized k-snapshot histograms under m.
 
     The mass at count vector c is sum_i w_i * Multinomial(k; c) * prod_j p_ij^c_j,
     computed in log space. Zero-mass lattice points are dropped, so a
     deterministic component (a vertex) projects to a point mass at itself.
+    Raises CapExceeded when the lattice has more than DEFAULT_ENUM_CAP points.
     """
-    _check_lattice_size(m.space, k, cap)
+    _check_lattice_size(m.space, k, DEFAULT_ENUM_CAP)
     mass = _projection_masses(m, k)
     _, _, order, probs = _lattice(m.space, k)
     # lattice points are 2/k apart in l1, so the merge could never fire

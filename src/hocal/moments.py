@@ -98,6 +98,8 @@ def estimate_moments(kth: Mixture, k: int, eps: float) -> MomentVector:
     """
     if kth.space.num_labels != 2:
         raise DimensionMismatch("moment recovery is defined for binary spaces")
+    if k < 1:
+        raise DomainError(f"snapshot size must be >= 1, got {k}")
     counts, off = _lattice_counts(kth.points_array(), k)
     if off.size:
         bias = kth.points_array()[off[0], 1]

@@ -162,14 +162,12 @@ def _snapshot_counts(space: LabelSpace, k: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=-1, append=k + l - 1) - 1
 
 
-def enumerate_snapshot_space(
-    space: LabelSpace, k: int, cap: int = DEFAULT_ENUM_CAP
-) -> list:
+def enumerate_snapshot_space(space: LabelSpace, k: int) -> list:
     """All size-k count vectors over the label space, in a fixed order.
 
     The order is lexicographic with the first label's count descending,
     so for binary spaces the label-1 frequency increases along the list.
-    Raises CapExceeded when C(k+l-1, l-1) exceeds `cap`.
+    Raises CapExceeded when C(k+l-1, l-1) exceeds DEFAULT_ENUM_CAP.
     """
-    _check_lattice_size(space, k, cap)
+    _check_lattice_size(space, k, DEFAULT_ENUM_CAP)
     return [Snapshot(row) for row in _snapshot_counts(space, k).tolist()]

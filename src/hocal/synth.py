@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -76,11 +77,6 @@ def _conditional_prob(spec: BinaryRegression, x):
     return np.clip(raw, CLAMP_LO, CLAMP_HI)
 
 
-def _bin_edges(spec: BinaryRegression):
-    width = X_DOMAIN_END / spec.bins
-    return [(i * width, (i + 1) * width) for i in range(spec.bins)]
-
-
 def _bin_id(index: int, bins: int) -> str:
     return f"bin{index:0{len(str(bins - 1))}d}"
 
@@ -91,8 +87,9 @@ def _bin_index(x, spec: BinaryRegression):
 
 
 @lru_cache(maxsize=32)
-def bayes_mixtures(spec) -> dict:
-    """The exact (unprojected) Bayes mixture for every partition.
+def bayes_mixtures(spec) -> MappingProxyType:
+    """The exact (unprojected) Bayes mixture for every partition, as a
+    read-only mapping, since the cache hands the same one to every caller.
 
     For the regression nature each bin's mixture is the distribution of
     p(x) for x conditioned on the bin, discretized on a 1000-point
@@ -104,28 +101,29 @@ def bayes_mixtures(spec) -> dict:
             truth = mixture_from_arrays([(0.5, 0.5)], [1.0], space)
         else:
             truth = mixture_from_arrays([(1.0, 0.0), (0.0, 1.0)], [0.5, 0.5], space)
-        return {"all": truth}
+        return MappingProxyType({"all": truth})
     if not isinstance(spec, BinaryRegression):
         raise DomainError(f"no Bayes table for {type(spec).__name__}")
     out = {}
-    edges = _bin_edges(spec)
-    for i, (lo, hi) in enumerate(edges):
-        if i == spec.bins - 1:
-            hi = LAST_BIN_CUTOFF
+    width = X_DOMAIN_END / spec.bins
+    for i in range(spec.bins):
+        lo = i * width
+        hi = (i + 1) * width if i < spec.bins - 1 else LAST_BIN_CUTOFF
         xs = lo + (np.arange(QUADRATURE_POINTS) + 0.5) * (hi - lo) / QUADRATURE_POINTS
         density = 2.0 * np.exp(-xs * xs / 2.0) / math.sqrt(2.0 * math.pi)
         weights = density / density.sum()
         probs = _conditional_prob(spec, xs)
         points = np.column_stack([1.0 - probs, probs])
         out[_bin_id(i, spec.bins)] = mixture_from_arrays(points, weights, space)
-    return out
+    return MappingProxyType(out)
 
 
 @lru_cache(maxsize=64)
 def reference_table(spec, k: int) -> CalibrationTable:
-    """Exact k-th order projections of the Bayes mixtures, as a table."""
+    """Exact k-th order projections of the Bayes mixtures, as a table with
+    read-only entries, since the cache hands the same table to every caller."""
     mixtures = bayes_mixtures(spec)
-    entries = {pid: project_k(m, k) for pid, m in mixtures.items()}
+    entries = MappingProxyType({pid: project_k(m, k) for pid, m in mixtures.items()})
     return CalibrationTable(entries=entries, k=k, space=LabelSpace(2), counts=None)
 
 
@@ -133,6 +131,8 @@ def gen_dataset(spec, n: int, k: int, rng: RngSeed):
     """n k-snapshots from the nature plus its exact reference table."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
+    if k < 1:
+        raise DomainError(f"need k >= 1, got {k}")
     space = LabelSpace(2)
     if isinstance(spec, TwoScenario):
         truth = bayes_mixtures(spec)["all"]

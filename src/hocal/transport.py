@@ -279,9 +279,7 @@ def _lattice_index(m: Mixture, k: int) -> np.ndarray:
     return _lattice_rank(counts, k)
 
 
-def w1_lattice(
-    a: Mixture, b: Mixture, k: int, node_cap: int = DEFAULT_NODE_CAP
-) -> float:
+def w1_lattice(a: Mixture, b: Mixture, k: int) -> float:
     """W1 between mixtures supported on the same k-snapshot lattice.
 
     Because l1 distance on the lattice equals the shortest-path metric of
@@ -291,12 +289,12 @@ def w1_lattice(
     lives on edges rather than point pairs, so only the cost is returned;
     the result is certified in-function by _certified_lp. Raises
     DomainError for points off the lattice and CapExceeded when the
-    lattice has more than `node_cap` points.
+    lattice has more than DEFAULT_NODE_CAP points.
     """
     _check_same_space(a, b)
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"snapshot size must be a positive integer, got {k!r}")
-    _check_lattice_size(a.space, k, node_cap)
+    _check_lattice_size(a.space, k, DEFAULT_NODE_CAP)
     incidence = _move_graph(a.space, k)
     supply = np.zeros(incidence.shape[0])
     np.add.at(supply, _lattice_index(a, k), a.weights_array())

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hocal.cli import main, parse_entropy, parse_nature
 from hocal.entropy import EntropySpec
 from hocal.errors import DomainError
-from hocal.io import read_csv_rows
+from hocal.io import read_calibration_table, read_csv_rows
 from hocal.synth import BinaryRegression, TwoScenario
 
 
@@ -54,35 +54,44 @@ def test_bounds_prints_the_frozen_sample_size(capsys):
 
 
 def test_full_pipeline(tmp_path, capsys):
-    ds = tmp_path / "ds.ldjson"
-    ref = tmp_path / "ref.ldjson"
-    table = tmp_path / "table.ldjson"
+    # the README pipeline; 200 records reach 16 of the 20 bins
+    def ok(*argv):
+        code, out, _ = run([str(a) for a in argv], capsys)
+        assert code == 0
+        return json.loads(out)
+
+    ds, ref, table = tmp_path / "ds.ldjson", tmp_path / "ref.ldjson", tmp_path / "table.ldjson"
+    bins = [f"bin{i:02d}" for i in range(20)]
+    summary = ok("gen", "--nature", "binary-regression", "--n", 200, "--k", 2, "--seed", 7,
+                 "--out", ds, "--ref", ref)
+    assert summary["partitions"] == 16
+
+    summary = ok("calibrate", "--data", ds, "--reference", ref, "--fill-missing", "--out", table)
+    assert (summary["records"], summary["partitions"]) == (200, 20)
+    counts = read_calibration_table(table).counts
+    assert sorted(counts) == bins and list(counts.values()).count(0) == 4
+
     w1csv = tmp_path / "w1.csv"
-
-    code, out, _ = run(
-        ["gen", "--nature", "two-scenario-2", "--n", "400", "--k", "2",
-         "--seed", "7", "--out", str(ds), "--ref", str(ref)],
-        capsys,
-    )
-    assert code == 0
-    assert json.loads(out)["partitions"] == 1
-
-    code, out, _ = run(
-        ["calibrate", "--data", str(ds), "--out", str(table)], capsys
-    )
-    assert code == 0
-    assert json.loads(out)["records"] == 400
-
-    code, out, _ = run(
-        ["evaluate", "--table", str(table), "--reference", str(ref), "--out", str(w1csv)],
-        capsys,
-    )
-    assert code == 0
-    summary = json.loads(out)
+    summary = ok("evaluate", "--table", table, "--reference", ref, "--out", w1csv)
     assert 0.0 <= summary["worst"] <= 2.0
     rows = read_csv_rows(w1csv)
-    assert [r["partition"] for r in rows] == ["all"]
-    assert float(rows[0]["w1"]) == pytest.approx(summary["worst"])
+    assert [r["partition"] for r in rows] == bins
+    assert max(float(r["w1"]) for r in rows) == pytest.approx(summary["worst"])
+
+    for command, extra in (("decompose", ["--entropy", "shannon2"]), ("moments", ["--central", 2])):
+        csv_path = tmp_path / f"{command}.csv"
+        ok(command, "--table", table, *extra, "--out", csv_path)
+        assert [r["partition"] for r in read_csv_rows(csv_path)] == bins
+
+    for kind, budget in (("mass", "--delta"), ("interval", "--eps")):
+        sets, audit = tmp_path / f"{kind}.ldjson", tmp_path / f"{kind}.csv"
+        summary = ok("predset", "--table", table, "--alpha", 0.1, "--kind", kind, budget, 0.05,
+                     "--reference", ref, "--audit", audit, "--out", sets)
+        assert [json.loads(line)["partition"] for line in sets.read_text().splitlines()] == bins
+        audit_rows = read_csv_rows(audit)
+        assert [r["partition"] for r in audit_rows] == bins
+        coverage = min(float(r["coverage"]) for r in audit_rows)
+        assert summary["min_coverage"] == pytest.approx(coverage)
 
 
 def test_gen_is_byte_stable(tmp_path, capsys):
@@ -224,6 +233,42 @@ def test_bin_rejects_bad_probability(tmp_path, capsys):
     assert code == 1
     diag = json.loads(err)
     assert diag["error"] == "FormatError"
+
+
+@pytest.mark.parametrize(
+    "slices,text,error",
+    [
+        ("0", "argmax_class,max_prob\n0,0.5\n", "DomainError"),
+        ("10", "argmax_class,max_prob\n", "FormatError"),  # no rows
+        ("10", "argmax_class,prob\n0,0.5\n", "FormatError"),  # no max_prob column
+        ("10", "argmax_class,max_prob\n1.5,0.5\n", "FormatError"),
+        ("10", "argmax_class,max_prob\n-1,0.5\n", "FormatError"),
+    ],
+)
+def test_bin_errors_give_a_json_error(tmp_path, capsys, slices, text, error):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(text)
+    out_path = tmp_path / "o.csv"
+    argv = ["bin", "--scores", str(scores), "--slices", slices, "--out", str(out_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == error
+    assert "\n" not in err.strip()
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("k", ["-1", "0"])
+@pytest.mark.parametrize("nature", ["two-scenario-2", "binary-regression"])
+def test_gen_refuses_snapshot_sizes_below_one(tmp_path, capsys, nature, k):
+    out_path = tmp_path / "ds.ldjson"
+    argv = ["gen", "--nature", nature, "--n", "10", "--k", k, "--seed", "1", "--out", str(out_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "DomainError", "message": f"need k >= 1, got {k}"}
+    assert not out_path.exists()
 
 
 def test_domain_error_diagnostic_shape(capsys):

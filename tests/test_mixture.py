@@ -263,7 +263,8 @@ def test_one_lattice_rule_for_tables_moments_and_w1_lattice(k):
 
 def test_project_k_and_w1_lattice_share_one_lattice_per_space_and_k():
     # project_k (cap 10^6) and w1_lattice (node cap 10^5) check their caps
-    # before the cache, so the two build and hold one lattice between them
+    # before the cache, so the two build and hold one lattice between them:
+    # (4, 180) has 1 004 731 lattice points and (3, 446) has 100 128
     _lattice.cache_clear()
     _move_graph.cache_clear()
     spec = RandomMixtureSpec(num_labels=3, support_size=4, dirichlet_alpha=2.0)
@@ -272,10 +273,15 @@ def test_project_k_and_w1_lattice_share_one_lattice_per_space_and_k():
     w1_lattice(pf, ph, 8)
     assert _lattice.cache_info().currsize == 1
     assert _move_graph.cache_info().currsize == 1
-    with pytest.raises(CapExceeded, match="snapshot space has 45 points, above the cap of 44"):
-        project_k(f, 8, cap=44)
-    with pytest.raises(CapExceeded, match="snapshot space has 45 points, above the cap of 44"):
-        w1_lattice(pf, ph, 8, node_cap=44)
+    four = random_mixture(RandomMixtureSpec(4, 2, 2.0), RngSeed(3))
+    with pytest.raises(
+        CapExceeded, match="snapshot space has 1004731 points, above the cap of 1000000"
+    ):
+        project_k(four, 180)
+    with pytest.raises(
+        CapExceeded, match="snapshot space has 100128 points, above the cap of 100000"
+    ):
+        w1_lattice(pf, ph, 446)
     with pytest.raises(InvalidDistribution, match="snapshot size must be >= 1, got 0"):
         project_k(f, 0)
     assert _lattice.cache_info().currsize == 1

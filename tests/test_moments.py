@@ -69,6 +69,13 @@ def test_estimate_moments_rejects_off_lattice_support():
         estimate_moments(m, 4, eps=0.0)
 
 
+def test_estimate_moments_refuses_snapshot_sizes_below_one():
+    m = binary([0.5], [1.0])
+    for k in (0, -1):
+        with pytest.raises(DomainError, match=f"snapshot size must be >= 1, got {k}"):
+            estimate_moments(m, k, eps=0.0)
+
+
 def test_moment_vector_validation_and_bounds():
     mv = MomentVector(k=2, values=(0.5, 0.34), eps=0.1)
     assert mv.bound(1) == pytest.approx(0.05)

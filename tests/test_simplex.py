@@ -210,8 +210,10 @@ def test_enumeration_refuses_sizes_below_one():
 
 
 def test_enumeration_cap():
-    with pytest.raises(CapExceeded, match="snapshot space has 6545 points, above the cap of 100"):
-        enumerate_snapshot_space(LabelSpace(4), 32, cap=100)
+    with pytest.raises(
+        CapExceeded, match="snapshot space has 1004731 points, above the cap of 1000000"
+    ):
+        enumerate_snapshot_space(LabelSpace(4), 180)
 
 
 @settings(deadline=None, max_examples=50)

@@ -102,6 +102,20 @@ def test_gen_dataset_regression_partitions_and_sizes():
         gen_dataset(BinaryRegression(), 0, 4, RngSeed(2))
 
 
+def test_cached_results_cannot_be_changed_by_a_caller():
+    # both are cached, so a change to a returned mapping would reach every later call
+    spec = BinaryRegression()
+    with pytest.raises(AttributeError):
+        bayes_mixtures(spec).pop("bin00")
+    with pytest.raises(TypeError):
+        bayes_mixtures(spec)["bin00"] = bayes_mixtures(spec)["bin01"]
+    assert len(bayes_mixtures(spec)) == 20
+    with pytest.raises(AttributeError):
+        reference_table(spec, 2).entries.clear()
+    _, ref = gen_dataset(spec, 10, 2, RngSeed(2))
+    assert len(ref.entries) == 20
+
+
 def test_gen_dataset_regression_no_overflow_bins():
     # x beyond the domain folds into the last bin rather than a new id
     ds, _ = gen_dataset(BinaryRegression(bins=3), 3000, 1, RngSeed(9))

@@ -230,7 +230,7 @@ def test_w1_lattice_node_cap_and_space_mismatch():
     a = lattice_mixture(space, 32, 1)
     b = lattice_mixture(space, 32, 2)
     with pytest.raises(CapExceeded):
-        w1_lattice(a, b, 32, node_cap=100)
+        w1_lattice(a, b, 446)  # 100 128 lattice points, above the node cap of 10^5
     c = lattice_mixture(BINARY, 2, 3)
     with pytest.raises(DimensionMismatch):
         w1_lattice(a, c, 2)
