@@ -99,7 +99,6 @@ from .synth import (
     reference_table,
 )
 from .transport import (
-    Coupling,
     SolverFailure,
     w1_lattice,
     wasserstein1,
@@ -112,7 +111,6 @@ __all__ = [
     "CalibrationScore",
     "CalibrationTable",
     "CapExceeded",
-    "Coupling",
     "DimensionMismatch",
     "DomainError",
     "EmptyPartition",

@@ -10,7 +10,9 @@ k-th order projection of the cell's Bayes mixture with probability
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -141,15 +143,19 @@ class CalibrationTable:
 
     counts carries how many records built each entry (None for exact
     reference tables that were never estimated from data); downstream
-    scoring uses it for the record-weighted mean.
+    scoring uses it for the record-weighted mean. Both are stored as
+    read-only copies, so the checked entries are the only ones a table has.
     """
 
-    entries: dict
+    entries: Mapping
     k: int
     space: LabelSpace
-    counts: dict | None = None
+    counts: Mapping | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        if self.counts is not None:
+            object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         for pid, mix in self.entries.items():
             if mix.space != self.space:
                 raise DimensionMismatch(f"partition {pid!r}: mixture over a different label space")

@@ -10,7 +10,6 @@ user-supplied concave polynomials in the binary bias coordinate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -81,7 +80,7 @@ class EntropySpec:
 
     # -- serialization --------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         payload = {"kind": self.kind}
         if self.kind == "shannon":
             payload["log_base"] = self.log_base
@@ -91,7 +90,7 @@ class EntropySpec:
             payload["t"] = list(self.t)
         else:
             payload["coeffs"] = list(self.coeffs)
-        return json.dumps(payload, sort_keys=True)
+        return payload
 
 
 def _check_labels(g: EntropySpec, num_labels: int):

@@ -26,9 +26,16 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
+def _read_text(path, newline=None) -> str:
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _read_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise FormatError(f"{path} is empty")
     return lines
@@ -188,5 +195,12 @@ def rows_to_csv(rows, fieldnames) -> str:
 
 
 def read_csv_rows(path) -> list:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+    """Dict rows of a CSV file whose rows all have the header's field count."""
+    reader = csv.DictReader(_io.StringIO(_read_text(path, newline="")))
+    rows = []
+    for row in reader:
+        # DictReader pads a short row with None and keys a long row's rest by None
+        if None in row or None in row.values():
+            raise FormatError(f"{path}: field count differs from the header's", line=reader.line_num)
+        rows.append(row)
+    return rows

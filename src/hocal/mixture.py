@@ -147,12 +147,12 @@ class Mixture:
     """A finitely supported distribution over simplex points, stored as arrays.
 
     The support is a read-only (size, l) coordinate array in sorted order
-    and a read-only (size,) weight array. Points within l1 distance 1e-12
-    are merged on construction; weights must be positive, finite and sum to
-    1 within 1e-9 (then renormalized). `Mixture(support, space)` takes
-    (SimplexPoint, weight) pairs and `support` gives them back, built on
-    first access. Equality is exact equality of space, points and weights;
-    mixtures are not hashable.
+    and a read-only (size,) weight array over a read-only `space`. Points
+    within l1 distance 1e-12 are merged on construction; weights must be
+    positive, finite and sum to 1 within 1e-9 (then renormalized).
+    `Mixture(support, space)` takes (SimplexPoint, weight) pairs and
+    `support` gives them back, built on first access. Equality is exact
+    equality of space, points and weights; mixtures are not hashable.
     """
 
     __hash__ = None
@@ -170,7 +170,7 @@ class Mixture:
     def _store(self, points: np.ndarray, weights: np.ndarray, total: float, space: LabelSpace):
         _check_weights(weights)
         _check_total(total)
-        self.space = space
+        self._space = space
         self._points = _readonly(points)
         self._weights = _readonly(weights / total if total != 1.0 else weights)
         self._support = None
@@ -183,6 +183,10 @@ class Mixture:
         mix = object.__new__(cls)
         mix._store(np.asarray(points, dtype=float), np.asarray(weights, dtype=float), total, space)
         return mix
+
+    @property
+    def space(self) -> LabelSpace:
+        return self._space
 
     @property
     def size(self) -> int:

@@ -28,6 +28,9 @@ X_DOMAIN_END = 3.0
 LAST_BIN_CUTOFF = 8.0
 CLAMP_LO = 0.01
 CLAMP_HI = 0.99
+# p(x) = clamp(0.5 + A1 sin(OMEGA1 x) + A2 sin(OMEGA2 x)): low and high frequency
+A1, OMEGA1 = 0.3, 2.0
+A2, OMEGA2 = 0.15, 20.0
 
 
 @dataclass(frozen=True)
@@ -44,14 +47,10 @@ class TwoScenario:
 
 @dataclass(frozen=True)
 class BinaryRegression:
-    """x = |standard normal|, p(x) = clamp(0.5 + a1 sin(w1 x) + a2 sin(w2 x));
+    """x = |standard normal|, p(x) = clamp(0.5 + A1 sin(OMEGA1 x) + A2 sin(OMEGA2 x));
     partitions are equal-width bins of x over [0, 3], overflow folded into
     the last bin."""
 
-    a1: float = 0.3
-    omega1: float = 2.0
-    a2: float = 0.15
-    omega2: float = 20.0
     bins: int = 20
 
     def __post_init__(self):
@@ -72,8 +71,8 @@ class RandomMixtureSpec:
             raise DomainError("need num_labels >= 2, support_size >= 1, alpha > 0")
 
 
-def _conditional_prob(spec: BinaryRegression, x):
-    raw = 0.5 + spec.a1 * np.sin(spec.omega1 * x) + spec.a2 * np.sin(spec.omega2 * x)
+def _conditional_prob(x):
+    raw = 0.5 + A1 * np.sin(OMEGA1 * x) + A2 * np.sin(OMEGA2 * x)
     return np.clip(raw, CLAMP_LO, CLAMP_HI)
 
 
@@ -112,7 +111,7 @@ def bayes_mixtures(spec) -> MappingProxyType:
         xs = lo + (np.arange(QUADRATURE_POINTS) + 0.5) * (hi - lo) / QUADRATURE_POINTS
         density = 2.0 * np.exp(-xs * xs / 2.0) / math.sqrt(2.0 * math.pi)
         weights = density / density.sum()
-        probs = _conditional_prob(spec, xs)
+        probs = _conditional_prob(xs)
         points = np.column_stack([1.0 - probs, probs])
         out[_bin_id(i, spec.bins)] = mixture_from_arrays(points, weights, space)
     return MappingProxyType(out)
@@ -120,20 +119,17 @@ def bayes_mixtures(spec) -> MappingProxyType:
 
 @lru_cache(maxsize=64)
 def reference_table(spec, k: int) -> CalibrationTable:
-    """Exact k-th order projections of the Bayes mixtures, as a table with
-    read-only entries, since the cache hands the same table to every caller."""
-    mixtures = bayes_mixtures(spec)
-    entries = MappingProxyType({pid: project_k(m, k) for pid, m in mixtures.items()})
+    """Exact k-th order projections of the Bayes mixtures, as a table."""
+    entries = {pid: project_k(m, k) for pid, m in bayes_mixtures(spec).items()}
     return CalibrationTable(entries=entries, k=k, space=LabelSpace(2), counts=None)
 
 
-def gen_dataset(spec, n: int, k: int, rng: RngSeed):
-    """n k-snapshots from the nature plus its exact reference table."""
+def gen_dataset(spec, n: int, k: int, rng: RngSeed) -> SnapshotDataset:
+    """n k-snapshots from the nature; `reference_table` gives its exact table."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
-    space = LabelSpace(2)
     if isinstance(spec, TwoScenario):
         truth = bayes_mixtures(spec)["all"]
         counts = _sample_counts(truth, k, n, rng)
@@ -141,14 +137,13 @@ def gen_dataset(spec, n: int, k: int, rng: RngSeed):
     elif isinstance(spec, BinaryRegression):
         gen = rng.generator()
         xs = np.abs(gen.normal(size=n))
-        probs = _conditional_prob(spec, xs)
+        probs = _conditional_prob(xs)
         ones = gen.binomial(k, probs)
         counts = np.column_stack([k - ones, ones])
         codes, names = _bin_index(xs, spec), [_bin_id(i, spec.bins) for i in range(spec.bins)]
     else:
         raise DomainError(f"cannot generate snapshots for {type(spec).__name__}")
-    dataset = SnapshotDataset._from_columns(counts, codes, names, space, k)
-    return dataset, reference_table(spec, k)
+    return SnapshotDataset._from_columns(counts, codes, names, LabelSpace(2), k)
 
 
 def random_mixture(spec: RandomMixtureSpec, rng: RngSeed) -> Mixture:

@@ -14,7 +14,6 @@ or solved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -95,25 +94,6 @@ def _certified_lp(cost, a_full, b_full, method, dual_tol=None):
     return x
 
 
-@dataclass(frozen=True, eq=False)
-class Coupling:
-    """A transport plan: mass[i, j] moves rows[i] onto cols[j], two
-    support coordinate arrays."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    mass: np.ndarray
-
-    def row_marginals(self) -> np.ndarray:
-        return self.mass.sum(axis=1)
-
-    def col_marginals(self) -> np.ndarray:
-        return self.mass.sum(axis=0)
-
-    def cost(self) -> float:
-        return float((_l1_cost(self.rows, self.cols) * self.mass).sum())
-
-
 def _check_same_space(a: Mixture, b: Mixture):
     if a.space != b.space:
         raise DimensionMismatch(
@@ -187,7 +167,7 @@ def _w1_binary(a: Mixture, b: Mixture):
     if abs(integral - cost) > CHECK_TOL:
         raise SolverFailure("quantile coupling and CDF integral disagree")
 
-    return cost, Coupling(a.points_array(), b.points_array(), mass)
+    return cost, mass
 
 
 def _w1_lp(a: Mixture, b: Mixture):
@@ -205,9 +185,7 @@ def _w1_lp(a: Mixture, b: Mixture):
             cost_mat.ravel(), _transport_constraints(m, n), np.concatenate([aw, bw]), "highs"
         )
         mass = flat.reshape(m, n)
-
-    total = float((cost_mat * mass).sum())
-    return total, Coupling(a.points_array(), b.points_array(), mass)
+    return float((cost_mat * mass).sum()), mass
 
 
 def wasserstein1(
@@ -216,12 +194,13 @@ def wasserstein1(
     support_cap: int = DEFAULT_SUPPORT_CAP,
     method: str = "auto",
 ):
-    """Optimal transport cost between two mixtures and an optimal coupling.
+    """Optimal transport cost between two mixtures and an optimal plan.
 
-    Ground cost is the l1 distance between simplex points. `method` picks
-    the route: "cdf" (binary only), "lp", or "auto" (cdf when the label
-    space is binary). The LP route refuses combined supports above
-    `support_cap`.
+    The plan is an (a.size, b.size) array: mass[i, j] moves row i of
+    `a.points_array()` onto row j of `b.points_array()`. Ground cost is
+    the l1 distance between simplex points. `method` picks the route:
+    "cdf" (binary only), "lp", or "auto" (cdf when the label space is
+    binary). The LP route refuses combined supports above `support_cap`.
     """
     _check_same_space(a, b)
     if method == "auto":

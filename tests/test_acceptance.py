@@ -224,7 +224,7 @@ def test_criterion_8():
     assert (true2.pu, true2.au, true2.eu) == pytest.approx((1.0, 0.0, 1.0), abs=1e-12)
 
     for which, want in ((1, (1.0, 1.0, 0.0)), (2, (1.0, 0.0, 1.0))):
-        ds, _ = gen_dataset(TwoScenario(which), 10_000, 2, RngSeed(1))
+        ds = gen_dataset(TwoScenario(which), 10_000, 2, RngSeed(1))
         mix = posthoc_calibrate(ds).entries["all"]
         # the scaled Brier entropy is a polynomial in the first two
         # moments, so the true split is readable from second-order data
@@ -291,7 +291,7 @@ def test_criterion_10():
     for k in (1, 2, 5, 10):
         errors = []
         for seed in range(20):
-            ds, _ = gen_dataset(spec, 5000, k, RngSeed(9_000 + seed))
+            ds = gen_dataset(spec, 5000, k, RngSeed(9_000 + seed))
             table = posthoc_calibrate(ds)
             num = den = 0.0
             for pid, mix in table.entries.items():

@@ -94,6 +94,23 @@ def test_table_entries_must_sit_on_the_lattice():
     CalibrationTable(entries={"a": on}, k=2, space=BINARY, counts=None)
 
 
+def test_table_keeps_only_the_entries_it_checked():
+    # a change to the caller's dicts after construction, or to the table's
+    # own mappings, would skip the lattice check
+    on = mixture_from_arrays([(0.5, 0.5)], [1.0], BINARY)
+    off = mixture_from_arrays([(0.3, 0.7)], [1.0], BINARY)
+    entries, counts = {"a": on}, {"a": 3}
+    t = CalibrationTable(entries=entries, k=2, space=BINARY, counts=counts)
+    entries["b"], counts["a"] = off, 7
+    assert t.partitions == ["a"]
+    assert t.counts == {"a": 3}
+    with pytest.raises(TypeError):
+        t.entries["b"] = off
+    with pytest.raises(TypeError):
+        t.counts["a"] = 7
+    assert t.partitions == ["a"]
+
+
 def test_koc_error_weighted_mean_hand_case():
     table = CalibrationTable(
         entries={

@@ -258,6 +258,37 @@ def test_bin_errors_give_a_json_error(tmp_path, capsys, slices, text, error):
     assert not out_path.exists()
 
 
+NOT_UTF8 = b"\xff\xfe" + "argmax_class,max_prob\n0,0.5\n".encode("utf-16-le")
+
+
+@pytest.mark.parametrize(
+    "command,option,data,where",
+    [
+        ("bin", "--scores", b"argmax_class,max_prob\n1\n", "(line 2)"),  # a field short
+        ("bin", "--scores", b"argmax_class,max_prob\n0,0.5\n1,0.5,extra\n", "(line 3)"),
+        ("bin", "--scores", NOT_UTF8, "is not UTF-8"),
+        ("calibrate", "--data", NOT_UTF8, "is not UTF-8"),
+        ("decompose", "--table", NOT_UTF8, "is not UTF-8"),
+    ],
+)
+def test_ragged_and_undecodable_files_give_a_json_error(
+    tmp_path, capsys, command, option, data, where
+):
+    path, out_path = tmp_path / "input", tmp_path / "out"
+    path.write_bytes(data)
+    argv = [command, option, str(path), "--out", str(out_path)]
+    if command == "decompose":
+        argv += ["--entropy", "brier"]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert diag["error"] == "FormatError"
+    assert str(path) in diag["message"] and where in diag["message"]
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("k", ["-1", "0"])
 @pytest.mark.parametrize("nature", ["two-scenario-2", "binary-regression"])
 def test_gen_refuses_snapshot_sizes_below_one(tmp_path, capsys, nature, k):

@@ -91,7 +91,7 @@ def reference_gen(spec, n, k, rng):
         return [("all", s) for s in snaps]
     gen = rng.generator()
     xs = np.abs(gen.normal(size=n))
-    ones = gen.binomial(k, _conditional_prob(spec, xs))
+    ones = gen.binomial(k, _conditional_prob(xs))
     return [
         (_bin_id(int(b), spec.bins), Snapshot((int(k - c), int(c))))
         for b, c in zip(_bin_index(xs, spec), ones)
@@ -170,7 +170,7 @@ def test_columnar_io_and_calibrate_match_the_record_reference(tmp_path_factory, 
 )
 def test_gen_dataset_matches_the_record_reference(tmp_path_factory, spec, n, k, seed):
     tmp = tmp_path_factory.mktemp("gen")
-    ds, _ = gen_dataset(spec, n, k, RngSeed(seed))
+    ds = gen_dataset(spec, n, k, RngSeed(seed))
     records = reference_gen(spec, n, k, RngSeed(seed))
     assert ds == SnapshotDataset(records, LabelSpace(2), k)
     assert ds.records == tuple(records)
@@ -181,7 +181,7 @@ def test_gen_dataset_matches_the_record_reference(tmp_path_factory, spec, n, k, 
 
 def test_large_generated_dataset_round_trips_like_the_reference(tmp_path):
     spec, n, k = BinaryRegression(), 20_000, 8
-    ds, _ = gen_dataset(spec, n, k, RngSeed(1))
+    ds = gen_dataset(spec, n, k, RngSeed(1))
     records = reference_gen(spec, n, k, RngSeed(1))
     write_snapshot_dataset(ds, tmp_path / "got.ldjson")
     reference_write(records, 2, k, tmp_path / "want.ldjson")
@@ -252,3 +252,20 @@ def test_importing_the_cli_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_gen_without_a_reference_loads_no_scipy(tmp_path):
+    # only the reference table needs project_k, whose lattice loads scipy.special
+    code = (
+        "import sys, hocal.cli\n"
+        "assert hocal.cli.main(['gen', '--nature', 'binary-regression', '--n', '100',\n"
+        "                       '--k', '8', '--seed', '1', '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "ds.ldjson")],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "ds.ldjson").exists()

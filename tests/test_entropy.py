@@ -80,16 +80,16 @@ def test_entropy_spec_validation():
 
 def test_spec_to_json_payloads():
     for g, payload in (
-        (EntropySpec.shannon(), '{"kind": "shannon", "log_base": 2.0}'),
-        (EntropySpec.shannon(10.0), '{"kind": "shannon", "log_base": 10.0}'),
-        (EntropySpec.brier(binary_scaled=True), '{"binary_scaled": true, "kind": "brier"}'),
-        (EntropySpec.exponential((0.5, -0.5)), '{"kind": "exponential", "t": [0.5, -0.5]}'),
+        (EntropySpec.shannon(), {"kind": "shannon", "log_base": 2.0}),
+        (EntropySpec.shannon(10.0), {"kind": "shannon", "log_base": 10.0}),
+        (EntropySpec.brier(binary_scaled=True), {"binary_scaled": True, "kind": "brier"}),
+        (EntropySpec.exponential((0.5, -0.5)), {"kind": "exponential", "t": [0.5, -0.5]}),
         (
             EntropySpec.polynomial((0.0, 2.0, -2.0)),
-            '{"coeffs": [0.0, 2.0, -2.0], "kind": "polynomial"}',
+            {"coeffs": [0.0, 2.0, -2.0], "kind": "polynomial"},
         ),
     ):
-        assert g.to_json() == payload
+        assert g.to_dict() == payload
 
 
 def test_kl_divergence_frozen():

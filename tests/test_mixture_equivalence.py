@@ -224,7 +224,8 @@ def test_library_paths_build_no_simplex_points(tmp_path, monkeypatch):
 
     bayes_mixtures.cache_clear()
     reference_table.cache_clear()
-    ds, ref = gen_dataset(BinaryRegression(), 3000, 6, RngSeed(5))
+    ds = gen_dataset(BinaryRegression(), 3000, 6, RngSeed(5))
+    ref = reference_table(BinaryRegression(), 6)
     table = posthoc_calibrate(ds, partitions=ref.partitions, fill_missing=True)
     write_calibration_table(table, tmp_path / "t.ldjson")
     table = read_calibration_table(tmp_path / "t.ldjson")

@@ -76,7 +76,8 @@ def test_reference_table_matches_projection_mean():
 
 def test_gen_dataset_two_scenario_statistics():
     n = 4000
-    ds, ref = gen_dataset(TwoScenario(which=2), n, 1, RngSeed(11))
+    ds = gen_dataset(TwoScenario(which=2), n, 1, RngSeed(11))
+    ref = reference_table(TwoScenario(which=2), 1)
     assert len(ds.records) == n
     assert ds.partitions == ["all"]
     assert ref.k == 1
@@ -86,15 +87,16 @@ def test_gen_dataset_two_scenario_statistics():
 
 
 def test_gen_dataset_deterministic_under_seed():
-    a, _ = gen_dataset(BinaryRegression(), 500, 3, RngSeed(5))
-    b, _ = gen_dataset(BinaryRegression(), 500, 3, RngSeed(5))
-    c, _ = gen_dataset(BinaryRegression(), 500, 3, RngSeed(6))
+    a = gen_dataset(BinaryRegression(), 500, 3, RngSeed(5))
+    b = gen_dataset(BinaryRegression(), 500, 3, RngSeed(5))
+    c = gen_dataset(BinaryRegression(), 500, 3, RngSeed(6))
     assert a.records == b.records
     assert a.records != c.records
 
 
 def test_gen_dataset_regression_partitions_and_sizes():
-    ds, ref = gen_dataset(BinaryRegression(), 2000, 4, RngSeed(2))
+    ds = gen_dataset(BinaryRegression(), 2000, 4, RngSeed(2))
+    ref = reference_table(BinaryRegression(), 4)
     assert set(ds.partitions) <= {f"bin{i:02d}" for i in range(20)}
     assert all(snap.k == 4 for _, snap in ds.records)
     assert sorted(ref.partitions) == [f"bin{i:02d}" for i in range(20)]
@@ -112,13 +114,16 @@ def test_cached_results_cannot_be_changed_by_a_caller():
     assert len(bayes_mixtures(spec)) == 20
     with pytest.raises(AttributeError):
         reference_table(spec, 2).entries.clear()
-    _, ref = gen_dataset(spec, 10, 2, RngSeed(2))
+    with pytest.raises(AttributeError):
+        reference_table(spec, 2).entries["bin00"].space = LabelSpace(3)
+    ref = reference_table(spec, 2)
     assert len(ref.entries) == 20
+    assert ref.entries["bin00"].space == LabelSpace(2)
 
 
 def test_gen_dataset_regression_no_overflow_bins():
     # x beyond the domain folds into the last bin rather than a new id
-    ds, _ = gen_dataset(BinaryRegression(bins=3), 3000, 1, RngSeed(9))
+    ds = gen_dataset(BinaryRegression(bins=3), 3000, 1, RngSeed(9))
     assert set(ds.partitions) <= {"bin0", "bin1", "bin2"}
 
 
