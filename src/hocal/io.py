@@ -26,16 +26,21 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
-def _read_text(path, newline=None) -> str:
+def _read_text(path) -> str:
+    """The file's text, line endings untranslated."""
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _read_lines(path):
-    lines = _read_text(path).splitlines()
+    # lines end at "\n" only, one "\r" before it dropped: str.splitlines
+    # also breaks at U+2028, U+0085 and other characters JSON allows raw
+    lines = _read_text(path).replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise FormatError(f"{path} is empty")
     return lines
@@ -196,7 +201,7 @@ def rows_to_csv(rows, fieldnames) -> str:
 
 def read_csv_rows(path) -> list:
     """Dict rows of a CSV file whose rows all have the header's field count."""
-    reader = csv.DictReader(_io.StringIO(_read_text(path, newline="")))
+    reader = csv.DictReader(_io.StringIO(_read_text(path)))
     rows = []
     for row in reader:
         # DictReader pads a short row with None and keys a long row's rest by None

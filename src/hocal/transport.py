@@ -5,11 +5,13 @@ formula (the monotone coupling is optimal on a line), checked against both
 marginals and against 2 * integral |F_a - F_b| over the bias coordinate;
 general supports solve the dense transportation LP with HiGHS; mixtures on
 a common k-snapshot lattice can use `w1_lattice`, a min-cost flow over
-single-label moves that scales far beyond the dense LP. Both LP routes pass
-one certificate, `_certified_lp`: non-negativity, balance of the full
-equality system, dual feasibility, complementary slackness and the
-primal-dual gap, each to 1e-8. scipy is imported only when an LP is built
-or solved.
+single-label moves that scales far beyond the dense LP, solved by two
+rounds of the primal-dual method on scipy.sparse.csgraph. Both the dense LP
+and the lattice flow pass one certificate, `_certify`: non-negativity,
+balance of the full equality system, dual feasibility, complementary
+slackness and the primal-dual gap, each to 1e-8. The supply-scale ladder
+and the dual retry serve the dense LP only. scipy is imported only when an
+LP or a flow is built or solved, and scipy.optimize only by the dense LP.
 """
 
 from __future__ import annotations
@@ -36,11 +38,33 @@ _DUAL_RETRY_TOL = 1e-10
 
 
 class SolverFailure(HocalError):
-    """The LP solver returned something that fails its own certificate."""
+    """A solver returned something that fails its certificate, or stopped
+    short of a solution."""
 
 
-def _solve_lp(cost, a_eq, b_eq, method, dual_tol=None):
-    """linprog over the steps of _LADDER, at dual feasibility tolerance
+def _certify(cost, a_full, b_full, x, y):
+    """Raise SolverFailure unless x and y are optimal for min cost @ x subject
+    to a_full @ x = b_full, x >= 0.
+
+    x must be non-negative and balance the full system, the dual y feasible
+    (reduced costs cost - a_full.T @ y >= 0) and complementary to x where
+    x > 1e-12, and the objectives equal, each to CHECK_TOL.
+    """
+    if x.min() < -CHECK_TOL:
+        raise SolverFailure("negative mass or flow below -1e-8")
+    if np.abs(a_full @ x - b_full).max() > CHECK_TOL:
+        raise SolverFailure("marginal or balance residual above 1e-8")
+    reduced = cost - a_full.T @ y
+    if reduced.min() < -CHECK_TOL:
+        raise SolverFailure("dual infeasibility above 1e-8")
+    if np.abs(reduced[x > 1e-12]).max(initial=0.0) > CHECK_TOL:
+        raise SolverFailure("complementary slackness residual above 1e-8")
+    if abs(b_full @ y - cost @ x) > CHECK_TOL:
+        raise SolverFailure("primal and dual objectives disagree")
+
+
+def _solve_lp(cost, a_eq, b_eq, dual_tol=None):
+    """HiGHS over the steps of _LADDER, at dual feasibility tolerance
     `dual_tol` (None: HiGHS's default); the first success and its scale.
 
     Presolve can misjudge a scaled system whose supplies span many orders of
@@ -55,7 +79,7 @@ def _solve_lp(cost, a_eq, b_eq, method, dual_tol=None):
             A_eq=a_eq,
             b_eq=b_eq * scale,
             bounds=(0, None),
-            method=method,
+            method="highs",
             options={"presolve": presolve, "dual_feasibility_tolerance": dual_tol},
         )
         if res.status == 0:
@@ -63,34 +87,22 @@ def _solve_lp(cost, a_eq, b_eq, method, dual_tol=None):
     return res, scale
 
 
-def _certified_lp(cost, a_full, b_full, method, dual_tol=None):
-    """x >= 0 minimizing cost @ x subject to a_full @ x = b_full, certified.
+def _certified_lp(cost, a_full, b_full, dual_tol=None):
+    """x >= 0 minimizing cost @ x subject to a_full @ x = b_full, certified
+    by _certify.
 
     The last row of the rank-deficient flow system `a_full` is redundant:
-    HiGHS gets the others and the dropped row's dual is fixed at 0. x must
-    be non-negative and balance the full system, the dual y feasible
-    (reduced costs cost - a_full.T @ y >= 0) and complementary to x where
-    x > 1e-12, and the objectives equal, each to CHECK_TOL. Only a failed
-    dual check is retried, once, at _DUAL_RETRY_TOL.
+    HiGHS gets the others and the dropped row's dual is fixed at 0. Only a
+    failed dual check is retried, once, at _DUAL_RETRY_TOL.
     """
-    res, scale = _solve_lp(cost, a_full[:-1], b_full[:-1], method, dual_tol)
+    res, scale = _solve_lp(cost, a_full[:-1], b_full[:-1], dual_tol)
     if res.status != 0:
-        raise SolverFailure(f"{method} LP failed: {res.message}")
+        raise SolverFailure(f"highs LP failed: {res.message}")
     x = res.x / scale
-    if x.min() < -CHECK_TOL:
-        raise SolverFailure("negative mass or flow below -1e-8")
-    if np.abs(a_full @ x - b_full).max() > CHECK_TOL:
-        raise SolverFailure("marginal or balance residual above 1e-8")
     y = np.append(res.eqlin.marginals, 0.0)
-    reduced = cost - a_full.T @ y
-    if reduced.min() < -CHECK_TOL:
-        if dual_tol is None:
-            return _certified_lp(cost, a_full, b_full, method, _DUAL_RETRY_TOL)
-        raise SolverFailure("dual infeasibility above 1e-8")
-    if np.abs(reduced[x > 1e-12]).max(initial=0.0) > CHECK_TOL:
-        raise SolverFailure("complementary slackness residual above 1e-8")
-    if abs(b_full @ y - cost @ x) > CHECK_TOL:
-        raise SolverFailure("primal and dual objectives disagree")
+    if dual_tol is None and (cost - a_full.T @ y).min() < -CHECK_TOL:
+        return _certified_lp(cost, a_full, b_full, _DUAL_RETRY_TOL)
+    _certify(cost, a_full, b_full, x, y)
     return x
 
 
@@ -182,7 +194,7 @@ def _w1_lp(a: Mixture, b: Mixture):
         mass = aw[:, None].copy()
     else:
         flat = _certified_lp(
-            cost_mat.ravel(), _transport_constraints(m, n), np.concatenate([aw, bw]), "highs"
+            cost_mat.ravel(), _transport_constraints(m, n), np.concatenate([aw, bw])
         )
         mass = flat.reshape(m, n)
     return float((cost_mat * mass).sum()), mass
@@ -215,6 +227,11 @@ def wasserstein1(
 
 
 DEFAULT_NODE_CAP = 100_000
+# Each round of the lattice flow rounds its supplies to integers whose
+# absolute values sum to _FLOW_UNITS (up to one unit per node). The round's
+# total excess is then about 2^29 and no capacity exceeds it, so the two
+# opposite capacities of a node pair sum inside the int32 of scipy's max flow.
+_FLOW_UNITS = 2**30
 
 
 @lru_cache(maxsize=32)
@@ -226,27 +243,154 @@ def _move_graph(space, k: int):
     histogram by exactly 2/k in l1. Any two lattice points at l1 distance
     d are joined by d*k/2 such moves and no fewer, so the shortest-path
     metric of this graph with edge cost 2/k reproduces the l1 metric.
-    Returns the node-by-edge incidence matrix: +1 at the edge's source
-    point, -1 at its target.
+    Edges are sorted by source point, then target point. Returns the
+    node-by-edge incidence matrix (+1 at the edge's source point, -1 at its
+    target), each edge's source and target, the edge that undoes it, and
+    the row pointer of the edges as a CSR graph.
     """
     from scipy import sparse
 
     counts = _lattice(space, k)[0].astype(np.int64)
-    l = space.num_labels
+    n, l = counts.shape
     moves = np.array([(i, j) for i in range(l) for j in range(l) if i != j])
-    # edges ordered by node, then source label, then target label
     heads, move = np.nonzero(counts[:, moves[:, 0]] >= 1)
     moved = counts[heads]
     moved[np.arange(len(heads)), moves[move, 0]] -= 1
     moved[np.arange(len(heads)), moves[move, 1]] += 1
     tails = _lattice_rank(moved, k)
-    num_edges = len(heads)
-    edges = np.arange(num_edges)
-    return sparse.csc_matrix(
-        (np.concatenate([np.ones(num_edges), -np.ones(num_edges)]),
+    order = np.lexsort((tails, heads))
+    heads, tails = heads[order].astype(np.int32), tails[order].astype(np.int32)
+    key = heads.astype(np.int64) * n + tails
+    reverse = np.searchsorted(key, tails.astype(np.int64) * n + heads)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))]).astype(np.int32)
+    edges = np.arange(len(heads))
+    incidence = sparse.csc_matrix(
+        (np.concatenate([np.ones(len(heads)), -np.ones(len(heads))]),
          (np.concatenate([heads, tails]), np.concatenate([edges, edges]))),
-        shape=(len(counts), num_edges),
+        shape=(n, len(heads)),
     )
+    return incidence, heads, tails, reverse, indptr
+
+
+def _integer_supply(supply):
+    """Integers summing to exactly 0, and the mass of one unit, for supplies
+    that sum to 0 up to rounding.
+
+    The mean is subtracted first: float supplies are off balance by about
+    1e-15, which at the scale of a rounding residual on a few nodes is more
+    units than their remainders can absorb. Each node gets floor or ceil of
+    its scaled supply, the ceil going to the largest remainders (ties in
+    node order). All zeros and a unit of 0 when the supplies are all equal.
+    """
+    centred = supply - supply.mean()
+    unit = np.abs(centred).sum() / _FLOW_UNITS
+    if unit == 0.0:
+        return np.zeros(len(supply), dtype=np.int64), unit
+    scaled = centred / unit
+    units = np.floor(scaled)
+    units[np.argsort(units - scaled, kind="stable")[: int(-units.sum())]] += 1.0
+    return units.astype(np.int64), unit
+
+
+def _phase_cap(k: int) -> int:
+    """Phases one round of _flow_phases may take on the size-k lattice.
+
+    Put a source s before the nodes with excess and a sink t after those
+    with deficit. A phase keeps the potentials of excess nodes and raises
+    those of all deficit nodes by the same D, the current s-t distance in
+    reduced costs; D >= 1 in every phase but the first, since costs are
+    integers and the previous max flow left no path of reduced cost 0. So
+    each later phase raises the s-t distance, in the costs reduced by the
+    round's starting potentials, by at least 1. Both directions of every
+    move keep reduced cost >= 0, so two potentials differ by at most k, the
+    lattice diameter in moves: between a node u that keeps its excess and
+    a node v that keeps its deficit, potential[v] - potential[u] goes from
+    at least -k to at most k, a rise of at most 2k. Hence at most 2k + 2
+    phases.
+    """
+    return 2 * k + 2
+
+
+def _flow_phases(graph, supply, flow, potential, k: int):
+    """Primal-dual min-cost flow on integer node supplies, in place.
+
+    `flow` (integer units per move) and `potential` must satisfy
+    complementary slackness: every move with flow has reduced cost
+    1 + potential[source] - potential[target] == 0, every move >= 0. A
+    move with flow can be cancelled at reduced cost 0 from its target.
+    Each phase runs one multi-source Dijkstra on reduced costs from the
+    excess nodes, raises potentials by min(distance, D) with D the distance
+    to the nearest deficit, then one max flow on the arcs of reduced cost 0.
+    Raises SolverFailure past _phase_cap(k) phases.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra, maximum_flow
+
+    _, heads, tails, reverse, indptr = graph
+    n = len(indptr) - 1
+    excess = supply.copy()
+    for _ in range(_phase_cap(k)):
+        sources = np.flatnonzero(excess > 0)
+        if not sources.size:
+            return
+        sinks = np.flatnonzero(excess < 0)
+        cancellable = flow[reverse] > 0
+        # per node pair the cheaper of the move and the cancellation of the
+        # opposite move: CSR construction would add the two up
+        reduced = 1 + potential[heads] - potential[tails]
+        weight = reduced - 2 * cancellable
+        dist = dijkstra(csr_matrix((weight.astype(float), tails, indptr), shape=(n, n)),
+                        indices=sources, min_only=True)
+        potential += np.minimum(dist, dist[sinks].min()).astype(np.int64)
+
+        reduced = 1 + potential[heads] - potential[tails]
+        forward = reduced == 0
+        arcs = np.flatnonzero(forward | ((reduced == 2) & cancellable))
+        forward = forward[arcs]
+        # no arc needs more than the total excess; that bound keeps the
+        # capacities of both directions of a pair inside int32
+        total = excess[sources].sum()
+        rows = np.concatenate([heads[arcs], np.full(len(sources), n), sinks])
+        cols = np.concatenate([tails[arcs], sources, np.full(len(sinks), n + 1)])
+        caps = np.concatenate([
+            np.where(forward, total, np.minimum(flow[reverse[arcs]], total)),
+            excess[sources], -excess[sinks],
+        ]).astype(np.int32)
+        net = maximum_flow(csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2)),
+                           n, n + 1, method="dinic").flow
+        # the flow is net and antisymmetric: read each pair one way only
+        moved = np.maximum(np.asarray(net[rows, cols]).ravel(), 0)
+        along, drained, filled = np.split(moved, [len(arcs), len(arcs) + len(sources)])
+        flow[arcs[forward]] += along[forward]
+        flow[reverse[arcs[~forward]]] -= along[~forward]
+        excess[sources] -= drained
+        excess[sinks] += filled
+    if (excess > 0).any():
+        raise SolverFailure(f"lattice flow needs more than {_phase_cap(k)} phases at k={k}")
+
+
+def _lattice_flow(graph, supply, k: int):
+    """Mass per move of an optimal flow for node supplies `supply`, and its
+    dual y (node prices, y[u] - y[v] <= 2/k on every move u -> v).
+
+    Round 1 solves the supplies rounded to integers. Its gap can come near
+    1e-8, so round 2 solves the rounding residual at its own, finer scale,
+    starting from round 1's flow and potentials; it may cancel round-1 flow.
+    """
+    z1, unit1 = _integer_supply(supply)
+    flow = np.zeros(graph[0].shape[1], dtype=np.int64)
+    potential = np.zeros(len(supply), dtype=np.int64)
+    _flow_phases(graph, z1, flow, potential, k)
+    x = flow * unit1
+    z2, unit2 = _integer_supply(supply - z1 * unit1)
+    if unit2 > 0.0:
+        # round-1 flow in round-2 units; round 2 never cancels more than
+        # _FLOW_UNITS, so the cap is not binding and keeps the floats finite
+        start = np.minimum(flow * min(unit1 / unit2, _FLOW_UNITS), _FLOW_UNITS).astype(np.int64)
+        flow = start.copy()
+        _flow_phases(graph, z2, flow, potential, k)
+        x = x + (flow - start) * unit2
+    return x, potential * (-2.0 / k)
 
 
 def _lattice_index(m: Mixture, k: int) -> np.ndarray:
@@ -265,21 +409,25 @@ def w1_lattice(a: Mixture, b: Mixture, k: int) -> float:
     the single-label-move graph, optimal transport reduces to a min-cost
     flow with one node per lattice point and one variable per move, far
     smaller than the dense LP's one variable per support pair. The flow
-    lives on edges rather than point pairs, so only the cost is returned;
-    the result is certified in-function by _certified_lp. Raises
-    DomainError for points off the lattice and CapExceeded when the
-    lattice has more than DEFAULT_NODE_CAP points.
+    lives on edges rather than point pairs, so only the cost is returned.
+    The flow is solved by _lattice_flow, a primal-dual method, and
+    certified in-function by _certify. Raises DomainError for points off
+    the lattice, CapExceeded when the lattice has more than
+    DEFAULT_NODE_CAP points, and SolverFailure when the flow fails its
+    certificate or its phase cap.
     """
     _check_same_space(a, b)
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"snapshot size must be a positive integer, got {k!r}")
     _check_lattice_size(a.space, k, DEFAULT_NODE_CAP)
-    incidence = _move_graph(a.space, k)
+    graph = _move_graph(a.space, k)
+    incidence = graph[0]
     supply = np.zeros(incidence.shape[0])
     np.add.at(supply, _lattice_index(a, k), a.weights_array())
     np.subtract.at(supply, _lattice_index(b, k), b.weights_array())
     if np.abs(supply).max() == 0.0:
         return 0.0
+    flow, y = _lattice_flow(graph, supply, k)
     cost = np.full(incidence.shape[1], 2.0 / k)
-    flow = _certified_lp(cost, incidence, supply, "highs-ipm")
+    _certify(cost, incidence, supply, flow, y)
     return float(cost @ flow)

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -521,3 +524,21 @@ def test_cli_contract_holds_for_malformed_files_and_numbers(command, numbers, da
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_calibrate_reads_a_partition_holding_a_raw_line_separator(tmp_path, newline):
+    # JSON strings may hold U+2028 raw; only "\n" ends a dataset line
+    name = "a\u2028b"
+    lines = ['{"format_version": 1, "k": 1, "num_labels": 2}']
+    lines += [json.dumps({"labels": [y], "partition": name}, ensure_ascii=False) for y in (0, 1, 0)]
+    data, table_path = tmp_path / "ds.ldjson", tmp_path / "table.ldjson"
+    data.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run(
+        [sys.executable, "-m", "hocal.cli", "calibrate", "--data", str(data), "--out", str(table_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    table = read_calibration_table(table_path)
+    assert list(table.entries) == [name]
+    assert table.counts[name] == 3

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -305,9 +308,9 @@ def test_reported_w1_is_the_cost_of_a_coupling_of_the_inputs(seed, case):
 _SCALE = hocal.transport._SUPPLY_SCALE
 
 
-def _nudge_plan(res, m, n):
+def _nudge_plan(x, y, m, n):
     # a 2x2 cycle keeps the marginals but drives a zero entry negative
-    x = res.x.reshape(m, n).copy()
+    x = x.reshape(m, n).copy()
     i, j = np.argwhere(x == 0.0)[0]
     i2, j2 = (i + 1) % m, (j + 1) % n
     eps = 1e-6 * _SCALE
@@ -315,23 +318,23 @@ def _nudge_plan(res, m, n):
     x[i2, j2] -= eps
     x[i, j2] += eps
     x[i2, j] += eps
-    res.x = x.ravel()
+    return x.ravel(), y
 
 
-def _scale_solution(res, *shape):
-    res.x = res.x * (1.0 + 1e-6)
+def _scale_solution(x, y, *shape):
+    return x * (1.0 + 1e-6), y
 
 
-def _raise_duals(res, *shape):
+def _raise_duals(x, y, *shape):
     # reduced costs become (1 + e) r - e c: negative wherever the solution
     # is supported (r = 0) at a positive cost
-    res.eqlin.marginals = np.asarray(res.eqlin.marginals) * (1.0 + 1e-4)
+    return x, y * (1.0 + 1e-4)
 
 
-def _lower_duals(res, *shape):
+def _lower_duals(x, y, *shape):
     # reduced costs become (1 - e) r + e c >= 0: still feasible, but no
     # longer zero where the solution is supported at a positive cost
-    res.eqlin.marginals = np.asarray(res.eqlin.marginals) * (1.0 - 1e-4)
+    return x, y * (1.0 - 1e-4)
 
 
 SHARED_PERTURBATIONS = [
@@ -347,7 +350,7 @@ def _perturbed_solve(perturb, *shape):
     def perturbed(*args):
         res, scale = solve(*args)
         assert scale == _SCALE
-        perturb(res, *shape)
+        res.x, res.eqlin.marginals = perturb(res.x, np.asarray(res.eqlin.marginals), *shape)
         return res, scale
 
     return perturbed
@@ -366,17 +369,24 @@ def test_dense_lp_certificate_rejects_a_perturbed_plan_or_dual(monkeypatch, pert
         wasserstein1(a, b, method="lp")
 
 
-def _negative_cycle(res):
+def _negative_cycle(x, y):
     # -eps on two opposite moves u -> v and v -> u keeps every node balanced
     # and drives a zero flow negative
-    x = res.x.copy()
-    incidence = hocal.transport._move_graph(LabelSpace(3), 2)
-    heads, tails = incidence.toarray().argmax(axis=0), incidence.toarray().argmin(axis=0)
-    back = {(h, t): e for e, (h, t) in enumerate(zip(heads.tolist(), tails.tolist()))}
+    reverse = hocal.transport._move_graph(LabelSpace(3), 2)[3]
+    x = x.copy()
     e = int(np.flatnonzero(x == x.min())[0])
-    x[e] -= 1e-6 * _SCALE
-    x[back[int(tails[e]), int(heads[e])]] -= 1e-6 * _SCALE
-    res.x = x
+    x[e] -= 1e-6
+    x[reverse[e]] -= 1e-6
+    return x, y
+
+
+def _perturbed_flow(perturb):
+    solve = hocal.transport._lattice_flow
+
+    def perturbed(*args):
+        return perturb(*solve(*args))
+
+    return perturbed
 
 
 LATTICE_A = ([(1.0, 0.0, 0.0), (0.5, 0.5, 0.0)], [0.7, 0.3])
@@ -387,7 +397,7 @@ def test_lattice_flow_certificate_rejects_negative_flow(monkeypatch):
     space = LabelSpace(3)
     a, b = mixture_from_arrays(*LATTICE_A, space), mixture_from_arrays(*LATTICE_B, space)
     w1_lattice(a, b, 2)
-    monkeypatch.setattr(hocal.transport, "_solve_lp", _perturbed_solve(_negative_cycle))
+    monkeypatch.setattr(hocal.transport, "_lattice_flow", _perturbed_flow(_negative_cycle))
     with pytest.raises(SolverFailure, match="negative mass or flow"):
         w1_lattice(a, b, 2)
 
@@ -397,7 +407,7 @@ def test_lattice_flow_certificate_rejects_a_perturbed_flow_or_dual(monkeypatch, 
     space = LabelSpace(3)
     a, b = mixture_from_arrays(*LATTICE_A, space), mixture_from_arrays(*LATTICE_B, space)
     w1_lattice(a, b, 2)
-    monkeypatch.setattr(hocal.transport, "_solve_lp", _perturbed_solve(perturb))
+    monkeypatch.setattr(hocal.transport, "_lattice_flow", _perturbed_flow(perturb))
     with pytest.raises(SolverFailure, match=message):
         w1_lattice(a, b, 2)
 
@@ -417,16 +427,16 @@ def test_certified_lp_rejects_a_duality_gap(monkeypatch):
     # the dual is exactly feasible and complementary, but the large dual
     # turns the overshoot into a 9e-7 gap
     _hand_solved(monkeypatch, 1.0, 100.0)
-    assert np.array_equal(_certified_lp(*EDGE, "highs"), [1.0])
+    assert np.array_equal(_certified_lp(*EDGE), [1.0])
     _hand_solved(monkeypatch, 1.0 + 9e-9, 100.0)
     with pytest.raises(SolverFailure, match="primal and dual objectives disagree"):
-        _certified_lp(*EDGE, "highs")
+        _certified_lp(*EDGE)
 
 
 def test_certified_lp_rejects_a_failed_solve(monkeypatch):
     _hand_solved(monkeypatch, 1.0, 100.0, status=2)
     with pytest.raises(SolverFailure, match="highs LP failed: infeasible"):
-        _certified_lp(*EDGE, "highs")
+        _certified_lp(*EDGE)
 
 
 @pytest.mark.parametrize("trial,failures", [(1, 1), (26, 2)])
@@ -473,3 +483,131 @@ def test_skewed_dense_lp_certifies_on_the_one_dual_retry(monkeypatch):
     assert tolerances == [None, 1e-10]
     assert cost == pytest.approx(1.455507869306154, abs=1e-12)
     assert abs(cost - plan_cost(a, b, plan)) <= 1e-12
+
+
+def move_graph_lp(a, b, k):
+    """W1 on the lattice by HiGHS IPM on the move-graph LP, supplies scaled
+    by 1e8: the oracle for the primal-dual flow."""
+    from scipy.optimize import linprog
+
+    incidence = hocal.transport._move_graph(a.space, k)[0]
+    supply = lattice_supply(a, b, k)
+    res = linprog(np.full(incidence.shape[1], 2.0 / k), A_eq=incidence[:-1],
+                  b_eq=supply[:-1] * _SCALE, bounds=(0, None), method="highs-ipm")
+    assert res.status == 0
+    return res.fun / _SCALE
+
+
+def lattice_supply(a, b, k):
+    supply = np.zeros(hocal.transport._move_graph(a.space, k)[0].shape[0])
+    np.add.at(supply, hocal.transport._lattice_index(a, k), a.weights_array())
+    np.subtract.at(supply, hocal.transport._lattice_index(b, k), b.weights_array())
+    return supply
+
+
+def projected_pair(l, k, trial, alpha=2.0):
+    """Criterion 3's pair `trial` at (l, k), projected onto the size-k lattice."""
+    spec = RandomMixtureSpec(num_labels=l, support_size=4, dirichlet_alpha=alpha)
+    f = draw_mixture(spec, RngSeed(20_000 * l + 200 * k + trial))
+    h = draw_mixture(spec, RngSeed(20_000 * l + 200 * k + trial + 100))
+    return project_k(f, k), project_k(h, k)
+
+
+@pytest.mark.parametrize("l,k", [(3, 8), (3, 16), (4, 8), (4, 16)])
+def test_lattice_flow_matches_highs_on_criterion_3_pairs(l, k):
+    for trial in range(3):
+        a, b = projected_pair(l, k, trial)
+        assert abs(w1_lattice(a, b, k) - move_graph_lp(a, b, k)) <= 1e-12
+
+
+def test_lattice_flow_cancels_round_1_flow_in_round_2(monkeypatch):
+    # round 2 starts from round 1's flow and sends some of it back: Dijkstra
+    # must price the cancellation of a move v -> u at 0, although the move
+    # u -> v between the same two points costs 2 (a CSR graph holding both
+    # would add them up)
+    lowered = []
+    phases = hocal.transport._flow_phases
+
+    def spy(graph, supply, flow, potential, k):
+        before = flow.copy()
+        phases(graph, supply, flow, potential, k)
+        lowered.append(bool((flow < before).any()))
+
+    monkeypatch.setattr(hocal.transport, "_flow_phases", spy)
+    a, b = projected_pair(3, 2, 6)
+    value = w1_lattice(a, b, 2)
+    assert lowered == [False, True]
+    assert abs(value - move_graph_lp(a, b, 2)) <= 1e-12
+
+
+def test_lattice_flow_reads_the_net_max_flow_of_a_node_pair_once(monkeypatch):
+    # a move with flow and the cancellation of that flow are arcs in both
+    # directions between the same two points; scipy's max flow reports one
+    # net flow per pair, antisymmetric, so it moves along one direction only
+    from scipy.sparse import csgraph
+
+    max_flow = csgraph.maximum_flow
+    two_way = []
+
+    def spy(graph, source, sink, **kwargs):
+        result = max_flow(graph, source, sink, **kwargs)
+        arcs = graph.tocoo()
+        net = np.asarray(result.flow[arcs.row, arcs.col]).ravel()
+        pairs = set(zip(arcs.row.tolist(), arcs.col.tolist()))
+        two_way.append(any(f > 0 and (j, i) in pairs
+                           for i, j, f in zip(arcs.row.tolist(), arcs.col.tolist(), net)))
+        return result
+
+    monkeypatch.setattr(csgraph, "maximum_flow", spy)
+    a, b = projected_pair(3, 2, 6)
+    value = w1_lattice(a, b, 2)
+    assert any(two_way)
+    assert abs(value - move_graph_lp(a, b, 2)) <= 1e-12
+
+
+def test_lattice_flow_fits_int32_on_supplies_spanning_many_magnitudes():
+    # Dirichlet alpha = 0.1 at (4, 32): masses from 1e-49 to 0.38, and a
+    # rounding residual at nearly every one of 6545 points
+    a, b = projected_pair(4, 32, 1, alpha=0.1)
+    magnitudes = np.abs(lattice_supply(a, b, 32))
+    assert magnitudes.max() / magnitudes[magnitudes > 0].min() > 1e40
+    assert abs(w1_lattice(a, b, 32) - move_graph_lp(a, b, 32)) <= 1e-12
+
+
+def test_lattice_flow_certifies_supplies_whose_float_sum_is_off():
+    # four supplies summing to +1e-15: after round 1 the residual is about
+    # 1e-9 in all, so the imbalance is hundreds of round-2 units against at
+    # most four units of rounding to absorb it
+    space, k = LabelSpace(3), 4
+    graph = hocal.transport._move_graph(space, k)
+    supply = np.zeros(graph[0].shape[0])
+    supply[[0, 3, 7, 14]] = [0.3, 0.7, -0.6, -0.4 + 1e-15]
+    assert supply.sum() > 9e-16
+    flow, y = hocal.transport._lattice_flow(graph, supply, k)
+    cost = np.full(len(flow), 2.0 / k)
+    hocal.transport._certify(cost, graph[0], supply, flow, y)
+
+
+def test_lattice_flow_raises_past_its_phase_cap(monkeypatch):
+    a, b = projected_pair(3, 8, 0)
+    w1_lattice(a, b, 8)
+    monkeypatch.setattr(hocal.transport, "_phase_cap", lambda k: 1)
+    with pytest.raises(SolverFailure, match="lattice flow needs more than 1 phases at k=8"):
+        w1_lattice(a, b, 8)
+
+
+def test_w1_lattice_loads_no_scipy_optimize():
+    code = (
+        "import sys\n"
+        "from hocal import LabelSpace, mixture_from_arrays, project_k, w1_lattice\n"
+        "space = LabelSpace(4)\n"
+        "f = mixture_from_arrays([(0.1, 0.2, 0.3, 0.4), (0.7, 0.1, 0.1, 0.1)], [0.5, 0.5], space)\n"
+        "h = mixture_from_arrays([(0.25, 0.25, 0.25, 0.25)], [1.0], space)\n"
+        "assert w1_lattice(project_k(f, 8), project_k(h, 8), 8) > 0.0\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
