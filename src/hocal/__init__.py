@@ -28,14 +28,10 @@ from .decompose import (
 )
 from .entropy import (
     EntropySpec,
-    divergence,
     divergence_rows,
     entropy_rows,
-    entropy_value,
-    gradient,
     gradient_rows,
     loss_rows,
-    proper_loss,
     shannon_modulus_bound,
 )
 from .errors import (
@@ -57,7 +53,6 @@ from .mixture import (
     Mixture,
     RngSeed,
     centroid,
-    empirical_mixture,
     mixture_from_arrays,
     project_k,
     sample_snapshots,
@@ -68,7 +63,6 @@ from .moments import (
     central_moment,
     chebyshev_fit,
     estimate_moments,
-    moment_weight,
     poly_au_estimate,
 )
 from .predset import (
@@ -82,12 +76,8 @@ from .predset import (
 )
 from .simplex import (
     LabelSpace,
-    SimplexPoint,
-    Snapshot,
     enumerate_snapshot_space,
-    l1_distance,
     snapshot_space_size,
-    snapshot_to_point,
 )
 from .synth import (
     BinaryRegression,
@@ -104,7 +94,7 @@ from .transport import (
     wasserstein1,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BinaryRegression",
@@ -127,8 +117,6 @@ __all__ = [
     "PredictionSet",
     "RandomMixtureSpec",
     "RngSeed",
-    "SimplexPoint",
-    "Snapshot",
     "SnapshotDataset",
     "SolverFailure",
     "TwoScenario",
@@ -143,30 +131,23 @@ __all__ = [
     "coverage",
     "decompose",
     "default_t_grid",
-    "divergence",
     "divergence_rows",
-    "empirical_mixture",
     "enlarge",
     "entropy_rows",
-    "entropy_value",
     "enumerate_snapshot_space",
     "estimate_moments",
     "gen_dataset",
-    "gradient",
     "gradient_rows",
     "hoc_bound",
     "koc_error",
-    "l1_distance",
     "loss_breakdown",
     "loss_rows",
     "mgf_diagnostic",
     "mixture_from_arrays",
     "moment_interval",
-    "moment_weight",
     "poly_au_estimate",
     "posthoc_calibrate",
     "project_k",
-    "proper_loss",
     "random_mixture",
     "read_calibration_table",
     "read_snapshot_dataset",
@@ -175,7 +156,6 @@ __all__ = [
     "sample_snapshots",
     "shannon_modulus_bound",
     "snapshot_space_size",
-    "snapshot_to_point",
     "sqrt_eps_rule",
     "w1_lattice",
     "wasserstein1",

@@ -17,28 +17,28 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, EmptyPartition, InvalidDistribution
-from .mixture import Mixture, _lattice_counts, _readonly, _running_sum, mixture_from_arrays
-from .simplex import LabelSpace, Snapshot, simplex_rows, snapshot_space_size
+from .mixture import Mixture, _lattice_counts, _readonly, _running_sum
+from .simplex import LabelSpace, simplex_rows, snapshot_space_size
 from .transport import DEFAULT_SUPPORT_CAP, wasserstein1
 
 
-def _check_records(counts, dims, codes, names, space: LabelSpace, k: int):
-    """Every record has l labels, size k and no negative count.
+def _check_records(counts, codes, names, space: LabelSpace, k: int):
+    """Every record has l labels, size k >= 1 and no negative count.
 
-    Record i has `dims[i]` labels and its counts in row i of `counts`.
-    The first record that fails raises, naming its partition.
+    Row i of `counts` holds record i's counts. The first record that fails
+    raises, naming its partition.
     """
     l = space.num_labels
+    if k < 1:
+        raise InvalidDistribution(f"snapshot size must be >= 1, got {k}")
+    if counts.ndim != 2 or counts.shape[1] != l:
+        raise DimensionMismatch(f"count matrix of shape {counts.shape} in a {l}-label dataset")
     sizes, lows = counts.sum(axis=1), counts.min(axis=1, initial=0)
-    bad = np.flatnonzero((dims != l) | (sizes != k) | (lows < 0))
+    bad = np.flatnonzero((sizes != k) | (lows < 0))
     if not bad.size:
         return
     i = bad[0]
     pid = names[codes[i]]
-    if dims[i] != l:
-        raise DimensionMismatch(
-            f"partition {pid!r}: snapshot over {dims[i]} labels in a {l}-label dataset"
-        )
     if lows[i] < 0:
         raise InvalidDistribution(f"partition {pid!r}: negative count in a snapshot")
     raise InvalidDistribution(f"partition {pid!r}: snapshot of size {sizes[i]}, expected {k}")
@@ -47,46 +47,29 @@ def _check_records(counts, dims, codes, names, space: LabelSpace, k: int):
 class SnapshotDataset:
     """(partition_id, snapshot) records, all snapshots of one size k, stored as columns.
 
-    `counts` is a read-only (n, l) int64 matrix with one count vector per
-    record, `codes` a read-only (n,) int64 array indexing `names`, and
-    `names` the sorted partition ids that have records. Records keep their
-    input order. `SnapshotDataset(records, space, k)` takes an iterable of
-    (partition_id, Snapshot) pairs; partition ids are stored as strings.
-    Equality compares the columns; datasets are not hashable.
+    `SnapshotDataset(counts, codes, names, space, k)` takes an (n, l) int
+    count matrix, one row per record, and n codes indexing `names`. `names`
+    may repeat ids, include ids that no record uses, and need not be
+    sorted; ids are stored as strings. The dataset keeps its own read-only
+    copy of the counts as `counts`, an (n, l) int64 matrix; `codes` is a
+    read-only (n,) int64 array indexing `names`, the sorted partition ids
+    that have records. Records keep their input order. Equality compares
+    the columns; datasets are not hashable.
     """
 
-    def __init__(self, records, space: LabelSpace, k: int):
-        records = list(records)
-        l = space.num_labels
-        dims = np.array([snap.dim for _, snap in records], dtype=np.int64)
-        # a snapshot over the wrong number of labels fails on its label count alone
-        counts = [snap.counts if snap.dim == l else (0,) * l for _, snap in records]
-        counts = np.array(counts, dtype=np.int64).reshape(-1, l)
-        self._store(counts, np.arange(len(records)), [pid for pid, _ in records], space, k, dims)
-
-    @classmethod
-    def _from_columns(cls, counts, codes, names, space: LabelSpace, k: int) -> "SnapshotDataset":
-        """A dataset from an (n, l) int count matrix and codes into `names`.
-
-        `names` may repeat ids, include ids that no record uses, and need not
-        be sorted; they are stored as strings. The stored codes index the
-        sorted ids in use.
-        """
-        ds = object.__new__(cls)
-        ds._store(counts, codes, names, space, k)
-        return ds
-
-    def _store(self, counts, codes, names, space: LabelSpace, k: int, dims=None):
-        """Normalize names, check the records (record i has dims[i] labels) and keep columns."""
-        used, codes = np.unique(np.asarray(codes, dtype=np.int64), return_inverse=True)
+    def __init__(self, counts, codes, names, space: LabelSpace, k: int):
+        counts = np.array(counts, dtype=np.int64)
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.shape != counts.shape[:1]:
+            raise InvalidDistribution(f"{len(codes)} codes for {len(counts)} count rows")
+        used, codes = np.unique(codes, return_inverse=True)
+        if used.size and not 0 <= used[0] <= used[-1] < len(names):
+            raise InvalidDistribution(f"partition code outside [0, {len(names)})")
         used = [str(names[i]) for i in used]
         self.names = tuple(sorted(set(used)))
         rank = {pid: i for i, pid in enumerate(self.names)}
         codes = np.array([rank[pid] for pid in used], dtype=np.int64)[codes]
-        counts = np.asarray(counts, dtype=np.int64)
-        if dims is None:
-            dims = np.full(len(counts), counts.shape[1])
-        _check_records(counts, dims, codes, self.names, space, k)
+        _check_records(counts, codes, self.names, space, k)
         self.counts = _readonly(counts)
         self.codes = _readonly(codes)
         self.space = space
@@ -123,11 +106,11 @@ class SnapshotDataset:
 
     @property
     def records(self) -> tuple:
-        """The (partition_id, Snapshot) records, built on each access; one
-        Snapshot is shared by every record of a distinct row."""
+        """The (partition_id, counts tuple) records, built on each access;
+        one pair is shared by every record of a distinct row."""
         first, inverse = self._distinct_rows()
         rows = [
-            (self.names[code], Snapshot(tuple(counts)))
+            (self.names[code], tuple(counts))
             for code, counts in zip(self.codes[first].tolist(), self.counts[first].tolist())
         ]
         return tuple(map(rows.__getitem__, inverse.tolist()))
@@ -182,15 +165,16 @@ def _empirical_groups(ds: SnapshotDataset) -> dict:
     """Partition -> (empirical mixture of its snapshot histograms, record count).
 
     Built from the distinct (partition, counts) rows, with the bits of
-    `empirical_mixture` over every record's `snapshot_to_point`: a point
-    seen m times among a partition's n records weighs the left-to-right sum
-    of m copies of 1/n, the total is that sum of all n, and the weights are
-    divided by it only when it is not exactly 1.
+    `Mixture(points, [1/n] * n, space)` over every record's normalized
+    histogram counts/k: a point seen m times among a partition's n records
+    weighs the left-to-right sum of m copies of 1/n, the total is that sum
+    of all n, and the weights are divided by it only when it is not
+    exactly 1.
     """
     first, inverse = ds._distinct_rows()
     multiplicity = np.bincount(inverse)
     row_codes = ds.codes[first]
-    points = simplex_rows(ds.counts[first] / ds.k)  # snapshot_to_point of every row
+    points = simplex_rows(ds.counts[first] / ds.k)
     # by partition, then in the sorted coordinate order Mixture stores
     order = np.lexsort((*points.T[::-1], row_codes))
     distinct = np.bincount(row_codes, minlength=len(ds.names))
@@ -229,9 +213,7 @@ def posthoc_calibrate(
         if pid in groups:
             entries[pid], counts[pid] = groups[pid]
         elif fill_missing:
-            entries[pid] = mixture_from_arrays(
-                np.eye(num_labels), [1.0 / num_labels] * num_labels, ds.space
-            )
+            entries[pid] = Mixture(np.eye(num_labels), [1.0 / num_labels] * num_labels, ds.space)
             counts[pid] = 0
         else:
             raise EmptyPartition(f"partition {pid!r} has no records")

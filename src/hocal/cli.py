@@ -67,14 +67,11 @@ def parse_entropy(text: str) -> EntropySpec:
 
 
 def _parse_numbers(text: str, values: str) -> tuple:
-    """The comma-separated finite numbers of an exp: or poly: entropy."""
+    """The comma-separated numbers of an exp: or poly: entropy."""
     try:
-        numbers = tuple(float(x) for x in values.split(","))
-        if all(map(math.isfinite, numbers)):
-            return numbers
+        return tuple(float(x) for x in values.split(","))
     except ValueError:
-        pass
-    raise DomainError(f"entropy {text!r}: expected comma-separated finite numbers")
+        raise DomainError(f"entropy {text!r}: expected comma-separated numbers") from None
 
 
 def parse_nature(text: str):

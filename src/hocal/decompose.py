@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .entropy import EntropySpec, divergence, divergence_rows, entropy_rows, entropy_value, loss_rows
+from .entropy import EntropySpec, divergence_rows, entropy_rows, loss_rows
 from .errors import DimensionMismatch
 from .mixture import Mixture, _running_sum, centroid
 
@@ -73,13 +73,13 @@ def average_entropy(m: Mixture, g: EntropySpec) -> float:
 def decompose(m: Mixture, g: EntropySpec) -> UncertaintyReport:
     """Split the uncertainty of a mixture into predictive, aleatoric, epistemic."""
     center = centroid(m)
-    pu = entropy_value(g, center)
+    pu = float(entropy_rows(g, center)[0])
     au = average_entropy(m, g)
     eu = pu - au
     infinite = UncertaintyReport(pu=pu, au=au, eu=eu, tmi_reason=REASON_INFINITE)
 
     points, weights = m.points_array(), m.weights_array()
-    d = divergence_rows(g, center.probs, points)
+    d = divergence_rows(g, center, points)
     if np.isinf(d).any():
         return infinite
     eu_rmi = _running_sum(weights * d)
@@ -120,10 +120,10 @@ def loss_breakdown(predicted: Mixture, bayes: Mixture, g: EntropySpec) -> LossBr
     q_bar = centroid(predicted)
     p_bar = centroid(bayes)
     points, weights = bayes.points_array(), bayes.weights_array()
-    expected_loss = _running_sum(weights * loss_rows(g, points, q_bar.probs))
+    expected_loss = _running_sum(weights * loss_rows(g, points, q_bar))
     avg_au = average_entropy(bayes, g)
-    grouping_loss = _running_sum(weights * divergence_rows(g, points, p_bar.probs))
-    foc_error = divergence(g, p_bar, q_bar)
+    grouping_loss = _running_sum(weights * divergence_rows(g, points, p_bar))
+    foc_error = float(divergence_rows(g, p_bar, q_bar)[0])
     return LossBreakdown(
         expected_loss=expected_loss,
         avg_au=avg_au,

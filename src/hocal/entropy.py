@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .simplex import SimplexPoint
 
 CONCAVITY_GRID_STEP = 1e-3
 
@@ -25,10 +24,10 @@ CONCAVITY_GRID_STEP = 1e-3
 class EntropySpec:
     """Which entropy family to use, with its parameters.
 
-    kind is one of "shannon" (log_base > 1), "brier" (binary_scaled picks
-    4p(1-p) on binary spaces), "exponential" (t a vector with entries in
-    [-1, 1]), or "polynomial" (monomial coeffs in the bias coordinate,
-    binary spaces only, concave on [0, 1]).
+    kind is one of "shannon" (finite log_base > 1), "brier" (binary_scaled
+    picks 4p(1-p) on binary spaces), "exponential" (t a vector with entries
+    in [-1, 1]), or "polynomial" (finite monomial coeffs in the bias
+    coordinate, binary spaces only, concave on [0, 1]).
     """
 
     kind: str
@@ -40,19 +39,21 @@ class EntropySpec:
     def __post_init__(self):
         if self.kind not in ("shannon", "brier", "exponential", "polynomial"):
             raise DomainError(f"unknown entropy kind {self.kind!r}")
-        if self.kind == "shannon" and not self.log_base > 1.0:
-            raise DomainError(f"log base must exceed 1, got {self.log_base}")
+        if self.kind == "shannon" and not 1.0 < self.log_base < math.inf:
+            raise DomainError(f"log base must be finite and exceed 1, got {self.log_base}")
         if self.kind == "exponential":
             t = tuple(float(x) for x in self.t)
             if not t:
                 raise DomainError("exponential entropy needs a t vector")
-            if any(abs(x) > 1.0 for x in t):
+            if not all(abs(x) <= 1.0 for x in t):
                 raise DomainError(f"t entries must lie in [-1, 1], got {t}")
             object.__setattr__(self, "t", t)
         if self.kind == "polynomial":
             coeffs = tuple(float(c) for c in self.coeffs)
             if not coeffs:
                 raise DomainError("polynomial entropy needs coefficients")
+            if not all(map(math.isfinite, coeffs)):
+                raise DomainError(f"polynomial coefficients must be finite, got {coeffs}")
             object.__setattr__(self, "coeffs", coeffs)
             xs = np.arange(0.0, 1.0 + CONCAVITY_GRID_STEP / 2, CONCAVITY_GRID_STEP)
             vals = np.polynomial.polynomial.polyval(xs, np.asarray(coeffs))
@@ -194,31 +195,6 @@ def divergence_rows(g: EntropySpec, p_rows, q_rows) -> np.ndarray:
             return 4.0 * ((p[:, 1] - q[:, 1]).astype(object) ** 2).astype(float)
         return ((p - q) ** 2).sum(axis=1)
     return loss_rows(g, p, q) - entropy_rows(g, p)
-
-
-def entropy_value(g: EntropySpec, p: SimplexPoint) -> float:
-    """G(p), with the 0*log(0) = 0 convention for Shannon."""
-    return float(entropy_rows(g, p.probs)[0])
-
-
-def gradient(g: EntropySpec, p: SimplexPoint) -> np.ndarray:
-    """A gradient of G at p (unique up to a constant shift along the all-ones direction)."""
-    return gradient_rows(g, p.probs)[0]
-
-
-def divergence(g: EntropySpec, p: SimplexPoint, q: SimplexPoint) -> float:
-    """Bregman divergence D<p||q> = L<p||q> - G(p); non-negative.
-
-    For Shannon this is the KL divergence; when q lacks mass somewhere p
-    has it, the divergence is genuinely infinite and math.inf is returned
-    as the sentinel rather than raising.
-    """
-    return float(divergence_rows(g, p.probs, q.probs)[0])
-
-
-def proper_loss(g: EntropySpec, p_true: SimplexPoint, q: SimplexPoint) -> float:
-    """Expected loss of predicting q when truth is p_true; equals G + D."""
-    return float(loss_rows(g, p_true.probs, q.probs)[0])
 
 
 def shannon_modulus_bound(x: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .calibrate import CalibrationTable, SnapshotDataset
 from .errors import FormatError
-from .mixture import mixture_from_arrays
+from .mixture import Mixture
 from .simplex import LabelSpace
 
 FORMAT_VERSION = 1
@@ -90,7 +90,7 @@ def read_snapshot_dataset(path) -> SnapshotDataset:
     if not picks:
         raise FormatError(f"{path}: no records")
     picks = np.array(picks, dtype=np.int64)
-    return SnapshotDataset._from_columns(
+    return SnapshotDataset(
         np.array(row_counts, dtype=np.int64)[picks],
         picks,
         row_pids,
@@ -160,7 +160,7 @@ def read_calibration_table(path) -> CalibrationTable:
         if not isinstance(points, list) or not isinstance(weights, list) or len(points) != len(weights):
             raise FormatError(f"{path}: points and weights must be lists of equal length", line=lineno)
         try:
-            entries[pid] = mixture_from_arrays(points, weights, space)
+            entries[pid] = Mixture(points, weights, space)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: partition {pid!r}: {exc}", line=lineno) from None
         count = rec.get("count")

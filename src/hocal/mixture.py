@@ -20,10 +20,8 @@ from .errors import DimensionMismatch, InvalidDistribution
 from .simplex import (
     DEFAULT_ENUM_CAP,
     LabelSpace,
-    SimplexPoint,
-    Snapshot,
     _check_lattice_size,
-    _snapshot_counts,
+    enumerate_snapshot_space,
     simplex_rows,
 )
 
@@ -73,21 +71,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _coordinate_rows(points, space: LabelSpace) -> np.ndarray:
-    """(n, l) coordinates of an array or a list of SimplexPoints, taken as
-    they are, and rows, checked and renormalized as SimplexPoint does."""
+    """(n, l) coordinates of an array or a sequence of rows, each row checked
+    and renormalized by `simplex_rows`."""
     if not len(points):
         raise InvalidDistribution("a mixture needs at least one support point")
-    if isinstance(points, np.ndarray) and points.ndim == 2:
-        raw, given = points, np.zeros(len(points), dtype=bool)
-    else:
-        given = np.array([isinstance(p, SimplexPoint) for p in points], dtype=bool)
-        raw = [p.probs if g else tuple(map(float, p)) for p, g in zip(points, given)]
-        if len({len(r) for r in raw}) > 1:
-            wrong = next(len(r) for r in raw if len(r) != space.num_labels)
+    if not (isinstance(points, np.ndarray) and points.ndim == 2):
+        points = [tuple(map(float, p)) for p in points]
+        if len({len(r) for r in points}) > 1:
+            wrong = next(len(r) for r in points if len(r) != space.num_labels)
             raise DimensionMismatch(f"{wrong}-label point in a {space.num_labels}-label mixture")
-        raw = np.array(raw, dtype=float).reshape(len(raw), -1)
-    rows = simplex_rows(raw)
-    rows[given] = raw[given]
+    rows = simplex_rows(np.asarray(points, dtype=float))
     if rows.shape[1] != space.num_labels:
         raise DimensionMismatch(
             f"{rows.shape[1]}-label point in a {space.num_labels}-label mixture"
@@ -146,22 +139,22 @@ def _merge(rows: np.ndarray, w: np.ndarray):
 class Mixture:
     """A finitely supported distribution over simplex points, stored as arrays.
 
-    The support is a read-only (size, l) coordinate array in sorted order
-    and a read-only (size,) weight array over a read-only `space`. Points
-    within l1 distance 1e-12 are merged on construction; weights must be
-    positive, finite and sum to 1 within 1e-9 (then renormalized).
-    `Mixture(support, space)` takes (SimplexPoint, weight) pairs and
-    `support` gives them back, built on first access. Equality is exact
-    equality of space, points and weights; mixtures are not hashable.
+    `Mixture(points, weights, space)` takes an (n, l) array or a sequence
+    of rows and n weights. Each row is checked and renormalized by
+    `simplex_rows`, and points within l1 distance 1e-12 are merged; weights
+    must be positive, finite and sum to 1 within 1e-9 (then renormalized).
+    The support is kept as a read-only (size, l) coordinate array in sorted
+    order and a read-only (size,) weight array over a read-only `space`.
+    Equality is exact equality of space, points and weights; mixtures are
+    not hashable.
     """
 
     __hash__ = None
 
-    def __init__(self, support, space: LabelSpace):
-        pairs = tuple(support)
-        self._build(_coordinate_rows([p for p, _ in pairs], space), [w for _, w in pairs], space)
-
-    def _build(self, rows: np.ndarray, weights, space: LabelSpace):
+    def __init__(self, points, weights, space: LabelSpace):
+        if len(points) != len(weights):
+            raise InvalidDistribution(f"{len(points)} points but {len(weights)} weights")
+        rows = _coordinate_rows(points, space)
         w = np.fromiter(map(float, weights), dtype=float)
         _check_weights(w)
         # running sum in input order: the total fixes the renormalized bits
@@ -173,13 +166,14 @@ class Mixture:
         self._space = space
         self._points = _readonly(points)
         self._weights = _readonly(weights / total if total != 1.0 else weights)
-        self._support = None
 
     @classmethod
     def _from_distinct(cls, points, weights, total: float, space: LabelSpace) -> "Mixture":
         """Trusted path for sorted (n, l) points no two within MERGE_TOL, their
         weights, and `total`, the weight sum as the generic constructor forms
-        it from the caller's input. Only the merge is skipped: same bits."""
+        it from the caller's input. Only the merge is skipped: same bits.
+        The mixture takes ownership of both arrays and makes them read-only,
+        so callers pass arrays nothing else holds."""
         mix = object.__new__(cls)
         mix._store(np.asarray(points, dtype=float), np.asarray(weights, dtype=float), total, space)
         return mix
@@ -191,14 +185,6 @@ class Mixture:
     @property
     def size(self) -> int:
         return len(self._weights)
-
-    @property
-    def support(self) -> tuple:
-        """(SimplexPoint, weight) pairs in stored order, built on first access."""
-        if self._support is None:
-            points = map(SimplexPoint._trusted, self._points.tolist())
-            self._support = tuple(zip(points, self._weights.tolist()))
-        return self._support
 
     def points_array(self) -> np.ndarray:
         """Support coordinates as a read-only (size, num_labels) array."""
@@ -218,19 +204,15 @@ class Mixture:
         )
 
 
-def mixture_from_arrays(points, weights, space: LabelSpace) -> Mixture:
-    """Build a Mixture from parallel point/weight sequences of equal length."""
-    if len(points) != len(weights):
-        raise InvalidDistribution(f"{len(points)} points but {len(weights)} weights")
-    mix = object.__new__(Mixture)
-    mix._build(_coordinate_rows(points, space), weights, space)
-    return mix
+# the constructor under its earlier name, which the benchmark sweep calls
+mixture_from_arrays = Mixture
 
 
-def centroid(m: Mixture) -> SimplexPoint:
-    """The mean of the mixture, a single simplex point."""
+def centroid(m: Mixture) -> np.ndarray:
+    """The mean of the mixture as a read-only (l,) row, checked and
+    renormalized by `simplex_rows`."""
     avg = m.weights_array() @ m.points_array()
-    return SimplexPoint._trusted(simplex_rows(avg[None])[0].tolist())
+    return _readonly(simplex_rows(avg[None])[0])
 
 
 def _running_sum(terms: np.ndarray, start: float = 0.0) -> float:
@@ -270,12 +252,12 @@ def _lattice_rank(counts: np.ndarray, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _lattice(space: LabelSpace, k: int):
-    """Snapshot lattice, cached per (space, k), uncapped: the (N, l) float count
+    """Snapshot lattice, cached per (space, k): the (N, l) float count
     matrix and log multinomial coefficients in lattice order, the lattice indices
     in the sorted order Mixture stores, and the points' coordinates in that order."""
     from scipy.special import gammaln  # not math.lgamma: the two differ in the last bit
 
-    counts = _snapshot_counts(space, k).astype(float)
+    counts = enumerate_snapshot_space(space, k).astype(float)
     logcoef = gammaln(k + 1) - gammaln(counts + 1.0).sum(axis=1)
     coords = simplex_rows(counts / k)
     order = np.lexsort(coords.T[::-1])
@@ -317,8 +299,9 @@ def project_k(m: Mixture, k: int) -> Mixture:
     )
 
 
-def _sample_counts(m: Mixture, k: int, n: int, rng: RngSeed) -> np.ndarray:
-    """The count vectors of n independent k-snapshots, as an (n, l) int64 matrix."""
+def sample_snapshots(m: Mixture, k: int, n: int, rng: RngSeed) -> np.ndarray:
+    """The count vectors of n independent k-snapshots under one seed (own
+    stream), as an (n, l) int64 matrix."""
     gen = rng.generator()
     idx = gen.choice(m.size, size=n, p=m.weights_array())
     points = m.points_array()
@@ -327,17 +310,3 @@ def _sample_counts(m: Mixture, k: int, n: int, rng: RngSeed) -> np.ndarray:
         rows = idx == comp
         counts[rows] = gen.multinomial(k, points[comp], size=int(rows.sum()))
     return counts
-
-
-def sample_snapshots(m: Mixture, k: int, n: int, rng: RngSeed) -> list:
-    """n independent k-snapshots under one seed (vectorized, own stream)."""
-    return [Snapshot(tuple(row)) for row in _sample_counts(m, k, n, rng).tolist()]
-
-
-def empirical_mixture(points: list) -> Mixture:
-    """Uniform mixture over observed points, with duplicates merged."""
-    if not points:
-        raise InvalidDistribution("cannot build a mixture from no points")
-    space = LabelSpace(points[0].dim)
-    n = len(points)
-    return Mixture(tuple((p, 1.0 / n) for p in points), space)

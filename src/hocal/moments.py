@@ -19,7 +19,7 @@ import numpy as np
 from .entropy import EntropySpec, entropy_rows
 from .errors import DimensionMismatch, DomainError, InvalidDistribution
 from .mixture import Mixture, _lattice_counts
-from .simplex import Snapshot, simplex_rows
+from .simplex import simplex_rows
 
 MAX_FIT_DEGREE = 24
 SUP_ERROR_GRID = 10**4
@@ -76,17 +76,6 @@ class PolyApprox:
 def _moment_ratio(c: int, k: int, m: int) -> float:
     """C(c, m)/C(k, m): exact integers, and int true division rounds once."""
     return math.comb(c, m) / math.comb(k, m)
-
-
-def moment_weight(k: int, m: int, s: Snapshot) -> float:
-    """C(c_1, m)/C(k, m) where c_1 counts label 1; zero when c_1 < m."""
-    if s.dim != 2:
-        raise DimensionMismatch("moment recovery is defined for binary spaces")
-    if not 1 <= m <= k:
-        raise DomainError(f"need 1 <= m <= k, got m={m}, k={k}")
-    if s.k != k:
-        raise InvalidDistribution(f"snapshot has size {s.k}, expected {k}")
-    return _moment_ratio(s.counts[1], k, m)
 
 
 def estimate_moments(kth: Mixture, k: int, eps: float) -> MomentVector:

@@ -20,38 +20,47 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .mixture import Mixture, _running_sum
+from .mixture import Mixture, _readonly, _running_sum
 from .moments import MomentVector, central_moment
-from .simplex import SimplexPoint, l1_rows
+from .simplex import l1_rows, simplex_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """All simplex points within l1 radius of some center."""
+    """All simplex points within l1 radius of some center.
 
-    centers: tuple
+    `centers` is kept as a read-only (m, l) float copy of the rows given,
+    each checked by `simplex_rows` but not renormalized, so that a set
+    built from a mixture's points keeps their bits. Equality is exact
+    equality of centers and radius; sets are not hashable.
+    """
+
+    centers: np.ndarray
     radius: float
+
+    __hash__ = None
 
     def __post_init__(self):
         if not 0.0 <= self.radius < math.inf:
             raise DomainError(f"radius must be finite and non-negative, got {self.radius}")
-        object.__setattr__(self, "centers", tuple(self.centers))
+        centers = np.array(self.centers, dtype=float, ndmin=2)
+        simplex_rows(centers)
+        object.__setattr__(self, "centers", _readonly(centers))
+
+    def __eq__(self, other):
+        if not isinstance(other, PredictionSet):
+            return NotImplemented
+        return self.radius == other.radius and np.array_equal(self.centers, other.centers)
 
     def contains_rows(self, points) -> np.ndarray:
         """Membership of every row of an (n, l) array, one center at a time."""
         inside = np.zeros(len(points), dtype=bool)
         for c in self.centers:
-            inside |= l1_rows(points, c.probs) <= self.radius
+            inside |= l1_rows(points, c) <= self.radius
         return inside
 
-    def contains(self, p: SimplexPoint) -> bool:
-        return bool(self.contains_rows(np.atleast_2d(p.probs))[0])
-
     def to_dict(self) -> dict:
-        return {
-            "centers": [list(c.probs) for c in self.centers],
-            "radius": self.radius,
-        }
+        return {"centers": self.centers.tolist(), "radius": self.radius}
 
 
 @dataclass(frozen=True)
@@ -72,9 +81,6 @@ class IntervalSet:
         bias = points[:, 1]
         return (self.lo <= bias) & (bias <= self.hi)
 
-    def contains(self, p: SimplexPoint) -> bool:
-        return bool(self.contains_rows(np.atleast_2d(p.probs))[0])
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -92,8 +98,7 @@ def build_mass_set(m: Mixture, alpha: float) -> PredictionSet:
     order = np.lexsort((*points.T[::-1], -weights))
     reached = np.cumsum(weights[order]) >= 1.0 - alpha
     count = int(np.argmax(reached)) + 1 if reached.any() else m.size
-    centers = map(SimplexPoint._trusted, points[order[:count]].tolist())
-    return PredictionSet(centers=tuple(centers), radius=0.0)
+    return PredictionSet(centers=points[order[:count]], radius=0.0)
 
 
 def enlarge(s: PredictionSet, delta: float) -> PredictionSet:

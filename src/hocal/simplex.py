@@ -1,9 +1,11 @@
 """Label spaces, points on the probability simplex, and k-snapshot histograms.
 
-A snapshot records k labels drawn for a single instance as an order-free
-count vector.  Normalizing the counts embeds the snapshot back into the
-simplex, which is how every other module consumes it; the lattice of all
-such normalized histograms has C(k+l-1, l-1) points.
+Points are the rows of (n, l) float arrays, checked by `simplex_rows`. A
+snapshot records k labels drawn for a single instance as an order-free
+count vector, one row of an (n, l) int64 matrix. Normalizing the counts
+embeds the snapshot back into the simplex, which is how every other module
+consumes it; the lattice of all such normalized histograms has
+C(k+l-1, l-1) points.
 """
 
 from __future__ import annotations
@@ -33,42 +35,6 @@ class LabelSpace:
             )
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A probability vector over the labels of one LabelSpace.
-
-    The one-row case of `simplex_rows`, which checks it and renormalizes it
-    exactly so downstream identities see mass 1.
-    """
-
-    probs: tuple
-
-    def __post_init__(self):
-        row = simplex_rows([[float(p) for p in self.probs]])[0]
-        object.__setattr__(self, "probs", tuple(row.tolist()))
-
-    @classmethod
-    def _trusted(cls, probs) -> "SimplexPoint":
-        """A point from coordinates that already passed `simplex_rows`, not re-checked."""
-        point = object.__new__(cls)
-        object.__setattr__(point, "probs", tuple(probs))
-        return point
-
-    @property
-    def dim(self) -> int:
-        return len(self.probs)
-
-    @property
-    def bias(self) -> float:
-        """Probability of label 1; only meaningful for binary spaces."""
-        if self.dim != 2:
-            raise DimensionMismatch("bias is a binary-space coordinate")
-        return self.probs[1]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
-
-
 def simplex_rows(raw) -> np.ndarray:
     """Every row of an (n, l) array checked and renormalized as a simplex
     point; the first bad row raises. Entries below -1e-12 are refused, small
@@ -93,31 +59,6 @@ def simplex_rows(raw) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """k labels for one instance, symmetrized into per-label counts."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) < 2:
-            raise InvalidDistribution("a snapshot needs at least 2 labels")
-        if any(c < 0 for c in counts):
-            raise InvalidDistribution(f"negative count in {counts}")
-        if sum(counts) < 1:
-            raise InvalidDistribution("a snapshot must contain at least one label")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def k(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def dim(self) -> int:
-        return len(self.counts)
-
-
 def l1_rows(points: np.ndarray, center) -> np.ndarray:
     """l1 distance from every row of an (n, l) array to one point, each
     summed left to right."""
@@ -125,16 +66,6 @@ def l1_rows(points: np.ndarray, center) -> np.ndarray:
     if points.shape[1] != len(center):
         raise DimensionMismatch(f"{points.shape[1]}-label point vs {len(center)}-label point")
     return np.cumsum(np.abs(points - center), axis=1)[:, -1]
-
-
-def l1_distance(a: SimplexPoint, b: SimplexPoint) -> float:
-    """Sum of absolute coordinate differences; at most 2 on the simplex."""
-    return float(l1_rows(np.atleast_2d(a.probs), b.probs)[0])
-
-
-def snapshot_to_point(s: Snapshot) -> SimplexPoint:
-    """The normalized count histogram counts/k as a simplex point."""
-    return SimplexPoint(np.divide(s.counts, s.k))
 
 
 def snapshot_space_size(space: LabelSpace, k: int) -> int:
@@ -152,22 +83,17 @@ def _check_lattice_size(space: LabelSpace, k: int, cap: int):
         )
 
 
-def _snapshot_counts(space: LabelSpace, k: int) -> np.ndarray:
-    """Every size-k count vector, uncapped, as an (N, l) int64 matrix in
-    enumeration order: the gaps between l - 1 bars among k + l - 1 slots,
-    bar positions in reversed lexicographic order."""
+def enumerate_snapshot_space(space: LabelSpace, k: int) -> np.ndarray:
+    """All size-k count vectors over the label space, as an (N, l) int64 matrix.
+
+    The order is lexicographic with the first label's count descending,
+    so for binary spaces the label-1 frequency increases down the rows:
+    the gaps between l - 1 bars among k + l - 1 slots, bar positions in
+    reversed lexicographic order. Raises CapExceeded when C(k+l-1, l-1)
+    exceeds DEFAULT_ENUM_CAP.
+    """
+    _check_lattice_size(space, k, DEFAULT_ENUM_CAP)
     l = space.num_labels
     bars = itertools.chain.from_iterable(itertools.combinations(range(k + l - 1), l - 1))
     bars = np.fromiter(bars, dtype=np.int64).reshape(-1, l - 1)[::-1]
     return np.diff(bars, axis=1, prepend=-1, append=k + l - 1) - 1
-
-
-def enumerate_snapshot_space(space: LabelSpace, k: int) -> list:
-    """All size-k count vectors over the label space, in a fixed order.
-
-    The order is lexicographic with the first label's count descending,
-    so for binary spaces the label-1 frequency increases along the list.
-    Raises CapExceeded when C(k+l-1, l-1) exceeds DEFAULT_ENUM_CAP.
-    """
-    _check_lattice_size(space, k, DEFAULT_ENUM_CAP)
-    return [Snapshot(row) for row in _snapshot_counts(space, k).tolist()]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .calibrate import CalibrationTable, SnapshotDataset
 from .errors import DomainError
-from .mixture import Mixture, RngSeed, _sample_counts, mixture_from_arrays, project_k
+from .mixture import Mixture, RngSeed, project_k, sample_snapshots
 from .simplex import LabelSpace
 
 QUADRATURE_POINTS = 1000
@@ -67,8 +67,12 @@ class RandomMixtureSpec:
     dirichlet_alpha: float
 
     def __post_init__(self):
-        if self.num_labels < 2 or self.support_size < 1 or self.dirichlet_alpha <= 0:
-            raise DomainError("need num_labels >= 2, support_size >= 1, alpha > 0")
+        if not (
+            2 <= self.num_labels < math.inf
+            and 1 <= self.support_size < math.inf
+            and 0 < self.dirichlet_alpha < math.inf
+        ):
+            raise DomainError("need finite num_labels >= 2, support_size >= 1, alpha > 0")
 
 
 def _conditional_prob(x):
@@ -97,9 +101,9 @@ def bayes_mixtures(spec) -> MappingProxyType:
     space = LabelSpace(2)
     if isinstance(spec, TwoScenario):
         if spec.which == 1:
-            truth = mixture_from_arrays([(0.5, 0.5)], [1.0], space)
+            truth = Mixture([(0.5, 0.5)], [1.0], space)
         else:
-            truth = mixture_from_arrays([(1.0, 0.0), (0.0, 1.0)], [0.5, 0.5], space)
+            truth = Mixture([(1.0, 0.0), (0.0, 1.0)], [0.5, 0.5], space)
         return MappingProxyType({"all": truth})
     if not isinstance(spec, BinaryRegression):
         raise DomainError(f"no Bayes table for {type(spec).__name__}")
@@ -113,7 +117,7 @@ def bayes_mixtures(spec) -> MappingProxyType:
         weights = density / density.sum()
         probs = _conditional_prob(xs)
         points = np.column_stack([1.0 - probs, probs])
-        out[_bin_id(i, spec.bins)] = mixture_from_arrays(points, weights, space)
+        out[_bin_id(i, spec.bins)] = Mixture(points, weights, space)
     return MappingProxyType(out)
 
 
@@ -132,7 +136,7 @@ def gen_dataset(spec, n: int, k: int, rng: RngSeed) -> SnapshotDataset:
         raise DomainError(f"need k >= 1, got {k}")
     if isinstance(spec, TwoScenario):
         truth = bayes_mixtures(spec)["all"]
-        counts = _sample_counts(truth, k, n, rng)
+        counts = sample_snapshots(truth, k, n, rng)
         codes, names = np.zeros(n, dtype=np.int64), ["all"]
     elif isinstance(spec, BinaryRegression):
         gen = rng.generator()
@@ -143,7 +147,7 @@ def gen_dataset(spec, n: int, k: int, rng: RngSeed) -> SnapshotDataset:
         codes, names = _bin_index(xs, spec), [_bin_id(i, spec.bins) for i in range(spec.bins)]
     else:
         raise DomainError(f"cannot generate snapshots for {type(spec).__name__}")
-    return SnapshotDataset._from_columns(counts, codes, names, LabelSpace(2), k)
+    return SnapshotDataset(counts, codes, names, LabelSpace(2), k)
 
 
 def random_mixture(spec: RandomMixtureSpec, rng: RngSeed) -> Mixture:
@@ -153,4 +157,4 @@ def random_mixture(spec: RandomMixtureSpec, rng: RngSeed) -> Mixture:
     gen = rng.generator()
     points = gen.dirichlet(np.full(spec.num_labels, spec.dirichlet_alpha), size=spec.support_size)
     weights = gen.dirichlet(np.ones(spec.support_size))
-    return mixture_from_arrays(points, weights, LabelSpace(spec.num_labels))
+    return Mixture(points, weights, LabelSpace(spec.num_labels))

@@ -25,7 +25,6 @@ from hocal import (
     chebyshev_fit,
     coverage,
     decompose,
-    empirical_mixture,
     enlarge,
     estimate_moments,
     gen_dataset,
@@ -39,7 +38,6 @@ from hocal import (
     reference_table,
     required_samples,
     sample_snapshots,
-    snapshot_to_point,
     w1_lattice,
     wasserstein1,
 )
@@ -119,8 +117,8 @@ def test_criterion_4():
     proj = project_k(m, 2)
     failures = 0
     for trial in range(500):
-        snaps = sample_snapshots(m, 2, n, RngSeed(60_000 + trial))
-        emp = empirical_mixture([snapshot_to_point(s) for s in snaps])
+        counts = sample_snapshots(m, 2, n, RngSeed(60_000 + trial))
+        emp = mixture_from_arrays(counts / 2, [1.0 / n] * n, BINARY)
         w, _ = wasserstein1(emp, proj)
         if w > 0.1:
             failures += 1
@@ -153,11 +151,7 @@ def test_criterion_5():
             n, proj.weights_array()
         )
         keep = counts > 0
-        emp = mixture_from_arrays(
-            [p for (p, _), kept in zip(proj.support, keep) if kept],
-            counts[keep] / n,
-            BINARY,
-        )
+        emp = mixture_from_arrays(proj.points_array()[keep], counts[keep] / n, BINARY)
         est, _ = poly_au_estimate(fit, estimate_moments(emp, 2, eps=eps))
         if abs(est - average_entropy(m, BRIER_SCALED)) > eps:
             bad += 1
@@ -272,9 +266,11 @@ def test_criterion_9():
         mv = estimate_moments(project_k(m, k), k, eps=0.0)
         alpha = 0.05 + 0.3 * RngSeed(82_000 + trial).generator().random()
         box = moment_interval(mv, alpha)
-        mass = sum(
-            w for p, w in m.support if box.lo - 1e-12 <= p.bias <= box.hi + 1e-12
-        )
+        bias = m.points_array()[:, 1]
+        inside = (box.lo - 1e-12 <= bias) & (bias <= box.hi + 1e-12)
+        mass = 0.0
+        for w in m.weights_array()[inside].tolist():  # left to right
+            mass += w
         assert mass >= 1.0 - alpha - 1e-12
 
 

@@ -18,72 +18,86 @@ from hocal.errors import (
     InvalidDistribution,
 )
 from hocal.mixture import mixture_from_arrays
-from hocal.simplex import LabelSpace, Snapshot
+from hocal.simplex import LabelSpace
 
 BINARY = LabelSpace(2)
 
 
-def make_dataset(records, k=2):
-    return SnapshotDataset(records=tuple(records), space=BINARY, k=k)
+def make_dataset(records, k=2, space=BINARY):
+    """A dataset from (partition, counts) pairs, one code per record."""
+    pids = [pid for pid, _ in records]
+    return SnapshotDataset([c for _, c in records], range(len(records)), pids, space, k)
+
+
+def support(m):
+    """point tuple -> weight"""
+    return dict(zip(map(tuple, m.points_array().tolist()), m.weights_array().tolist()))
 
 
 def test_posthoc_calibrate_empirical_mixtures():
-    ds = make_dataset(
-        [
-            ("a", Snapshot((2, 0))),
-            ("a", Snapshot((2, 0))),
-            ("a", Snapshot((1, 1))),
-            ("b", Snapshot((0, 2))),
-        ]
-    )
+    ds = make_dataset([("a", (2, 0)), ("a", (2, 0)), ("a", (1, 1)), ("b", (0, 2))])
     table = posthoc_calibrate(ds)
     assert table.partitions == ["a", "b"]
     assert table.counts == {"a": 3, "b": 1}
-    got = {p.probs: w for p, w in table.entries["a"].support}
+    got = support(table.entries["a"])
     assert got[(1.0, 0.0)] == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert got[(0.5, 0.5)] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert table.entries["b"].size == 1
 
 
 def test_posthoc_calibrate_missing_partition_policy():
-    ds = make_dataset([("a", Snapshot((1, 1)))])
+    ds = make_dataset([("a", (1, 1))])
     with pytest.raises(EmptyPartition):
         posthoc_calibrate(ds, partitions=["a", "b"])
     table = posthoc_calibrate(ds, partitions=["a", "b"], fill_missing=True)
     assert table.counts["b"] == 0
-    got = {p.probs: w for p, w in table.entries["b"].support}
-    assert got == {(1.0, 0.0): 0.5, (0.0, 1.0): 0.5}
+    assert support(table.entries["b"]) == {(1.0, 0.0): 0.5, (0.0, 1.0): 0.5}
 
 
 def test_dataset_validation():
     with pytest.raises(DimensionMismatch):
-        make_dataset([("a", Snapshot((1, 1, 1)))])  # wrong label count
+        make_dataset([("a", (1, 1, 1))])  # wrong label count
     with pytest.raises(InvalidDistribution):
-        make_dataset([("a", Snapshot((1, 2)))])  # k mismatch
+        make_dataset([("a", (1, 2))])  # k mismatch
+    with pytest.raises(InvalidDistribution, match="snapshot size must be >= 1, got 0"):
+        make_dataset([("a", (0, 0))], k=0)
 
 
 def test_dataset_check_names_the_first_bad_record():
     three = LabelSpace(3)
-    good, big, short = Snapshot((1, 1, 0)), Snapshot((3, 0, 0)), Snapshot((1, 1))
+    good, big = (1, 1, 0), (3, 0, 0)
     with pytest.raises(InvalidDistribution, match="partition 'b': snapshot of size 3, expected 2"):
-        SnapshotDataset([("a", good), ("b", big), ("c", short)], three, 2)
-    with pytest.raises(
-        DimensionMismatch, match="partition 'c': snapshot over 2 labels in a 3-label dataset"
-    ):
-        SnapshotDataset([("a", good), ("c", short), ("b", big)], three, 2)
-    with pytest.raises(
-        DimensionMismatch, match="partition 'd': snapshot over 4 labels in a 3-label dataset"
-    ):
-        SnapshotDataset([("a", good), ("d", Snapshot((1, 1, 0, 0)))], three, 2)
+        make_dataset([("a", good), ("b", big), ("c", big)], space=three)
     counts = np.array([[1, 1, 0], [3, -1, 0]])
     with pytest.raises(InvalidDistribution, match="partition 'x': negative count in a snapshot"):
-        SnapshotDataset._from_columns(counts, np.array([0, 1]), ["y", "x"], three, 2)
+        SnapshotDataset(counts, np.array([0, 1]), ["y", "x"], three, 2)
     with pytest.raises(
-        DimensionMismatch, match="partition 'y': snapshot over 2 labels in a 3-label dataset"
+        DimensionMismatch, match=r"count matrix of shape \(1, 2\) in a 3-label dataset"
     ):
-        SnapshotDataset._from_columns(np.array([[1, 1]]), np.array([0]), ["y"], three, 2)
-    empty = SnapshotDataset([], three, 2)
+        SnapshotDataset(np.array([[1, 1]]), np.array([0]), ["y"], three, 2)
+    with pytest.raises(
+        DimensionMismatch, match=r"count matrix of shape \(0,\) in a 3-label dataset"
+    ):
+        SnapshotDataset([], [], [], three, 2)
+    empty = SnapshotDataset(np.zeros((0, 3)), [], [], three, 2)
     assert len(empty) == 0 and empty.counts.shape == (0, 3) and empty.names == ()
+
+
+def test_dataset_codes_must_index_names_one_per_record():
+    with pytest.raises(InvalidDistribution, match="1 codes for 2 count rows"):
+        SnapshotDataset([[1, 1], [2, 0]], [0], ["a"], BINARY, 2)
+    for bad in (1, -1):
+        with pytest.raises(InvalidDistribution, match=r"partition code outside \[0, 1\)"):
+            SnapshotDataset([[1, 1], [2, 0]], [0, bad], ["a"], BINARY, 2)
+
+
+def test_dataset_copies_the_callers_counts():
+    counts = np.array([[1, 1], [2, 0]])
+    ds = SnapshotDataset(counts, [0, 0], ["a"], BINARY, 2)
+    counts[0, 0] = 5  # the caller's array stays writable
+    assert ds.counts.tolist() == [[1, 1], [2, 0]]
+    with pytest.raises(ValueError):
+        ds.counts[0, 0] = 5
 
 
 def test_table_entries_must_sit_on_the_lattice():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -95,6 +96,51 @@ def test_full_pipeline(tmp_path, capsys):
         assert [r["partition"] for r in audit_rows] == bins
         coverage = min(float(r["coverage"]) for r in audit_rows)
         assert summary["min_coverage"] == pytest.approx(coverage)
+
+
+# SHA-256 of each stdout line and output file of the README command-line
+# pipeline below. The binary pipeline takes the CDF route only; the
+# multiclass pipeline is left out because the last bits of a HiGHS solve
+# may differ across platforms.
+README_PIPELINE = (
+    ("gen", "--nature", "binary-regression", "--n", "5000", "--k", "2", "--seed", "7",
+     "--out", "data.ldjson", "--ref", "ref.ldjson"),
+    ("calibrate", "--data", "data.ldjson", "--reference", "ref.ldjson", "--fill-missing",
+     "--out", "table.ldjson"),
+    ("evaluate", "--table", "table.ldjson", "--reference", "ref.ldjson", "--out", "w1.csv"),
+    ("decompose", "--table", "table.ldjson", "--entropy", "shannon2", "--out", "uncertainty.csv"),
+    ("moments", "--table", "table.ldjson", "--central", "2", "--out", "moments.csv"),
+    ("predset", "--table", "table.ldjson", "--alpha", "0.1", "--delta", "0.05",
+     "--reference", "ref.ldjson", "--audit", "audit.csv", "--out", "sets.ldjson"),
+)
+README_PIPELINE_SHA256 = {
+    "stdout:gen": "9de18d76aeedcce084ded1d8d9bb44e02e15c84b153e6755d857111ad041611d",
+    "stdout:calibrate": "cbc844e8ab76280dda16c267bf6812123fe7b6e05834ab41cbac39cbafd850d3",
+    "stdout:evaluate": "e2edfc5b306ffbdd65c61f3d161885794f27a90223309c3d2af2c37769c9f60e",
+    "stdout:decompose": "716b8a8a454450c35cdcaf6bf20b61a6add416b688b6651b2d689953a8e03c80",
+    "stdout:moments": "de23a7896680bf2d7f3ba7b9b38e44bb13f580ac8326d77d7999c7a2d9c6ddcb",
+    "stdout:predset": "b97cf1d97796f5a352de913504dd899c429e13ca6bf866547cd40c373965659d",
+    "audit.csv": "e7fc32c3e1c7b09520a143a89165a1b9129391561933889c4607e7697039bc68",
+    "data.ldjson": "da9e8357525fde4a988bb6f633839b199b2100b2b360b317b7aadfbd357ac20c",
+    "moments.csv": "9c795bc3e2d081edd4ea8f81b7c9692d4d25607f590fed8cae36f374d42ba5a0",
+    "ref.ldjson": "98cf3deba994cc31e62d02dd49b39abeea149b846db352176a6462fb4234c3c8",
+    "sets.ldjson": "c62323de092128f9f9ede825764068aacf10b2c0a20a2e0134332eb0def52248",
+    "table.ldjson": "306e4a02d2f0e044e5524a40f55ff6037b8c195da383745348e412835726ff42",
+    "uncertainty.csv": "0ef918a1d2f86f3522efc478e2afe1d642364db5a19a4e5c609cf1dd2ad77847",
+    "w1.csv": "f05072cbf7dc696a918b3221a17250e7764ed62497f001eec3674c2d8e5580cc",
+}
+
+
+def test_readme_pipeline_keeps_its_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for argv in README_PIPELINE:
+        code, out, _ = run(list(argv), capsys)
+        assert code == 0
+        digests[f"stdout:{argv[0]}"] = hashlib.sha256(out.encode()).hexdigest()
+    for path in sorted(tmp_path.iterdir()):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == README_PIPELINE_SHA256
 
 
 def test_gen_is_byte_stable(tmp_path, capsys):
@@ -382,6 +428,9 @@ def test_malformed_table_numbers_give_a_json_error(tmp_path, capsys, record, err
         ["fitpoly", "--entropy", "exp:a,b", "--degree", "2"],
         ["fitpoly", "--entropy", "poly:1,x", "--degree", "2"],
         ["fitpoly", "--entropy", "poly:0,nan", "--degree", "2"],
+        ["fitpoly", "--entropy", "exp:nan,0", "--degree", "2"],
+        ["fitpoly", "--entropy", "shannoninf", "--degree", "2"],
+        ["fitpoly", "--entropy", "shannon1e400", "--degree", "2"],
     ],
 )
 def test_unusable_paths_and_entropy_numbers_give_a_json_error(tmp_path, capsys, argv):

@@ -1,9 +1,10 @@
 """The columnar dataset path against a record-by-record reference.
 
-The reference functions below build one Snapshot and one SimplexPoint per
-record, as the package did before datasets were stored as columns: they
-are the oracle for `gen_dataset`, the dataset reader and writer, and
-`posthoc_calibrate`. Files must be identical and weights equal bit for bit.
+The reference functions below keep one (partition, counts tuple) record and
+one normalized point per record, as the package did before datasets were
+stored as columns: they are the oracle for `gen_dataset`, the dataset
+reader and writer, and `posthoc_calibrate`. Files must be identical and
+weights equal bit for bit.
 """
 
 import json
@@ -19,8 +20,8 @@ from hypothesis import strategies as st
 from hocal.calibrate import CalibrationTable, SnapshotDataset, posthoc_calibrate
 from hocal.errors import EmptyPartition, FormatError
 from hocal.io import read_snapshot_dataset, write_calibration_table, write_snapshot_dataset
-from hocal.mixture import RngSeed, empirical_mixture, mixture_from_arrays, sample_snapshots
-from hocal.simplex import LabelSpace, Snapshot, enumerate_snapshot_space, snapshot_to_point
+from hocal.mixture import RngSeed, mixture_from_arrays, sample_snapshots
+from hocal.simplex import LabelSpace, enumerate_snapshot_space
 from hocal.synth import (
     BinaryRegression,
     TwoScenario,
@@ -39,11 +40,17 @@ def dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
+def dataset_of(records, space, k):
+    """The dataset of (partition, counts) records, one code per record."""
+    counts = np.array([c for _, c in records], dtype=np.int64).reshape(len(records), -1)
+    return SnapshotDataset(counts, range(len(records)), [pid for pid, _ in records], space, k)
+
+
 def reference_write(records, num_labels, k, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump({"format_version": 1, "k": k, "num_labels": num_labels}) + "\n")
-        for pid, snap in records:
-            labels = [y for y, c in enumerate(snap.counts) for _ in range(c)]
+        for pid, counts in records:
+            labels = [y for y, c in enumerate(counts) for _ in range(c)]
             fh.write(dump({"labels": labels, "partition": pid}) + "\n")
 
 
@@ -60,21 +67,23 @@ def reference_read(path):
         counts = [0] * header["num_labels"]
         for y in rec["labels"]:
             counts[y] += 1
-        records.append((str(rec["partition"]), Snapshot(tuple(counts))))
+        records.append((str(rec["partition"]), tuple(counts)))
     return header["num_labels"], header["k"], records
 
 
 def reference_calibrate(records, space, k, partitions=None, fill_missing=False):
     groups = {}
-    for pid, snap in records:
-        groups.setdefault(pid, []).append(snap)
+    for pid, counts in records:
+        groups.setdefault(pid, []).append(counts)
     wanted = sorted(groups) if partitions is None else sorted(dict.fromkeys(partitions))
     entries, counts = {}, {}
     l = space.num_labels
     for pid in wanted:
         snaps = groups.get(pid, [])
         if snaps:
-            entries[pid] = empirical_mixture([snapshot_to_point(s) for s in snaps])
+            # each record's histogram counts/k, then uniform weights 1/n
+            points = [tuple(np.divide(s, k).tolist()) for s in snaps]
+            entries[pid] = mixture_from_arrays(points, [1.0 / len(snaps)] * len(snaps), space)
             counts[pid] = len(snaps)
         elif fill_missing:
             vertices = [tuple(1.0 if j == i else 0.0 for j in range(l)) for i in range(l)]
@@ -87,13 +96,13 @@ def reference_calibrate(records, space, k, partitions=None, fill_missing=False):
 
 def reference_gen(spec, n, k, rng):
     if isinstance(spec, TwoScenario):
-        snaps = sample_snapshots(bayes_mixtures(spec)["all"], k, n, rng)
-        return [("all", s) for s in snaps]
+        counts = sample_snapshots(bayes_mixtures(spec)["all"], k, n, rng)
+        return [("all", tuple(c)) for c in counts.tolist()]
     gen = rng.generator()
     xs = np.abs(gen.normal(size=n))
     ones = gen.binomial(k, _conditional_prob(xs))
     return [
-        (_bin_id(int(b), spec.bins), Snapshot((int(k - c), int(c))))
+        (_bin_id(int(b), spec.bins), (int(k - c), int(c)))
         for b, c in zip(_bin_index(xs, spec), ones)
     ]
 
@@ -101,7 +110,11 @@ def reference_gen(spec, n, k, rng):
 def bits(table):
     """Every entry's support coordinates and weight bits, per partition."""
     return {
-        pid: [(p.probs, w.hex()) for p, w in mix.support] for pid, mix in table.entries.items()
+        pid: [
+            (tuple(p), w.hex())
+            for p, w in zip(mix.points_array().tolist(), mix.weights_array().tolist())
+        ]
+        for pid, mix in table.entries.items()
     }
 
 
@@ -143,7 +156,7 @@ def test_columnar_io_and_calibrate_match_the_record_reference(tmp_path_factory, 
     space = LabelSpace(num_labels)
 
     ds = read_snapshot_dataset(raw_path)
-    assert ds == SnapshotDataset(records, space, k)
+    assert ds == dataset_of(records, space, k)
     assert ds.records == tuple(records)
     assert len(ds) == len(records)
     assert ds.partitions == sorted({pid for pid, _ in records})
@@ -172,7 +185,7 @@ def test_gen_dataset_matches_the_record_reference(tmp_path_factory, spec, n, k, 
     tmp = tmp_path_factory.mktemp("gen")
     ds = gen_dataset(spec, n, k, RngSeed(seed))
     records = reference_gen(spec, n, k, RngSeed(seed))
-    assert ds == SnapshotDataset(records, LabelSpace(2), k)
+    assert ds == dataset_of(records, LabelSpace(2), k)
     assert ds.records == tuple(records)
     write_snapshot_dataset(ds, tmp / "got.ldjson")
     reference_write(records, 2, k, tmp / "want.ldjson")
@@ -194,9 +207,9 @@ def test_large_generated_dataset_round_trips_like_the_reference(tmp_path):
 def test_calibrate_keeps_the_coordinate_order_of_the_support(num_labels, k):
     # rows in count order are not always in the order of their renormalized coordinates
     space = LabelSpace(num_labels)
-    lattice = enumerate_snapshot_space(space, k)
-    records = [("a", s) for s in reversed(lattice)] + [("a", lattice[1])]
-    got = posthoc_calibrate(SnapshotDataset(records, space, k))
+    lattice = [tuple(c) for c in enumerate_snapshot_space(space, k).tolist()]
+    records = [("a", c) for c in reversed(lattice)] + [("a", lattice[1])]
+    got = posthoc_calibrate(dataset_of(records, space, k))
     assert bits(got) == bits(reference_calibrate(records, space, k))
 
 
@@ -204,9 +217,9 @@ def test_grouping_has_no_packed_key_to_overflow():
     # (k + 1)^l > 2^63: a key packing the counts into one int64 would collide
     k = 2**40
     space = LabelSpace(4)
-    snaps = [Snapshot((k, 0, 0, 0)), Snapshot((0, 0, 0, k)), Snapshot((k - 1, 1, 0, 0))]
+    snaps = [(k, 0, 0, 0), (0, 0, 0, k), (k - 1, 1, 0, 0)]
     records = [("a", snaps[i]) for i in (0, 1, 0, 2, 1, 0)]
-    ds = SnapshotDataset(records, space, k)
+    ds = dataset_of(records, space, k)
     got = posthoc_calibrate(ds)
     want = reference_calibrate(records, space, k)
     assert bits(got) == bits(want)
@@ -214,20 +227,16 @@ def test_grouping_has_no_packed_key_to_overflow():
 
 
 def test_dataset_columns_and_records_view():
-    ds = SnapshotDataset(
-        [("b", Snapshot((1, 1))), (3, Snapshot((2, 0))), ("b", Snapshot((1, 1)))],
-        LabelSpace(2),
-        2,
-    )
+    ds = SnapshotDataset([[1, 1], [2, 0], [1, 1]], [0, 1, 0], ["b", 3], LabelSpace(2), 2)
     assert ds.names == ("3", "b")
     assert ds.codes.tolist() == [1, 0, 1]
     assert ds.counts.tolist() == [[1, 1], [2, 0], [1, 1]]
     assert not ds.counts.flags.writeable and not ds.codes.flags.writeable
     assert len(ds) == 3
     records = ds.records
-    assert records == (("b", Snapshot((1, 1))), ("3", Snapshot((2, 0))), ("b", Snapshot((1, 1))))
+    assert records == (("b", (1, 1)), ("3", (2, 0)), ("b", (1, 1)))
     assert records[0][1] is records[2][1]
-    assert ds != SnapshotDataset(list(records)[:2], LabelSpace(2), 2)
+    assert ds != dataset_of(records[:2], LabelSpace(2), 2)
 
 
 def test_reader_checks_each_distinct_line_once_and_reports_the_first(tmp_path):

@@ -2,9 +2,9 @@
 per-point code it replaced.
 
 The reference below is that code as it was when every consumer looped over
-`Mixture.support` in Python: one SimplexPoint at a time, with left-to-right
-sums (Python `sum` up to 3.11), `+=` loops and `itertools.product` over
-point pairs. It has no support cap.
+a mixture's (point, weight) pairs in Python: one point tuple at a time, with
+left-to-right sums (Python `sum` up to 3.11), `+=` loops and
+`itertools.product` over point pairs. It has no support cap.
 For Shannon and Brier (both scalings), and for polynomial entropies, the
 array path must give the same bits. Exponential entropies may differ by
 1e-13: `np.exp` and `math.exp` disagree in the last bit for a few percent
@@ -23,17 +23,14 @@ from hypothesis import strategies as st
 from hocal.decompose import decompose, loss_breakdown
 from hocal.entropy import (
     EntropySpec,
-    divergence,
     divergence_rows,
     entropy_rows,
-    entropy_value,
-    gradient,
+    gradient_rows,
     loss_rows,
-    proper_loss,
 )
 from hocal.mixture import mixture_from_arrays
 from hocal.predset import IntervalSet, build_mass_set, coverage, enlarge
-from hocal.simplex import LabelSpace, SimplexPoint
+from hocal.simplex import LabelSpace, simplex_rows
 
 # -- the per-point reference -------------------------------------------------
 
@@ -46,50 +43,55 @@ def left_to_right(terms):
     return float(total)
 
 
+def ref_support(m):
+    """The (point tuple, weight) pairs of a mixture, in stored order."""
+    return list(zip(map(tuple, m.points_array().tolist()), m.weights_array().tolist()))
+
+
 def ref_entropy_value(g, p):
-    probs = p.as_array()
+    probs = np.asarray(p, dtype=float)
     if g.kind == "shannon":
         pos = probs > 0.0
         return float(-(probs[pos] * np.log(probs[pos])).sum() / math.log(g.log_base))
     if g.kind == "brier":
-        if g.binary_scaled and p.dim == 2:
+        if g.binary_scaled and len(p) == 2:
             return 4.0 * probs[0] * probs[1]
         return float(1.0 - (probs**2).sum())
     if g.kind == "exponential":
         return float(-math.exp(np.dot(g.t, probs)))
-    return float(np.polynomial.polynomial.polyval(p.bias, np.asarray(g.coeffs)))
+    return float(np.polynomial.polynomial.polyval(p[1], np.asarray(g.coeffs)))
 
 
 def ref_gradient(g, p):
-    probs = p.as_array()
+    probs = np.asarray(p, dtype=float)
     if g.kind == "shannon":
         return -(np.log(probs) + 1.0) / math.log(g.log_base)
     if g.kind == "brier":
-        if g.binary_scaled and p.dim == 2:
+        if g.binary_scaled and len(p) == 2:
             return 4.0 * probs[::-1].copy()
         return -2.0 * probs
     if g.kind == "exponential":
         return -np.asarray(g.t) * math.exp(np.dot(g.t, probs))
     deriv = np.polynomial.polynomial.polyder(np.asarray(g.coeffs))
-    return np.array([0.0, float(np.polynomial.polynomial.polyval(p.bias, deriv))])
+    return np.array([0.0, float(np.polynomial.polynomial.polyval(p[1], deriv))])
 
 
 def ref_divergence(g, p, q):
-    pa, qa = p.as_array(), q.as_array()
+    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if g.kind == "shannon":
         pos = pa > 0.0
         if (qa[pos] <= 0.0).any():
             return math.inf
         return float((pa[pos] * (np.log(pa[pos]) - np.log(qa[pos]))).sum() / math.log(g.log_base))
     if g.kind == "brier":
-        if g.binary_scaled and p.dim == 2:
+        if g.binary_scaled and len(p) == 2:
             return 4.0 * (pa[1] - qa[1]) ** 2
         return float(((pa - qa) ** 2).sum())
     return ref_entropy_value(g, q) + float(ref_gradient(g, q) @ (pa - qa)) - ref_entropy_value(g, p)
 
 
 def ref_proper_loss(g, p_true, q):
-    pa, qa = p_true.as_array(), q.as_array()
+    pa, qa = np.asarray(p_true, dtype=float), np.asarray(q, dtype=float)
     if g.kind == "shannon":
         pos = pa > 0.0
         if (qa[pos] <= 0.0).any():
@@ -99,11 +101,11 @@ def ref_proper_loss(g, p_true, q):
 
 
 def ref_centroid(m):
-    return SimplexPoint(tuple(m.weights_array() @ m.points_array()))
+    return tuple(simplex_rows([m.weights_array() @ m.points_array()])[0].tolist())
 
 
 def ref_average_entropy(m, g):
-    return left_to_right(w * ref_entropy_value(g, p) for p, w in m.support)
+    return left_to_right(w * ref_entropy_value(g, p) for p, w in ref_support(m))
 
 
 def ref_decompose(m, g):
@@ -114,13 +116,13 @@ def ref_decompose(m, g):
     eu = pu - au
     infinite = (pu, au, eu, None, None, None, "infinite-divergence")
     eu_rmi = 0.0
-    for p, w in m.support:
+    for p, w in ref_support(m):
         d = ref_divergence(g, center, p)
         if math.isinf(d):
             return infinite
         eu_rmi += w * d
     eu_tmi = 0.0
-    for (p1, w1), (p2, w2) in itertools.product(m.support, m.support):
+    for (p1, w1), (p2, w2) in itertools.product(ref_support(m), ref_support(m)):
         d = ref_divergence(g, p1, p2)
         if math.isinf(d):
             return infinite
@@ -131,15 +133,15 @@ def ref_decompose(m, g):
 def ref_loss_breakdown(predicted, bayes, g):
     q_bar = ref_centroid(predicted)
     p_bar = ref_centroid(bayes)
-    expected_loss = left_to_right(w * ref_proper_loss(g, p, q_bar) for p, w in bayes.support)
+    expected_loss = left_to_right(w * ref_proper_loss(g, p, q_bar) for p, w in ref_support(bayes))
     avg_au = ref_average_entropy(bayes, g)
-    grouping_loss = left_to_right(w * ref_divergence(g, p, p_bar) for p, w in bayes.support)
+    grouping_loss = left_to_right(w * ref_divergence(g, p, p_bar) for p, w in ref_support(bayes))
     foc_error = ref_divergence(g, p_bar, q_bar)
     return (expected_loss, avg_au, grouping_loss + foc_error, grouping_loss, foc_error)
 
 
 def ref_build_mass_set(m, alpha):
-    order = sorted(m.support, key=lambda pw: (-pw[1], pw[0].probs))
+    order = sorted(ref_support(m), key=lambda pw: (-pw[1], pw[0]))
     centers = []
     captured = 0.0
     for point, weight in order:
@@ -151,12 +153,12 @@ def ref_build_mass_set(m, alpha):
 
 
 def ref_l1(a, b):
-    return left_to_right(abs(x - y) for x, y in zip(a.probs, b.probs))
+    return left_to_right(abs(x - y) for x, y in zip(a, b))
 
 
 def ref_coverage(centers, radius, m):
     return left_to_right(
-        w for p, w in m.support if any(ref_l1(p, c) <= radius for c in centers)
+        w for p, w in ref_support(m) if any(ref_l1(p, c) <= radius for c in centers)
     )
 
 
@@ -206,17 +208,22 @@ def mixtures(draw, sizes=(1, 2, 3, 4, 6, 9, 17, 40)):
 
 
 def check_points(g, m):
-    """Public per-point functions on the first six support points, their pairs
-    and the centroid."""
-    points = [p for p, _ in m.support]
-    center = ref_centroid(m)
-    for p in points[:6]:
-        assert hexed(entropy_value(g, p)) == hexed(ref_entropy_value(g, p))
-        for q in [center] + points[:6]:
-            assert hexed(divergence(g, p, q)) == hexed(ref_divergence(g, p, q))
-            assert hexed(proper_loss(g, p, q)) == hexed(ref_proper_loss(g, p, q))
-        if g.kind != "shannon" or min(p.probs) > 0.0:
-            assert hexed(list(gradient(g, p))) == hexed(list(ref_gradient(g, p)))
+    """Row functions on the first six support points, and on one of them (a
+    single row standing for all) against those points and the centroid."""
+    points = [p for p, _ in ref_support(m)][:6]
+    others = np.array([ref_centroid(m)] + points)
+    assert hexed(entropy_rows(g, np.array(points)).tolist()) == hexed(
+        [ref_entropy_value(g, p) for p in points]
+    )
+    for p in points:
+        assert hexed(divergence_rows(g, p, others).tolist()) == hexed(
+            [ref_divergence(g, p, q) for q in others.tolist()]
+        )
+        assert hexed(loss_rows(g, p, others).tolist()) == hexed(
+            [ref_proper_loss(g, p, q) for q in others.tolist()]
+        )
+        if g.kind != "shannon" or min(p) > 0.0:
+            assert hexed(gradient_rows(g, p)[0].tolist()) == hexed(list(ref_gradient(g, p)))
 
 
 # -- properties --------------------------------------------------------------
@@ -240,13 +247,15 @@ def test_entropy_and_decompose_keep_their_bits(m, other, g):
 def test_prediction_sets_keep_their_bits(m, other, alpha, delta):
     s = build_mass_set(m, alpha)
     expected = ref_build_mass_set(m, alpha)
-    assert [hexed(list(c.probs)) for c in s.centers] == [hexed(list(c.probs)) for c in expected]
+    assert hexed(s.centers.tolist()) == hexed(expected)
     grown = enlarge(s, delta)
     for target in (m, other) if other.space == m.space else (m,):
         assert hexed(coverage(grown, target)) == hexed(ref_coverage(expected, grown.radius, target))
     if m.space.num_labels == 2:
         interval = IntervalSet(lo=min(delta, 0.5), hi=0.5 + delta / 2)
-        expected = left_to_right(w for p, w in m.support if interval.lo <= p.bias <= interval.hi)
+        expected = left_to_right(
+            w for p, w in ref_support(m) if interval.lo <= p[1] <= interval.hi
+        )
         assert hexed(coverage(interval, m)) == hexed(expected)
 
 
@@ -264,11 +273,12 @@ def test_exponential_and_polynomial_entropies_stay_close(m, seed):
         tol = 0.0 if g.kind == "polynomial" else 1e-13
         for a, b in zip(got[:-1], expected[:-1]):
             assert abs(a - b) <= tol
-        for p, _ in m.support[:4]:
-            assert abs(entropy_value(g, p) - ref_entropy_value(g, p)) <= tol
-            for q, _ in m.support[:4]:
-                assert abs(divergence(g, p, q) - ref_divergence(g, p, q)) <= tol
-                assert abs(proper_loss(g, p, q) - ref_proper_loss(g, p, q)) <= tol
+        points = [p for p, _ in ref_support(m)][:4]
+        for p in points:
+            assert abs(entropy_rows(g, p)[0] - ref_entropy_value(g, p)) <= tol
+            for q in points:
+                assert abs(divergence_rows(g, p, q)[0] - ref_divergence(g, p, q)) <= tol
+                assert abs(loss_rows(g, p, q)[0] - ref_proper_loss(g, p, q)) <= tol
 
 
 @pytest.mark.parametrize("g", SHANNON_AND_BRIER, ids=lambda g: json.dumps(g.to_dict(), sort_keys=True))
@@ -283,8 +293,8 @@ def test_row_functions_match_the_reference_pair_by_pair(g, num_labels):
     p[rng.random((n, num_labels)) < 0.15] = 0.0
     p[np.arange(n), rng.integers(num_labels, size=n)] += 0.1
     p /= p.sum(axis=1, keepdims=True)
-    pp = [SimplexPoint._trusted(r) for r in p.tolist()]
-    qq = [SimplexPoint._trusted(r) for r in q.tolist()]
+    pp = [tuple(r) for r in p.tolist()]
+    qq = [tuple(r) for r in q.tolist()]
     assert hexed(entropy_rows(g, p).tolist()) == hexed([ref_entropy_value(g, a) for a in pp])
     assert hexed(divergence_rows(g, p, q).tolist()) == hexed(
         [ref_divergence(g, a, b) for a, b in zip(pp, qq)]

@@ -15,7 +15,7 @@ import numpy as np
 import hocal
 from hocal.calibrate import SnapshotDataset, koc_error, posthoc_calibrate
 from hocal.mixture import RngSeed, project_k
-from hocal.simplex import LabelSpace, SimplexPoint, Snapshot
+from hocal.simplex import LabelSpace, simplex_rows
 from hocal.synth import RandomMixtureSpec, random_mixture
 
 
@@ -36,12 +36,10 @@ def compensated_sum(items, start=0):
 def dataset(sizes, seed):
     """A binary k = 4 dataset with partitions of the given record counts."""
     gen = np.random.default_rng(seed)
-    records = [
-        (f"p{i}", Snapshot((4 - int(c), int(c))))
-        for i, n in enumerate(sizes)
-        for c in gen.integers(0, 5, size=n)
-    ]
-    return SnapshotDataset(records, LabelSpace(2), 4)
+    ones = np.concatenate([gen.integers(0, 5, size=n) for n in sizes])
+    codes = np.repeat(np.arange(len(sizes)), sizes)
+    names = [f"p{i}" for i in range(len(sizes))]
+    return SnapshotDataset(np.column_stack([4 - ones, ones]), codes, names, LabelSpace(2), 4)
 
 
 def fingerprint():
@@ -55,7 +53,7 @@ def fingerprint():
     out.append(koc_error(table, reference).weighted_mean.hex())
     rows = np.random.default_rng(3).dirichlet(np.ones(3), size=2000)
     rows /= rows.sum(axis=1, keepdims=True)
-    out += [x.hex() for row in rows.tolist() for x in SimplexPoint(row).probs]
+    out += [x.hex() for x in simplex_rows(rows).ravel().tolist()]
     spec = RandomMixtureSpec(num_labels=3, support_size=4, dirichlet_alpha=2.0)
     for seed in range(5):
         proj = project_k(random_mixture(spec, RngSeed(seed)), 8)

@@ -13,21 +13,13 @@ from hocal.io import (
     write_snapshot_dataset,
 )
 from hocal.mixture import mixture_from_arrays
-from hocal.simplex import LabelSpace, Snapshot
+from hocal.simplex import LabelSpace
 
 BINARY = LabelSpace(2)
 
 
 def sample_dataset():
-    return SnapshotDataset(
-        records=(
-            ("a", Snapshot((2, 0))),
-            ("a", Snapshot((1, 1))),
-            ("b", Snapshot((0, 2))),
-        ),
-        space=BINARY,
-        k=2,
-    )
+    return SnapshotDataset([(2, 0), (1, 1), (0, 2)], [0, 0, 1], ["a", "b"], BINARY, 2)
 
 
 def sample_table(counts=None):
@@ -71,7 +63,8 @@ def test_labels_are_symmetrized(tmp_path):
         '{"labels": [0, 1], "partition": "a"}\n'
     )
     ds = read_snapshot_dataset(path)
-    assert ds.records[0][1] == ds.records[1][1] == Snapshot((1, 1))
+    assert ds.counts.tolist() == [[1, 1], [1, 1]]
+    assert ds.records == (("a", (1, 1)), ("a", (1, 1)))
 
 
 def test_empty_file_is_an_error(tmp_path):

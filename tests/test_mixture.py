@@ -11,25 +11,21 @@ from hocal.mixture import (
     Mixture,
     RngSeed,
     centroid,
-    empirical_mixture,
     mixture_from_arrays,
     project_k,
     sample_snapshots,
 )
 from hocal.mixture import _lattice, _projection_masses
-from hocal.simplex import LabelSpace, SimplexPoint, Snapshot, snapshot_to_point
+from hocal.simplex import LabelSpace, simplex_rows
 from hocal.synth import RandomMixtureSpec, random_mixture
 
 BINARY = LabelSpace(2)
 TERNARY = LabelSpace(3)
 
 
-def sample_snapshot(m: Mixture, k: int, rng: RngSeed) -> Snapshot:
-    """One k-snapshot: draw a support point by weight, then k iid labels."""
-    gen = rng.generator()
-    idx = gen.choice(m.size, p=m.weights_array())
-    counts = gen.multinomial(k, m.points_array()[idx])
-    return Snapshot(tuple(int(c) for c in counts))
+def support(m):
+    """point tuple -> weight"""
+    return dict(zip(map(tuple, m.points_array().tolist()), m.weights_array().tolist()))
 
 
 def test_rng_seed_validation():
@@ -57,7 +53,7 @@ def test_mixture_weight_validation():
     with pytest.raises(InvalidDistribution):
         mixture_from_arrays([(0.5, 0.5), (0.2, 0.8)], [1.0, -0.0], BINARY)
     with pytest.raises(InvalidDistribution):
-        Mixture((), BINARY)
+        Mixture((), (), BINARY)
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidDistribution):
             mixture_from_arrays([(0.5, 0.5), (0.2, 0.8)], [1.0, bad], BINARY)
@@ -87,7 +83,7 @@ def test_trusted_constructor_rejects_non_finite_weights(weights, total):
 def test_mixture_merges_duplicates():
     m = mixture_from_arrays([(0.5, 0.5), (0.5, 0.5)], [0.4, 0.6], BINARY)
     assert m.size == 1
-    assert m.support[0][1] == pytest.approx(1.0, abs=0)
+    assert m.weights_array()[0] == 1.0
 
 
 def test_mixture_merges_near_duplicates():
@@ -99,19 +95,27 @@ def test_mixture_support_order_is_canonical():
     m1 = mixture_from_arrays([(0.9, 0.1), (0.2, 0.8)], [0.3, 0.7], BINARY)
     m2 = mixture_from_arrays([(0.2, 0.8), (0.9, 0.1)], [0.7, 0.3], BINARY)
     assert m1 == m2
-    assert [p.probs for p, _ in m1.support] == sorted(p.probs for p, _ in m1.support)
+    assert m1.points_array().tolist() == sorted(m1.points_array().tolist())
+
+
+def test_mixture_from_arrays_is_the_constructor():
+    assert mixture_from_arrays is Mixture
 
 
 def test_centroid():
     m = mixture_from_arrays([(0.8, 0.2), (0.3, 0.7)], [0.5, 0.5], BINARY)
-    assert centroid(m).probs == pytest.approx((0.55, 0.45), abs=1e-15)
+    center = centroid(m)
+    assert center.shape == (2,)
+    assert tuple(center) == pytest.approx((0.55, 0.45), abs=1e-15)
+    with pytest.raises(ValueError):
+        center[0] = 0.5
 
 
 def test_project_k_binomial_masses():
     # single component p = (0.7, 0.3), k = 2: masses 0.49, 0.42, 0.09
     m = mixture_from_arrays([(0.7, 0.3)], [1.0], BINARY)
     proj = project_k(m, 2)
-    got = {p.probs: w for p, w in proj.support}
+    got = support(proj)
     assert got[(1.0, 0.0)] == pytest.approx(0.49, abs=1e-12)
     assert got[(0.5, 0.5)] == pytest.approx(0.42, abs=1e-12)
     assert got[(0.0, 1.0)] == pytest.approx(0.09, abs=1e-12)
@@ -120,7 +124,7 @@ def test_project_k_binomial_masses():
 def test_project_k_multinomial_masses_three_labels():
     m = mixture_from_arrays([(0.5, 0.3, 0.2)], [1.0], TERNARY)
     proj = project_k(m, 2)
-    got = {p.probs: w for p, w in proj.support}
+    got = support(proj)
     assert got[(1.0, 0.0, 0.0)] == pytest.approx(0.25, abs=1e-12)
     assert got[(0.0, 1.0, 0.0)] == pytest.approx(0.09, abs=1e-12)
     assert got[(0.0, 0.0, 1.0)] == pytest.approx(0.04, abs=1e-12)
@@ -133,7 +137,7 @@ def test_project_k_keeps_vertices_fixed():
     m = mixture_from_arrays([(1.0, 0.0)], [1.0], BINARY)
     proj = project_k(m, 5)
     assert proj.size == 1
-    assert proj.support[0][0].probs == (1.0, 0.0)
+    assert proj.points_array().tolist() == [[1.0, 0.0]]
 
 
 def test_project_k_weights_sum_to_one():
@@ -163,16 +167,15 @@ def test_project_k_matches_the_generic_constructor(l, k):
     mixtures = [random_mixture(spec, RngSeed(500 * l + 10 * k + t)) for t in range(5)]
     mixtures += list(_edge_mixtures(l))
     counts = _lattice(LabelSpace(l), k)[0]
-    points = [snapshot_to_point(Snapshot(tuple(c))) for c in counts.astype(int).tolist()]
     for m in mixtures:
         mass = _projection_masses(m, k)
-        generic = Mixture(
-            tuple((points[i], mass[i]) for i in np.flatnonzero(mass > 0.0)), m.space
-        )
+        keep = mass > 0.0
+        generic = Mixture(counts[keep] / k, mass[keep], m.space)
         proj = project_k(m, k)
-        assert [p.probs for p, _ in proj.support] == [p.probs for p, _ in generic.support]
-        assert [w.hex() for _, w in proj.support] == [w.hex() for _, w in generic.support]
-        assert all(type(w) is float for _, w in proj.support)
+        assert proj.points_array().tolist() == generic.points_array().tolist()
+        assert [w.hex() for w in proj.weights_array().tolist()] == [
+            w.hex() for w in generic.weights_array().tolist()
+        ]
         assert np.array_equal(proj.points_array(), generic.points_array())
         assert np.array_equal(proj.weights_array(), generic.weights_array())
         assert proj == generic
@@ -201,7 +204,7 @@ def test_project_k_preserves_the_centroid(raw_w, biases, k):
     pts = [(1.0 - b, b) for b in biases[:n]]
     m = mixture_from_arrays(pts, [w / total for w in raw_w[:n]], BINARY)
     proj = project_k(m, k)
-    assert centroid(proj).probs == pytest.approx(centroid(m).probs, abs=1e-12)
+    assert tuple(centroid(proj)) == pytest.approx(tuple(centroid(m)), abs=1e-12)
 
 
 def test_sampling_matches_exact_projection():
@@ -210,38 +213,28 @@ def test_sampling_matches_exact_projection():
     m = mixture_from_arrays([(0.8, 0.2), (0.3, 0.7)], [0.5, 0.5], BINARY)
     k, n = 2, 40000
     proj = project_k(m, k)
-    snaps = sample_snapshots(m, k, n, RngSeed(2024))
-    freq = {}
-    for s in snaps:
-        p = snapshot_to_point(s).probs
-        freq[p] = freq.get(p, 0) + 1.0 / n
-    assert set(freq) <= {p.probs for p, _ in proj.support}
-    tv = 0.5 * sum(abs(freq.get(p.probs, 0.0) - w) for p, w in proj.support)
+    rows, hits = np.unique(sample_snapshots(m, k, n, RngSeed(2024)), axis=0, return_counts=True)
+    freq = dict(zip(map(tuple, simplex_rows(rows / k).tolist()), (hits / n).tolist()))
+    expected = support(proj)
+    assert set(freq) <= set(expected)
+    tv = 0.5 * sum(abs(freq.get(p, 0.0) - w) for p, w in expected.items())
     assert tv < 0.015
 
 
-def test_sample_snapshot_single_draw_shape():
-    m = mixture_from_arrays([(0.5, 0.5)], [1.0], BINARY)
-    s = sample_snapshot(m, 6, RngSeed(1))
-    assert s.k == 6
-    assert s.dim == 2
-
-
-def test_sample_snapshots_deterministic_under_seed():
+def test_sample_snapshots_shape_and_determinism_under_seed():
     m = mixture_from_arrays([(0.6, 0.4), (0.1, 0.9)], [0.5, 0.5], BINARY)
     a = sample_snapshots(m, 3, 50, RngSeed(7))
     b = sample_snapshots(m, 3, 50, RngSeed(7))
-    assert a == b
+    assert a.shape == (50, 2) and a.dtype == np.int64
+    assert (a.sum(axis=1) == 3).all() and a.min() >= 0
+    assert np.array_equal(a, b)
 
 
-def test_empirical_mixture_merges_and_weights():
-    pts = [SimplexPoint((1.0, 0.0)), SimplexPoint((1.0, 0.0)), SimplexPoint((0.0, 1.0))]
-    m = empirical_mixture(pts)
-    got = {p.probs: w for p, w in m.support}
+def test_uniform_mixture_merges_repeated_points_and_weights():
+    m = mixture_from_arrays([(1.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [1 / 3] * 3, BINARY)
+    got = support(m)
     assert got[(1.0, 0.0)] == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert got[(0.0, 1.0)] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    with pytest.raises(InvalidDistribution):
-        empirical_mixture([])
 
 @pytest.mark.parametrize("k", [1, 4, 32])
 def test_one_lattice_rule_for_tables_moments_and_w1_lattice(k):

@@ -1,10 +1,11 @@
 """The array-native Mixture constructor against the object path it replaced.
 
 The reference below is the constructor as it was when a Mixture stored a
-tuple of (SimplexPoint, weight) pairs: each point checked and renormalized by
-SimplexPoint, exact duplicates folded with a dict, near-duplicates merged by
-a sorted sweep, then the weights renormalized by their input-order sum. The
-array path must give the same support order and the same bits.
+tuple of (point, weight) pairs: each point checked and renormalized on its
+own as a one-row `simplex_rows` call, exact duplicates folded with a dict,
+near-duplicates merged by a sorted sweep, then the weights renormalized by
+their input-order sum. The array path must give the same support order and
+the same bits.
 """
 
 import math
@@ -15,24 +16,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hocal.errors import HocalError
-from hocal.mixture import MERGE_TOL, Mixture, mixture_from_arrays
-from hocal.simplex import LabelSpace, SimplexPoint
+from hocal.mixture import MERGE_TOL, mixture_from_arrays
+from hocal.simplex import LabelSpace, simplex_rows
 
 
 def _reference_merge(pairs):
     acc = {}
     for point, weight in pairs:
-        key = point.probs
-        if key in acc:
-            acc[key] = (acc[key][0], acc[key][1] + weight)
+        if point in acc:
+            acc[point] = (acc[point][0], acc[point][1] + weight)
         else:
-            acc[key] = (point, weight)
-    reps = sorted(acc.values(), key=lambda pw: pw[0].probs)
-    buf = np.empty((len(reps), len(reps[0][0].probs)))
+            acc[point] = (point, weight)
+    reps = sorted(acc.values(), key=lambda pw: pw[0])
+    buf = np.empty((len(reps), len(reps[0][0])))
     kept = 0
     merged = []
     for point, weight in reps:
-        row = np.asarray(point.probs, dtype=float)
+        row = np.asarray(point, dtype=float)
         target = None
         lo = int(np.searchsorted(buf[:kept, 0], row[0] - MERGE_TOL, side="left"))
         if lo < kept:
@@ -52,13 +52,13 @@ def _reference_merge(pairs):
 def reference_mixture(points, weights, space):
     """(coordinates, weight) pairs of the object-path constructor."""
     pairs = [
-        (p if isinstance(p, SimplexPoint) else SimplexPoint(tuple(p)), float(w))
+        (tuple(simplex_rows([tuple(map(float, p))])[0].tolist()), float(w))
         for p, w in zip(points, weights)
     ]
     if not pairs:
         raise HocalError("a mixture needs at least one support point")
     for point, weight in pairs:
-        if point.dim != space.num_labels:
+        if len(point) != space.num_labels:
             raise HocalError("dimension")
         if not 0.0 < weight < math.inf:
             raise HocalError(f"weight {weight} is not positive and finite")
@@ -70,11 +70,16 @@ def reference_mixture(points, weights, space):
     merged = _reference_merge(pairs)
     if total != 1.0:
         merged = [(p, w / total) for p, w in merged]
-    return [(p.probs, w) for p, w in merged]
+    return merged
 
 
 def hexed(support):
     return [([x.hex() for x in probs], w.hex()) for probs, w in support]
+
+
+def stored(mix):
+    """The (coordinates, weight) pairs a mixture keeps, in stored order."""
+    return list(zip(mix.points_array().tolist(), mix.weights_array().tolist()))
 
 
 @st.composite
@@ -128,33 +133,16 @@ def _outcome(build):
 
 
 @settings(deadline=None, max_examples=300)
-@given(supports(), st.sampled_from(["tuples", "array", "points", "mixed"]))
+@given(supports(), st.sampled_from(["tuples", "array"]))
 def test_array_constructor_matches_the_object_path(case, form):
     l, rows, weights = case
     space = LabelSpace(l)
     inputs = [tuple(r.tolist()) for r in rows]
     if form == "array":
         inputs = np.array(inputs)
-    elif form in ("points", "mixed"):
-        try:
-            points = [SimplexPoint(p) for p in inputs]
-        except HocalError:
-            return
-        inputs = points if form == "points" else [
-            p if i % 2 else tuple(r.tolist()) for i, (p, r) in enumerate(zip(points, rows))
-        ]
     expected = _outcome(lambda: reference_mixture(list(inputs), weights, space))
-    got = _outcome(lambda: [
-        (p.probs, w) for p, w in mixture_from_arrays(inputs, weights, space).support
-    ])
+    got = _outcome(lambda: stored(mixture_from_arrays(inputs, weights, space)))
     assert got == expected
-    if got[0] == "ok":
-        mix = mixture_from_arrays(inputs, weights, space)
-        arrays = [([x.hex() for x in r], w.hex()) for r, w in zip(
-            mix.points_array().tolist(), mix.weights_array().tolist())]
-        assert arrays == expected[1]
-        if form == "points":
-            assert Mixture(tuple(zip(inputs, weights)), space) == mix
 
 
 def test_near_duplicates_apart_in_sorted_order_merge():
@@ -164,7 +152,7 @@ def test_near_duplicates_apart_in_sorted_order_merge():
     c = (0.2 + 1e-13, 0.1, 0.7 - 1e-13)
     mix = mixture_from_arrays([c, b, a], [0.2, 0.3, 0.5], LabelSpace(3))
     assert hexed(reference_mixture([c, b, a], [0.2, 0.3, 0.5], LabelSpace(3))) == hexed(
-        [(p.probs, w) for p, w in mix.support]
+        stored(mix)
     )
     assert mix.size == 2
 
@@ -190,73 +178,15 @@ def test_mixture_equality_is_exact_and_unhashable():
         hash(a)
 
 
-def test_library_paths_build_no_simplex_points(tmp_path, monkeypatch):
-    # the pipeline works on arrays end to end: no path below builds a checked
-    # SimplexPoint or reads Mixture.support (per-point callers' view)
-    from hocal.calibrate import CalibrationTable, SnapshotDataset, koc_error, posthoc_calibrate
-    from hocal.decompose import decompose, loss_breakdown, mgf_diagnostic
-    from hocal.entropy import EntropySpec
-    from hocal.io import read_calibration_table, write_calibration_table
-    from hocal.mixture import RngSeed, project_k
-    from hocal.moments import chebyshev_fit, estimate_moments
-    from hocal.predset import build_mass_set, coverage, enlarge, moment_interval
-    from hocal.synth import (
-        BinaryRegression, RandomMixtureSpec, bayes_mixtures, gen_dataset, random_mixture,
-        reference_table,
-    )
-    from hocal.transport import w1_lattice
+def test_the_per_point_layer_is_gone():
+    # 0.2.0 removed the per-point objects and wrappers; each has an array form
+    import hocal
 
-    calls = []
-    original = SimplexPoint.__post_init__
-
-    def counting(self):
-        calls.append(self)
-        original(self)
-
-    def no_support(self):
-        raise AssertionError("a library path read Mixture.support")
-
-    monkeypatch.setattr(SimplexPoint, "__post_init__", counting)
-    monkeypatch.setattr(Mixture, "support", property(no_support))
-    SimplexPoint((0.5, 0.5))
-    assert len(calls) == 1
-    calls.clear()
-
-    bayes_mixtures.cache_clear()
-    reference_table.cache_clear()
-    ds = gen_dataset(BinaryRegression(), 3000, 6, RngSeed(5))
-    ref = reference_table(BinaryRegression(), 6)
-    table = posthoc_calibrate(ds, partitions=ref.partitions, fill_missing=True)
-    write_calibration_table(table, tmp_path / "t.ldjson")
-    table = read_calibration_table(tmp_path / "t.ldjson")
-    koc_error(table, ref)
-    for pid in table.partitions:
-        estimate_moments(table.entries[pid], 6, eps=0.1)
-
-    space, k = LabelSpace(3), 4
-    spec = RandomMixtureSpec(num_labels=3, support_size=4, dirichlet_alpha=2.0)
-    truth = {f"p{i}": random_mixture(spec, RngSeed(i)) for i in range(3)}
-    counts = np.concatenate([
-        RngSeed(10 + i).generator().multinomial(k, m.points_array()[0], size=200)
-        for i, m in enumerate(truth.values())
-    ])
-    codes = np.repeat(np.arange(3), 200)
-    table3 = posthoc_calibrate(SnapshotDataset._from_columns(counts, codes, list(truth), space, k))
-    ref3 = CalibrationTable(
-        entries={pid: project_k(m, k) for pid, m in truth.items()}, k=k, space=space
-    )
-    koc_error(table3, ref3)
-    w1_lattice(table3.entries["p0"], ref3.entries["p0"], k)
-
-    for g in (EntropySpec.shannon(), EntropySpec.brier(binary_scaled=True)):
-        for tab, reference in ((table, ref), (table3, ref3)):
-            for pid in tab.partitions:
-                decompose(tab.entries[pid], g)
-                loss_breakdown(tab.entries[pid], reference.entries[pid], g)
-                coverage(enlarge(build_mass_set(tab.entries[pid], 0.1), 0.05), reference.entries[pid])
-        chebyshev_fit(g, 8)
-    for pid in table.partitions:
-        mgf_diagnostic(table.entries[pid], ref.entries[pid])
-        interval = moment_interval(estimate_moments(table.entries[pid], 6, eps=0.1), 0.2)
-        coverage(interval, ref.entries[pid])
-    assert calls == []
+    removed = [
+        "SimplexPoint", "Snapshot", "l1_distance", "snapshot_to_point", "empirical_mixture",
+        "entropy_value", "gradient", "divergence", "proper_loss", "moment_weight",
+    ]
+    assert [name for name in removed if hasattr(hocal, name)] == []
+    assert not hasattr(hocal.Mixture, "support")
+    assert not hasattr(hocal.PredictionSet, "contains")
+    assert not hasattr(hocal.IntervalSet, "contains")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hocal.entropy import EntropySpec, entropy_value
+from hocal.entropy import EntropySpec, entropy_rows
 from hocal.errors import DimensionMismatch, DomainError, InvalidDistribution
 from hocal.mixture import RngSeed, mixture_from_arrays, project_k
 from hocal.moments import (
@@ -13,10 +13,10 @@ from hocal.moments import (
     central_moment,
     chebyshev_fit,
     estimate_moments,
-    moment_weight,
+    _moment_ratio,
     poly_au_estimate,
 )
-from hocal.simplex import LabelSpace, SimplexPoint, Snapshot
+from hocal.simplex import LabelSpace
 from hocal.synth import RandomMixtureSpec, random_mixture
 
 BINARY = LabelSpace(2)
@@ -42,18 +42,19 @@ def binary(biases, weights):
     return mixture_from_arrays([(1.0 - b, b) for b in biases], weights, BINARY)
 
 
-def test_moment_weight_hand_values():
-    assert moment_weight(2, 1, Snapshot((0, 2))) == 1.0
-    assert moment_weight(2, 2, Snapshot((0, 2))) == 1.0
-    assert moment_weight(2, 1, Snapshot((1, 1))) == 0.5
-    assert moment_weight(2, 2, Snapshot((1, 1))) == 0.0
-    assert moment_weight(4, 2, Snapshot((1, 3))) == pytest.approx(
-        math.comb(3, 2) / math.comb(4, 2), abs=0
-    )
+def test_moment_ratio_hand_values():
+    # C(c, m)/C(k, m) for c labels of class 1 in a size-k snapshot
+    assert _moment_ratio(2, 2, 1) == 1.0
+    assert _moment_ratio(2, 2, 2) == 1.0
+    assert _moment_ratio(1, 2, 1) == 0.5
+    assert _moment_ratio(1, 2, 2) == 0.0
+    assert _moment_ratio(3, 4, 2) == math.comb(3, 2) / math.comb(4, 2)
+
+
+def test_estimate_moments_is_binary_only():
+    m = mixture_from_arrays([(0.5, 0.5, 0.0)], [1.0], LabelSpace(3))
     with pytest.raises(DimensionMismatch):
-        moment_weight(2, 1, Snapshot((1, 1, 0)))
-    with pytest.raises(DomainError):
-        moment_weight(2, 3, Snapshot((0, 2)))
+        estimate_moments(m, 2, eps=0.0)
 
 
 def test_estimate_moments_exact_on_projection():
@@ -89,12 +90,12 @@ def test_moment_vector_validation_and_bounds():
             MomentVector(k=1, values=(0.5,), eps=bad)
 
 
-def test_moment_weight_is_the_correctly_rounded_ratio_at_k_100():
+def test_moment_ratio_is_correctly_rounded_at_k_100():
     k = 100
     for c in range(k + 1):
         for m in range(1, c + 1):
             exact = Fraction(math.comb(c, m), math.comb(k, m))
-            assert moment_weight(k, m, Snapshot((k - c, c))) == float(exact)
+            assert _moment_ratio(c, k, m) == float(exact)
 
 
 def test_central_moment_hand_values():
@@ -148,8 +149,8 @@ def test_poly_au_estimate_exact_for_polynomial_entropy():
     mv = estimate_moments(project_k(m, 3), 3, eps=0.0)
     pa = chebyshev_fit(EntropySpec.brier(binary_scaled=True), 2)
     est, err = poly_au_estimate(pa, mv)
-    truth = sum(
-        w * entropy_value(EntropySpec.brier(binary_scaled=True), p) for p, w in m.support
+    truth = float(
+        m.weights_array() @ entropy_rows(EntropySpec.brier(binary_scaled=True), m.points_array())
     )
     assert est == pytest.approx(truth, abs=1e-10)
     assert err <= 1e-10

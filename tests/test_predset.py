@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hocal.errors import DomainError
+from hocal.errors import DimensionMismatch, DomainError, InvalidDistribution
 from hocal.mixture import RngSeed, mixture_from_arrays, project_k
 from hocal.moments import MomentVector, estimate_moments
 from hocal.predset import (
@@ -17,7 +17,7 @@ from hocal.predset import (
     moment_interval,
     sqrt_eps_rule,
 )
-from hocal.simplex import LabelSpace, SimplexPoint
+from hocal.simplex import LabelSpace
 from hocal.synth import RandomMixtureSpec, random_mixture
 
 BINARY = LabelSpace(2)
@@ -30,17 +30,17 @@ def binary(biases, weights):
 def test_build_mass_set_greedy():
     m = binary([0.1, 0.5, 0.9], [0.5, 0.3, 0.2])
     s = build_mass_set(m, alpha=0.25)
-    assert {c.probs for c in s.centers} == {(0.9, 0.1), (0.5, 0.5)}
+    assert sorted(s.centers.tolist()) == [[0.5, 0.5], [0.9, 0.1]]
     assert s.radius == 0.0
     s2 = build_mass_set(m, alpha=0.5)
-    assert {c.probs for c in s2.centers} == {(0.9, 0.1)}
+    assert s2.centers.tolist() == [[0.9, 0.1]]
 
 
 def test_build_mass_set_tie_break_is_deterministic():
     m = binary([0.75, 0.25], [0.5, 0.5])
     s = build_mass_set(m, alpha=0.6)
     # equal weights: the lexicographically smaller point wins
-    assert [c.probs for c in s.centers] == [(0.25, 0.75)]
+    assert s.centers.tolist() == [[0.25, 0.75]]
 
 
 def test_build_mass_set_alpha_domain():
@@ -51,19 +51,33 @@ def test_build_mass_set_alpha_domain():
         build_mass_set(m, alpha=1.0)
 
 
-def test_enlarge_and_contains():
-    s = PredictionSet(centers=(SimplexPoint((0.5, 0.5)),), radius=0.0)
+def test_enlarge_and_contains_rows():
+    s = PredictionSet(centers=[(0.5, 0.5)], radius=0.0)
     grown = enlarge(s, 0.2)
     assert grown.radius == pytest.approx(0.2)
-    assert grown.contains(SimplexPoint((0.45, 0.55)))
-    assert not grown.contains(SimplexPoint((0.3, 0.7)))
+    assert grown.contains_rows(np.array([(0.45, 0.55), (0.3, 0.7)])).tolist() == [True, False]
     with pytest.raises(DomainError):
         enlarge(s, -0.1)
 
 
+def test_centers_are_checked_read_only_rows_kept_as_given():
+    for bad in ([(math.nan, 1.0)], [(0.5, 0.6)], [(-0.1, 1.1)], [(1.0,)], [(math.inf, 0.0)]):
+        with pytest.raises(InvalidDistribution):
+            PredictionSet(centers=bad, radius=0.1)
+    rows = np.array([(0.5, 0.5 + 1e-10)])
+    s = PredictionSet(centers=rows, radius=0.1)
+    assert s.centers.tolist() == rows.tolist() and s.centers is not rows
+    with pytest.raises(ValueError):
+        s.centers[0, 0] = 0.4
+    assert s == PredictionSet(centers=[(0.5, 0.5 + 1e-10)], radius=0.1)
+    assert s != PredictionSet(centers=[(0.5, 0.5)], radius=0.1)
+    with pytest.raises(TypeError):
+        hash(s)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
 def test_radius_and_delta_must_be_finite_and_non_negative(bad):
-    s = PredictionSet(centers=(SimplexPoint((0.5, 0.5)),), radius=0.0)
+    s = PredictionSet(centers=[(0.5, 0.5)], radius=0.0)
     with pytest.raises(DomainError):
         PredictionSet(centers=s.centers, radius=bad)
     with pytest.raises(DomainError):
@@ -71,19 +85,23 @@ def test_radius_and_delta_must_be_finite_and_non_negative(bad):
     assert enlarge(s, 0.0) == s
 
 
-def test_membership_on_rows_matches_contains():
-    s = PredictionSet(centers=(SimplexPoint((0.5, 0.5)), SimplexPoint((0.9, 0.1))), radius=0.1)
+def test_membership_on_rows_matches_a_point_by_point_reference():
+    centers = [(0.5, 0.5), (0.9, 0.1)]
+    s = PredictionSet(centers=centers, radius=0.1)
     interval = IntervalSet(lo=0.2, hi=0.55)
     rows = [(0.5, 0.5), (0.46, 0.54), (0.8, 0.2), (0.86, 0.14), (0.3, 0.7), (1.0, 0.0)]
-    for membership in (s, interval):
-        expected = [membership.contains(SimplexPoint(r)) for r in rows]
-        assert membership.contains_rows(np.array(rows)).tolist() == expected
-    assert [s.contains(SimplexPoint(r)) for r in rows] == [True, True, False, True, False, False]
+    in_set = [any(abs(r[0] - c[0]) + abs(r[1] - c[1]) <= 0.1 for c in centers) for r in rows]
+    assert s.contains_rows(np.array(rows)).tolist() == in_set
+    assert in_set == [True, True, False, True, False, False]
+    in_interval = [0.2 <= r[1] <= 0.55 for r in rows]
+    assert interval.contains_rows(np.array(rows)).tolist() == in_interval
+    with pytest.raises(DimensionMismatch):
+        interval.contains_rows(np.array([(0.2, 0.3, 0.5)]))
 
 
 def test_coverage_counts_contained_mass():
     m = binary([0.1, 0.5, 0.9], [0.25, 0.5, 0.25])
-    s = PredictionSet(centers=(SimplexPoint((0.5, 0.5)),), radius=0.3)
+    s = PredictionSet(centers=[(0.5, 0.5)], radius=0.3)
     # |b - 0.5| <= 0.15 in l1 terms: only the middle point
     assert coverage(s, m) == pytest.approx(0.5, abs=1e-15)
 
@@ -101,7 +119,7 @@ def test_moment_interval_point_mass_is_tight():
     interval = moment_interval(mv, alpha=0.2)
     assert interval.lo == pytest.approx(0.3, abs=1e-9)
     assert interval.hi == pytest.approx(0.3, abs=1e-9)
-    assert interval.contains(SimplexPoint((0.7, 0.3)))
+    assert interval.contains_rows(np.array([(0.7, 0.3)])).tolist() == [True]
 
 
 def test_moment_interval_uniform_vertices():
@@ -134,12 +152,11 @@ def test_interval_set_validation():
     with pytest.raises(DomainError):
         IntervalSet(lo=-0.1, hi=0.5)
     s = IntervalSet(lo=0.25, hi=0.75)
-    assert s.contains(SimplexPoint((0.5, 0.5)))
-    assert not s.contains(SimplexPoint((0.9, 0.1)))
+    assert s.contains_rows(np.array([(0.5, 0.5), (0.9, 0.1)])).tolist() == [True, False]
 
 
 def test_serialization_dicts():
-    s = PredictionSet(centers=(SimplexPoint((0.5, 0.5)),), radius=0.1)
+    s = PredictionSet(centers=[(0.5, 0.5)], radius=0.1)
     assert s.to_dict() == {"centers": [[0.5, 0.5]], "radius": 0.1}
     assert IntervalSet(lo=0.2, hi=0.8).to_dict() == {"lo": 0.2, "hi": 0.8}
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,17 @@ from hocal.synth import (
 from hocal.transport import wasserstein1
 
 
+def support(m):
+    """point tuple -> weight"""
+    return dict(zip(map(tuple, m.points_array().tolist()), m.weights_array().tolist()))
+
+
 def test_two_scenario_truths():
     s1 = bayes_mixtures(TwoScenario(which=1))["all"]
     assert s1.size == 1
-    assert s1.support[0][0].probs == (0.5, 0.5)
+    assert s1.points_array().tolist() == [[0.5, 0.5]]
     s2 = bayes_mixtures(TwoScenario(which=2))["all"]
-    assert {p.probs: w for p, w in s2.support} == {(1.0, 0.0): 0.5, (0.0, 1.0): 0.5}
+    assert support(s2) == {(1.0, 0.0): 0.5, (0.0, 1.0): 0.5}
     with pytest.raises(DomainError):
         TwoScenario(which=3)
 
@@ -51,7 +58,7 @@ def test_regression_bayes_mixtures_are_proper():
     assert sorted(mixtures) == [f"bin{i:02d}" for i in range(20)]
     for m in mixtures.values():
         assert float(m.weights_array().sum()) == pytest.approx(1.0, abs=1e-9)
-        b = centroid(m).bias
+        b = centroid(m)[1]
         assert 0.01 <= b <= 0.99
 
 
@@ -60,14 +67,14 @@ def test_regression_truth_tracks_the_conditional_probability():
     # which averages above 0.5 on [0, 0.15]
     spec = BinaryRegression()
     m = bayes_mixtures(spec)["bin00"]
-    assert centroid(m).bias > 0.5
+    assert centroid(m)[1] > 0.5
 
 
 def test_reference_table_matches_projection_mean():
     spec = TwoScenario(which=1)
     table = reference_table(spec, 2)
     entry = table.entries["all"]
-    got = {p.probs: w for p, w in entry.support}
+    got = support(entry)
     assert got[(0.5, 0.5)] == pytest.approx(0.5, abs=1e-12)
     assert got[(1.0, 0.0)] == pytest.approx(0.25, abs=1e-12)
     assert got[(0.0, 1.0)] == pytest.approx(0.25, abs=1e-12)
@@ -78,10 +85,10 @@ def test_gen_dataset_two_scenario_statistics():
     n = 4000
     ds = gen_dataset(TwoScenario(which=2), n, 1, RngSeed(11))
     ref = reference_table(TwoScenario(which=2), 1)
-    assert len(ds.records) == n
+    assert len(ds) == n
     assert ds.partitions == ["all"]
     assert ref.k == 1
-    ones = sum(snap.counts[1] for _, snap in ds.records)
+    ones = int(ds.counts[:, 1].sum())
     # Bernoulli(1/2): 4 sigma = 4 * sqrt(n)/2
     assert abs(ones - n / 2) < 2 * np.sqrt(n)
 
@@ -90,15 +97,15 @@ def test_gen_dataset_deterministic_under_seed():
     a = gen_dataset(BinaryRegression(), 500, 3, RngSeed(5))
     b = gen_dataset(BinaryRegression(), 500, 3, RngSeed(5))
     c = gen_dataset(BinaryRegression(), 500, 3, RngSeed(6))
-    assert a.records == b.records
-    assert a.records != c.records
+    assert a == b
+    assert a != c
 
 
 def test_gen_dataset_regression_partitions_and_sizes():
     ds = gen_dataset(BinaryRegression(), 2000, 4, RngSeed(2))
     ref = reference_table(BinaryRegression(), 4)
     assert set(ds.partitions) <= {f"bin{i:02d}" for i in range(20)}
-    assert all(snap.k == 4 for _, snap in ds.records)
+    assert (ds.counts.sum(axis=1) == 4).all()
     assert sorted(ref.partitions) == [f"bin{i:02d}" for i in range(20)]
     with pytest.raises(DomainError):
         gen_dataset(BinaryRegression(), 0, 4, RngSeed(2))
@@ -137,6 +144,14 @@ def test_random_mixture_shape_and_determinism():
     assert float(m1.weights_array().sum()) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
         RandomMixtureSpec(num_labels=1, support_size=3, dirichlet_alpha=1.0)
+
+
+@pytest.mark.parametrize(
+    "fields", [(2, 3, math.nan), (2, 3, math.inf), (math.inf, 3, 1.0), (2, math.nan, 1.0)]
+)
+def test_random_mixture_spec_rejects_nan_and_inf(fields):
+    with pytest.raises(DomainError):
+        RandomMixtureSpec(*fields)
 
 
 def test_regression_aleatoric_truth_is_reasonable():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hocal.errors import CapExceeded, DimensionMismatch, DomainError
 from hocal.mixture import RngSeed, mixture_from_arrays, project_k
-from hocal.simplex import LabelSpace, enumerate_snapshot_space, snapshot_to_point
+from hocal.simplex import LabelSpace, enumerate_snapshot_space
 from hocal.synth import RandomMixtureSpec
 from hocal.synth import random_mixture as draw_mixture
 import hocal.transport
@@ -189,8 +189,7 @@ def test_w1_binary_lp_cdf_agreement_property(seed):
     assert lp_cost == pytest.approx(cdf_cost, abs=1e-9)
 
 def lattice_mixture(space, k, seed):
-    snaps = enumerate_snapshot_space(space, k)
-    points = [snapshot_to_point(s) for s in snaps]
+    points = enumerate_snapshot_space(space, k) / k
     weights = RngSeed(seed).generator().dirichlet(np.ones(len(points)))
     return mixture_from_arrays(points, weights, space)
 
