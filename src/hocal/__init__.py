@@ -159,4 +159,6 @@ __all__ = [
     "sqrt_eps_rule",
     "w1_lattice",
     "wasserstein1",
+    "write_calibration_table",
+    "write_snapshot_dataset",
 ]

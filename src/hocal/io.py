@@ -54,10 +54,11 @@ def _parse_header(lines, path, expect_kind=None):
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header must be an object", line=1)
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format_version {version!r}", line=1)
     for key in ("num_labels", "k"):
-        if not isinstance(header.get(key), int) or header[key] < 1:
+        value = header.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise FormatError(f"{path}: header needs a positive integer {key!r}", line=1)
     if expect_kind is not None and header.get("kind") != expect_kind:
         raise FormatError(f"{path}: expected kind {expect_kind!r}, got {header.get('kind')!r}", line=1)

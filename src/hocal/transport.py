@@ -9,9 +9,9 @@ single-label moves that scales far beyond the dense LP, solved by two
 rounds of the primal-dual method on scipy.sparse.csgraph. Both the dense LP
 and the lattice flow pass one certificate, `_certify`: non-negativity,
 balance of the full equality system, dual feasibility, complementary
-slackness and the primal-dual gap, each to 1e-8. The supply-scale ladder
-and the dual retry serve the dense LP only. scipy is imported only when an
-LP or a flow is built or solved, and scipy.optimize only by the dense LP.
+slackness and the primal-dual gap, each to 1e-8. The dense LP is one HiGHS
+solve in one configuration. scipy is imported only when an LP or a flow is
+built or solved, and scipy.optimize only by the dense LP.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ DEFAULT_SUPPORT_CAP = 2000
 CHECK_TOL = 1e-8
 # HiGHS feasibility tolerances are absolute; solving with supplies scaled up
 # by this factor and dividing the flow back down leaves marginal residuals
-# at the 1e-15 level instead of ~1e-6.
-_SUPPLY_SCALE = 1e8
-# The (supply scale, presolve) steps _solve_lp tries in order; each has been
-# the first to succeed on some LP (README, "Distances").
-_LADDER = ((_SUPPLY_SCALE, True), (_SUPPLY_SCALE, False), (1e6, True))
+# near 1e-11, far inside CHECK_TOL. At 1e8, presolve judged some systems with
+# supplies spanning many orders of magnitude infeasible (README, "Distances").
+_SUPPLY_SCALE = 1e6
 # HiGHS's default dual tolerance admits reduced costs down to -1e-7, looser than CHECK_TOL
-_DUAL_RETRY_TOL = 1e-10
+_DUAL_TOL = 1e-10
 
 
 class SolverFailure(HocalError):
@@ -63,45 +61,34 @@ def _certify(cost, a_full, b_full, x, y):
         raise SolverFailure("primal and dual objectives disagree")
 
 
-def _solve_lp(cost, a_eq, b_eq, dual_tol=None):
-    """HiGHS over the steps of _LADDER, at dual feasibility tolerance
-    `dual_tol` (None: HiGHS's default); the first success and its scale.
-
-    Presolve can misjudge a scaled system whose supplies span many orders of
-    magnitude (multinomial tail masses) infeasible. The caller's certificate
-    remains the correctness gate.
-    """
+def _solve_lp(cost, a_eq, b_eq):
+    """HiGHS on the system with supplies scaled by _SUPPLY_SCALE, at dual
+    feasibility tolerance _DUAL_TOL and default presolve. The caller
+    unscales the plan; its certificate remains the correctness gate."""
     from scipy.optimize import linprog
 
-    for scale, presolve in _LADDER:
-        res = linprog(
-            cost,
-            A_eq=a_eq,
-            b_eq=b_eq * scale,
-            bounds=(0, None),
-            method="highs",
-            options={"presolve": presolve, "dual_feasibility_tolerance": dual_tol},
-        )
-        if res.status == 0:
-            break
-    return res, scale
+    return linprog(
+        cost,
+        A_eq=a_eq,
+        b_eq=b_eq * _SUPPLY_SCALE,
+        bounds=(0, None),
+        method="highs",
+        options={"dual_feasibility_tolerance": _DUAL_TOL},
+    )
 
 
-def _certified_lp(cost, a_full, b_full, dual_tol=None):
+def _certified_lp(cost, a_full, b_full):
     """x >= 0 minimizing cost @ x subject to a_full @ x = b_full, certified
-    by _certify.
+    by _certify after one HiGHS solve.
 
     The last row of the rank-deficient flow system `a_full` is redundant:
-    HiGHS gets the others and the dropped row's dual is fixed at 0. Only a
-    failed dual check is retried, once, at _DUAL_RETRY_TOL.
+    HiGHS gets the others and the dropped row's dual is fixed at 0.
     """
-    res, scale = _solve_lp(cost, a_full[:-1], b_full[:-1], dual_tol)
+    res = _solve_lp(cost, a_full[:-1], b_full[:-1])
     if res.status != 0:
         raise SolverFailure(f"highs LP failed: {res.message}")
-    x = res.x / scale
+    x = res.x / _SUPPLY_SCALE
     y = np.append(res.eqlin.marginals, 0.0)
-    if dual_tol is None and (cost - a_full.T @ y).min() < -CHECK_TOL:
-        return _certified_lp(cost, a_full, b_full, _DUAL_RETRY_TOL)
     _certify(cost, a_full, b_full, x, y)
     return x
 

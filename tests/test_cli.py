@@ -419,6 +419,37 @@ def test_malformed_table_numbers_give_a_json_error(tmp_path, capsys, record, err
 
 
 @pytest.mark.parametrize(
+    "command,header",
+    [
+        ("calibrate", {"format_version": True, "k": True, "num_labels": 2}),
+        ("calibrate", {"format_version": True, "k": 1, "num_labels": 2}),
+        ("calibrate", {"format_version": 1, "k": True, "num_labels": 2}),
+        ("calibrate", {"format_version": 1, "k": 1, "num_labels": True}),
+        ("moments", {"format_version": 1, "k": True, "kind": "calibration_table", "num_labels": 2}),
+        ("moments", {"format_version": 1, "k": 1, "kind": "calibration_table", "num_labels": True}),
+    ],
+)
+def test_boolean_header_fields_give_a_json_error(tmp_path, capsys, command, header):
+    # JSON true equals 1 in Python, but it is not a version, a label count or k
+    path, out_path = tmp_path / "input.ldjson", tmp_path / "out"
+    if command == "calibrate":
+        record = {"labels": [0], "partition": "a"}
+        argv = ["calibrate", "--data", str(path), "--out", str(out_path)]
+    else:
+        record = {"count": 1, "partition": "a", "points": [[1.0, 0.0]], "weights": [1.0]}
+        argv = ["moments", "--table", str(path), "--eps", "0.05", "--out", str(out_path)]
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert diag["error"] == "FormatError"
+    assert str(path) in diag["message"] and "(line 1)" in diag["message"]
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["calibrate", "--data", "{tmp}/missing.ldjson", "--out", "{tmp}/table.ldjson"],
