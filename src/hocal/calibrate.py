@@ -18,19 +18,17 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, EmptyPartition, InvalidDistribution
 from .mixture import Mixture, _lattice_counts, _readonly, _running_sum
-from .simplex import LabelSpace, simplex_rows, snapshot_space_size
+from .simplex import LabelSpace, _snapshot_size, simplex_rows, snapshot_space_size
 from .transport import DEFAULT_SUPPORT_CAP, wasserstein1
 
 
 def _check_records(counts, codes, names, space: LabelSpace, k: int):
-    """Every record has l labels, size k >= 1 and no negative count.
+    """Every record has l labels, size k and no negative count.
 
     Row i of `counts` holds record i's counts. The first record that fails
     raises, naming its partition.
     """
     l = space.num_labels
-    if k < 1:
-        raise InvalidDistribution(f"snapshot size must be >= 1, got {k}")
     if counts.ndim != 2 or counts.shape[1] != l:
         raise DimensionMismatch(f"count matrix of shape {counts.shape} in a {l}-label dataset")
     sizes, lows = counts.sum(axis=1), counts.min(axis=1, initial=0)
@@ -53,7 +51,8 @@ class SnapshotDataset:
     sorted; ids are stored as strings. The dataset keeps its own read-only
     copy of the counts as `counts`, an (n, l) int64 matrix; `codes` is a
     read-only (n,) int64 array indexing `names`, the sorted partition ids
-    that have records. Records keep their input order. Equality compares
+    that have records; `k` is stored as a Python int, and bool, non-integers
+    and k < 1 are refused. Records keep their input order. Equality compares
     the columns; datasets are not hashable.
     """
 
@@ -69,6 +68,7 @@ class SnapshotDataset:
         self.names = tuple(sorted(set(used)))
         rank = {pid: i for i, pid in enumerate(self.names)}
         codes = np.array([rank[pid] for pid in used], dtype=np.int64)[codes]
+        k = _snapshot_size(k)
         _check_records(counts, codes, self.names, space, k)
         self.counts = _readonly(counts)
         self.codes = _readonly(codes)
@@ -124,10 +124,12 @@ class SnapshotDataset:
 class CalibrationTable:
     """Partition -> predicted mixture, every mixture on the size-k lattice.
 
-    counts carries how many records built each entry (None for exact
-    reference tables that were never estimated from data); downstream
-    scoring uses it for the record-weighted mean. Both are stored as
-    read-only copies, so the checked entries are the only ones a table has.
+    k must be an integer >= 1 (numpy integers included, bool refused) and
+    is stored as a Python int. counts carries how many records built each
+    entry (None for exact reference tables that were never estimated from
+    data); downstream scoring uses it for the record-weighted mean. Both are
+    stored as read-only copies, so the checked entries are the only ones a
+    table has.
     """
 
     entries: Mapping
@@ -136,6 +138,7 @@ class CalibrationTable:
     counts: Mapping | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _snapshot_size(self.k))
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         if self.counts is not None:
             object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
@@ -227,6 +230,9 @@ def koc_error(
 ) -> CalibrationScore:
     """Per-partition W1 between a table and a reference table.
 
+    Each partition is one `wasserstein1(..., k=table.k)` call: binary
+    tables take the CDF route; others the lattice flow where its rule
+    holds, else the dense LP under `support_cap`.
     The weighted mean weights each partition by the table's record count
     when counts are available, else uniformly.
     """
@@ -240,7 +246,7 @@ def koc_error(
     per = {}
     for pid in table.partitions:
         per[pid], _ = wasserstein1(
-            table.entries[pid], reference.entries[pid], support_cap=support_cap
+            table.entries[pid], reference.entries[pid], support_cap=support_cap, k=table.k
         )
     if table.counts and sum(table.counts.get(p, 0) for p in per) > 0:
         weights = {p: table.counts.get(p, 0) for p in per}
@@ -262,8 +268,7 @@ def required_samples(space: LabelSpace, k: int, eps: float, delta: float) -> int
     ceil(2 (|Y^(k)| ln 2 + ln(1/delta)) / eps^2) with |Y^(k)| the snapshot
     lattice size.
     """
-    if k < 1:
-        raise DomainError(f"snapshot size must be >= 1, got {k}")
+    k = _snapshot_size(k, DomainError)
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
     if not 0.0 < delta < 1.0:
@@ -275,8 +280,7 @@ def required_samples(space: LabelSpace, k: int, eps: float, delta: float) -> int
 def hoc_bound(eps: float, space: LabelSpace, k: int) -> float:
     """Higher-order calibration error implied by k-th order error eps:
     eps + l / (2 sqrt(k))."""
-    if k < 1:
-        raise DomainError(f"snapshot size must be >= 1, got {k}")
+    k = _snapshot_size(k, DomainError)
     if not 0.0 <= eps < math.inf:
         raise DomainError(f"eps must be finite and non-negative, got {eps}")
     return eps + space.num_labels / (2.0 * math.sqrt(k))

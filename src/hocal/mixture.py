@@ -288,7 +288,7 @@ def project_k(m: Mixture, k: int) -> Mixture:
     deterministic component (a vertex) projects to a point mass at itself.
     Raises CapExceeded when the lattice has more than DEFAULT_ENUM_CAP points.
     """
-    _check_lattice_size(m.space, k, DEFAULT_ENUM_CAP)
+    k = _check_lattice_size(m.space, k, DEFAULT_ENUM_CAP)
     mass = _projection_masses(m, k)
     _, _, order, probs = _lattice(m.space, k)
     # lattice points are 2/k apart in l1, so the merge could never fire

@@ -19,7 +19,7 @@ import numpy as np
 from .entropy import EntropySpec, entropy_rows
 from .errors import DimensionMismatch, DomainError, InvalidDistribution
 from .mixture import Mixture, _lattice_counts
-from .simplex import simplex_rows
+from .simplex import _snapshot_size, simplex_rows
 
 MAX_FIT_DEGREE = 24
 SUP_ERROR_GRID = 10**4
@@ -87,8 +87,7 @@ def estimate_moments(kth: Mixture, k: int, eps: float) -> MomentVector:
     """
     if kth.space.num_labels != 2:
         raise DimensionMismatch("moment recovery is defined for binary spaces")
-    if k < 1:
-        raise DomainError(f"snapshot size must be >= 1, got {k}")
+    k = _snapshot_size(k, DomainError)
     counts, off = _lattice_counts(kth.points_array(), k)
     if off.size:
         bias = kth.points_array()[off[0], 1]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,15 +73,30 @@ def snapshot_space_size(space: LabelSpace, k: int) -> int:
     return math.comb(k + space.num_labels - 1, space.num_labels - 1)
 
 
-def _check_lattice_size(space: LabelSpace, k: int, cap: int):
-    """Refuse a snapshot size below 1 and a lattice of more than `cap` points."""
+def _snapshot_size(k, error=InvalidDistribution) -> int:
+    """k as a Python int, refusing bool, non-integers and k < 1 with `error`;
+    numpy integers are accepted."""
+    if isinstance(k, (bool, np.bool_)):
+        raise error(f"snapshot size must be an integer, got {k!r}")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise error(f"snapshot size must be an integer, got {k!r}") from None
     if k < 1:
-        raise InvalidDistribution(f"snapshot size must be >= 1, got {k}")
+        raise error(f"snapshot size must be >= 1, got {k}")
+    return k
+
+
+def _check_lattice_size(space: LabelSpace, k, cap: int, error=InvalidDistribution) -> int:
+    """k as a Python int (see _snapshot_size), refusing a lattice of more
+    than `cap` points."""
+    k = _snapshot_size(k, error)
     size = snapshot_space_size(space, k)
     if size > cap:
         raise CapExceeded(
             f"snapshot space has {size} points, above the cap of {cap}"
         )
+    return k
 
 
 def enumerate_snapshot_space(space: LabelSpace, k: int) -> np.ndarray:
@@ -92,7 +108,7 @@ def enumerate_snapshot_space(space: LabelSpace, k: int) -> np.ndarray:
     reversed lexicographic order. Raises CapExceeded when C(k+l-1, l-1)
     exceeds DEFAULT_ENUM_CAP.
     """
-    _check_lattice_size(space, k, DEFAULT_ENUM_CAP)
+    k = _check_lattice_size(space, k, DEFAULT_ENUM_CAP)
     l = space.num_labels
     bars = itertools.chain.from_iterable(itertools.combinations(range(k + l - 1), l - 1))
     bars = np.fromiter(bars, dtype=np.int64).reshape(-1, l - 1)[::-1]

@@ -4,9 +4,13 @@ Three routes, never collapsed: binary mixtures use the exact 1-D quantile
 formula (the monotone coupling is optimal on a line), checked against both
 marginals and against 2 * integral |F_a - F_b| over the bias coordinate;
 general supports solve the dense transportation LP with HiGHS; mixtures on
-a common k-snapshot lattice can use `w1_lattice`, a min-cost flow over
+a common k-snapshot lattice use `w1_lattice`, a min-cost flow over
 single-label moves that scales far beyond the dense LP, solved by two
-rounds of the primal-dual method on scipy.sparse.csgraph. Both the dense LP
+rounds of the primal-dual method on scipy.sparse.csgraph. `wasserstein1`
+picks the route by input: cdf for binary spaces, the lattice flow when the
+caller names the lattice `k`, it has at most DEFAULT_NODE_CAP points and
+the LP's support pairs outnumber twice the lattice's single-label moves,
+the dense LP otherwise; no route stands in for another. Both the dense LP
 and the lattice flow pass one certificate, `_certify`: non-negativity,
 balance of the full equality system, dual feasibility, complementary
 slackness and the primal-dual gap, each to 1e-8. The dense LP is one HiGHS
@@ -16,13 +20,14 @@ built or solved, and scipy.optimize only by the dense LP.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, DomainError, HocalError
 from .mixture import Mixture, _lattice, _lattice_counts, _lattice_rank
-from .simplex import _check_lattice_size
+from .simplex import _check_lattice_size, _snapshot_size, snapshot_space_size
 
 DEFAULT_SUPPORT_CAP = 2000
 CHECK_TOL = 1e-8
@@ -192,16 +197,26 @@ def wasserstein1(
     b: Mixture,
     support_cap: int = DEFAULT_SUPPORT_CAP,
     method: str = "auto",
+    *,
+    k: int | None = None,
 ):
     """Optimal transport cost between two mixtures and an optimal plan.
 
     The plan is an (a.size, b.size) array: mass[i, j] moves row i of
     `a.points_array()` onto row j of `b.points_array()`. Ground cost is
-    the l1 distance between simplex points. `method` picks the route:
-    "cdf" (binary only), "lp", or "auto" (cdf when the label space is
-    binary). The LP route refuses combined supports above `support_cap`.
+    the l1 distance between simplex points. `k`, when given, is the
+    snapshot lattice both mixtures live on. `method` picks the route:
+    "cdf" (binary only), "lp", or "auto", which takes cdf when the label
+    space is binary; else the flow of `w1_lattice` when `k` is given and
+    `_flow_route` holds, returning plan None since that flow lives on
+    moves, not point pairs; else lp. "cdf" and "lp" ignore `k`. The LP
+    route refuses combined supports above `support_cap`.
     """
     _check_same_space(a, b)
+    if method == "auto" and a.space.num_labels > 2 and k is not None:
+        k = _snapshot_size(k, DomainError)
+        if _flow_route(a.space, k, a.size * b.size):
+            return _w1_flow(a, b, k), None
     if method == "auto":
         method = "cdf" if a.space.num_labels == 2 else "lp"
     if method not in ("cdf", "lp"):
@@ -214,6 +229,24 @@ def wasserstein1(
 
 
 DEFAULT_NODE_CAP = 100_000
+# The dense LP has a.size * b.size pair variables, the lattice flow one per
+# single-label move, times a number of phases that grows with k. On spread
+# supports from (l, k) = (3, 16) to (3, 200) and (4, 32) (README
+# "Distances"), the flow took 0.27 to 0.90 of the LP's time at twice as many
+# pairs as moves, and up to 2.3 times it at as many.
+_PAIRS_PER_MOVE = 2
+
+
+def _flow_route(space, k: int, pairs: int) -> bool:
+    """Whether `wasserstein1` scores `pairs` support pairs on the size-k
+    lattice by the flow: the lattice has at most DEFAULT_NODE_CAP points and
+    more than _PAIRS_PER_MOVE pairs per single-label move."""
+    l = space.num_labels
+    # a move from label i to label j starts at every point with c_i >= 1
+    moves = l * (l - 1) * math.comb(k + l - 2, l - 1)
+    return snapshot_space_size(space, k) <= DEFAULT_NODE_CAP and pairs > _PAIRS_PER_MOVE * moves
+
+
 # Each round of the lattice flow rounds its supplies to integers whose
 # absolute values sum to _FLOW_UNITS (up to one unit per node). The round's
 # total excess is then about 2^29 and no capacity exceeds it, so the two
@@ -398,15 +431,18 @@ def w1_lattice(a: Mixture, b: Mixture, k: int) -> float:
     smaller than the dense LP's one variable per support pair. The flow
     lives on edges rather than point pairs, so only the cost is returned.
     The flow is solved by _lattice_flow, a primal-dual method, and
-    certified in-function by _certify. Raises DomainError for points off
-    the lattice, CapExceeded when the lattice has more than
+    certified in-function by _certify. k must be an integer >= 1, numpy
+    integers included. Raises DomainError for any other k (bool too) and
+    for points off the lattice, CapExceeded when the lattice has more than
     DEFAULT_NODE_CAP points, and SolverFailure when the flow fails its
     certificate or its phase cap.
     """
     _check_same_space(a, b)
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"snapshot size must be a positive integer, got {k!r}")
-    _check_lattice_size(a.space, k, DEFAULT_NODE_CAP)
+    return _w1_flow(a, b, _check_lattice_size(a.space, k, DEFAULT_NODE_CAP, DomainError))
+
+
+def _w1_flow(a: Mixture, b: Mixture, k: int) -> float:
+    """w1_lattice for a Python int k whose lattice is within the node cap."""
     graph = _move_graph(a.space, k)
     incidence = graph[0]
     supply = np.zeros(incidence.shape[0])

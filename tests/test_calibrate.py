@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hocal.calibrate
 from hocal.calibrate import (
     CalibrationTable,
     SnapshotDataset,
@@ -12,13 +13,15 @@ from hocal.calibrate import (
     required_samples,
 )
 from hocal.errors import (
+    CapExceeded,
     DimensionMismatch,
     DomainError,
     EmptyPartition,
     InvalidDistribution,
 )
-from hocal.mixture import mixture_from_arrays
+from hocal.mixture import mixture_from_arrays, project_k
 from hocal.simplex import LabelSpace
+from hocal.transport import wasserstein1
 
 BINARY = LabelSpace(2)
 
@@ -106,6 +109,26 @@ def test_table_entries_must_sit_on_the_lattice():
         CalibrationTable(entries={"a": off}, k=2, space=BINARY, counts=None)
     on = mixture_from_arrays([(0.5, 0.5)], [1.0], BINARY)
     CalibrationTable(entries={"a": on}, k=2, space=BINARY, counts=None)
+
+
+@pytest.mark.parametrize("k", [0, -1, True, np.True_, 2.0, "2", float("nan"), None])
+def test_snapshot_size_must_be_an_integer_of_at_least_one(k):
+    on = mixture_from_arrays([(0.5, 0.5)], [1.0], BINARY)
+    with pytest.raises(InvalidDistribution, match="snapshot size must be"):
+        CalibrationTable(entries={"a": on}, k=k, space=BINARY)
+    with pytest.raises(InvalidDistribution, match="snapshot size must be"):
+        SnapshotDataset([(1, 1)], [0], ["a"], BINARY, k)
+
+
+def test_numpy_snapshot_sizes_are_stored_as_python_ints():
+    # a numpy k once reached koc_error unconverted, where w1_lattice refused it
+    space = LabelSpace(3)
+    m = mixture_from_arrays([(0.5, 0.25, 0.25), (0.0, 0.0, 1.0)], [0.5, 0.5], space)
+    table = CalibrationTable(entries={"a": m}, k=np.int64(4), space=space)
+    assert type(table.k) is int and table.k == 4
+    ds = SnapshotDataset([(2, 1, 1)], [0], ["a"], space, np.int32(4))
+    assert type(ds.k) is int and ds.k == 4
+    assert koc_error(table, table).worst == 0.0
 
 
 def test_table_keeps_only_the_entries_it_checked():
@@ -215,6 +238,11 @@ def test_hoc_bound():
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
             hoc_bound(bad, BINARY, 4)
+    for k in (True, 4.0):
+        with pytest.raises(DomainError, match="snapshot size must be an integer"):
+            hoc_bound(0.1, BINARY, k)
+        with pytest.raises(DomainError, match="snapshot size must be an integer"):
+            required_samples(BINARY, k, 0.1, 0.05)
 
 
 def test_table_and_dataset_space_checks():
@@ -228,3 +256,67 @@ def test_table_and_dataset_space_checks():
     )
     with pytest.raises(DimensionMismatch):
         koc_error(t1, t3)
+
+def multiclass_tables(l, k, partitions, seed, records=4000):
+    """A dataset and its exact reference table shaped like the multiclass
+    benchmark: per partition, snapshots of a 4-point Dirichlet(2) mixture
+    and that mixture's k-th order projection."""
+    rng = np.random.default_rng(seed)
+    space = LabelSpace(l)
+    counts, ref = [], {}
+    for i in range(partitions):
+        points = rng.dirichlet(np.full(l, 2.0), size=4)
+        weights = rng.dirichlet(np.ones(4))
+        comp = rng.choice(4, size=records, p=weights)
+        counts.append(rng.multinomial(k, points[comp]))
+        ref[f"p{i:02d}"] = project_k(mixture_from_arrays(points, weights, space), k)
+    codes = np.repeat(np.arange(partitions), records)
+    ds = SnapshotDataset(np.concatenate(counts), codes, list(ref), space, k)
+    return ds, CalibrationTable(entries=ref, k=k, space=space)
+
+
+@pytest.mark.parametrize("l, k, fill", [(3, 16, False), (4, 8, True)])
+def test_koc_error_on_the_lattice_matches_the_dense_lp(l, k, fill, monkeypatch):
+    ds, ref = multiclass_tables(l, k, 3, seed=[l, k])
+    if fill:
+        # two partitions without records get the uniform vertex mixture
+        ref = CalibrationTable(
+            entries={**ref.entries, "q0": ref.entries["p00"], "q1": ref.entries["p01"]},
+            k=k, space=ref.space,
+        )
+    table = posthoc_calibrate(ds, partitions=ref.partitions, fill_missing=fill)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return wasserstein1(*args, **kwargs)
+
+    # one call per partition through the module attribute, naming the lattice
+    monkeypatch.setattr(hocal.calibrate, "wasserstein1", counted)
+    score = koc_error(table, ref)
+    assert [kw["k"] for kw in calls] == [k] * len(ref.partitions)
+    for pid in ref.partitions:
+        dense, _ = wasserstein1(table.entries[pid], ref.entries[pid], method="lp")
+        assert abs(score.per_partition[pid] - dense) <= 1e-12
+    assert koc_error(ref, ref).per_partition == dict.fromkeys(ref.partitions, 0.0)
+    assert koc_error(table, table).per_partition == dict.fromkeys(ref.partitions, 0.0)
+
+
+def test_koc_error_above_the_node_cap_takes_the_capped_dense_lp():
+    # l = 3, k = 446: 100 128 lattice points, above the node cap of 10^5
+    space, k = LabelSpace(3), 446
+    a = mixture_from_arrays([(1.0, 0.0, 0.0), (445 / k, 1 / k, 0.0)], [0.5, 0.5], space)
+    b = mixture_from_arrays([(0.0, 1.0, 0.0), (1 / k, 0.0, 445 / k)], [0.25, 0.75], space)
+    table = CalibrationTable(entries={"a": a}, k=k, space=space)
+    ref = CalibrationTable(entries={"a": b}, k=k, space=space)
+    assert koc_error(table, ref).worst == wasserstein1(a, b, method="lp")[0]
+    with pytest.raises(CapExceeded, match="support_cap=3"):
+        koc_error(table, ref, support_cap=3)
+    # where the lattice flow scores the table (15 x 15 pairs on the 60 moves
+    # of the k = 4 lattice), support_cap does not bind
+    f = mixture_from_arrays([(0.2, 0.3, 0.5)], [1.0], space)
+    h = mixture_from_arrays([(0.6, 0.3, 0.1)], [1.0], space)
+    small = CalibrationTable(entries={"a": project_k(f, 4)}, k=4, space=space)
+    small_ref = CalibrationTable(entries={"a": project_k(h, 4)}, k=4, space=space)
+    assert small.entries["a"].size == small_ref.entries["a"].size == 15
+    assert koc_error(small, small_ref, support_cap=3).worst > 0.0

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hocal.calibrate import CalibrationTable
 from hocal.cli import main, parse_entropy, parse_nature
 from hocal.entropy import EntropySpec
 from hocal.errors import DomainError
-from hocal.io import read_calibration_table, read_csv_rows
+from hocal.io import read_calibration_table, read_csv_rows, write_calibration_table
+from hocal.mixture import mixture_from_arrays, project_k
+from hocal.simplex import LabelSpace
 from hocal.synth import BinaryRegression, TwoScenario
 
 
@@ -100,8 +103,9 @@ def test_full_pipeline(tmp_path, capsys):
 
 # SHA-256 of each stdout line and output file of the README command-line
 # pipeline below. The binary pipeline takes the CDF route only; the
-# multiclass pipeline is left out because the last bits of a HiGHS solve
-# may differ across platforms.
+# multiclass pipeline is left out because its evaluate bits come from the
+# lattice flow's max flow in scipy.sparse.csgraph, whose last bits may vary
+# across scipy versions.
 README_PIPELINE = (
     ("gen", "--nature", "binary-regression", "--n", "5000", "--k", "2", "--seed", "7",
      "--out", "data.ldjson", "--ref", "ref.ldjson"),
@@ -141,6 +145,31 @@ def test_readme_pipeline_keeps_its_bytes(tmp_path, capsys, monkeypatch):
     for path in sorted(tmp_path.iterdir()):
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == README_PIPELINE_SHA256
+
+
+def test_evaluate_scores_a_three_label_table_without_scipy_optimize(tmp_path):
+    space = LabelSpace(3)
+    f = mixture_from_arrays([(0.1, 0.2, 0.7), (0.6, 0.3, 0.1)], [0.3, 0.7], space)
+    h = mixture_from_arrays([(0.2, 0.4, 0.4)], [1.0], space)
+    for name, m in (("table", f), ("ref", h)):
+        write_calibration_table(
+            CalibrationTable(entries={"a": project_k(m, 8)}, k=8, space=space),
+            tmp_path / f"{name}.ldjson",
+        )
+    code = (
+        "import sys\n"
+        "from hocal.cli import main\n"
+        "assert main(['evaluate', '--table', 'table.ldjson', '--reference', 'ref.ldjson',"
+        " '--out', 'w1.csv']) == 0\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert json.loads(out[0])["command"] == "evaluate"
+    assert out[1] == "False"
 
 
 def test_gen_is_byte_stable(tmp_path, capsys):

@@ -75,6 +75,9 @@ def test_estimate_moments_refuses_snapshot_sizes_below_one():
     for k in (0, -1):
         with pytest.raises(DomainError, match=f"snapshot size must be >= 1, got {k}"):
             estimate_moments(m, k, eps=0.0)
+    for k in (True, 2.0):
+        with pytest.raises(DomainError, match="snapshot size must be an integer"):
+            estimate_moments(m, k, eps=0.0)
 
 
 def test_moment_vector_validation_and_bounds():

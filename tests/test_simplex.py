@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hocal.errors import CapExceeded, DimensionMismatch, InvalidDistribution
-from hocal.mixture import Mixture, _lattice_rank
+from hocal.mixture import Mixture, _lattice_rank, project_k
 from hocal.simplex import (
     LabelSpace,
     enumerate_snapshot_space,
@@ -177,6 +177,17 @@ def test_lattice_rank_inverts_the_enumeration_on_large_lattices(num_labels, k):
 def test_enumeration_refuses_sizes_below_one():
     with pytest.raises(InvalidDistribution, match="snapshot size must be >= 1, got 0"):
         enumerate_snapshot_space(LabelSpace(3), 0)
+
+
+@pytest.mark.parametrize("k", [True, np.True_, 2.5, "2", np.array(2.0), np.array([2])])
+def test_lattice_sizes_must_be_integers(k):
+    # k = True once enumerated (and projected onto) the k = 1 lattice
+    with pytest.raises(InvalidDistribution, match="snapshot size must be an integer"):
+        enumerate_snapshot_space(LabelSpace(3), k)
+    m = Mixture(np.array([[0.2, 0.3, 0.5]]), np.array([1.0]), LabelSpace(3))
+    with pytest.raises(InvalidDistribution, match="snapshot size must be an integer"):
+        project_k(m, k)
+    assert project_k(m, np.int64(2)) == project_k(m, 2)
 
 
 def test_enumeration_cap():

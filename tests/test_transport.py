@@ -245,6 +245,64 @@ def test_w1_lattice_node_cap_and_space_mismatch():
         w1_lattice(a, c, 2)
 
 
+def test_w1_lattice_takes_integer_snapshot_sizes_only():
+    space = LabelSpace(3)
+    a = mixture_from_arrays([(1.0, 0.0, 0.0)], [1.0], space)
+    b = mixture_from_arrays([(0.0, 1.0, 0.0)], [1.0], space)
+    assert w1_lattice(a, b, np.int64(1)) == pytest.approx(2.0, abs=1e-9)
+    for k in (True, np.True_, 1.0, "1", np.array(1.0), np.array([1]), 0):
+        with pytest.raises(DomainError, match="snapshot size must be"):
+            w1_lattice(a, b, k)
+        with pytest.raises(DomainError, match="snapshot size must be"):
+            wasserstein1(a, b, k=k)
+
+
+def test_wasserstein1_takes_the_lattice_flow_when_given_k():
+    space = LabelSpace(3)
+    a, b = lattice_mixture(space, 4, 11), lattice_mixture(space, 4, 12)
+    cost, plan = wasserstein1(a, b, k=4)
+    assert plan is None
+    assert cost == w1_lattice(a, b, 4)
+    dense, dense_plan = wasserstein1(a, b, method="lp", k=4)
+    assert dense_plan.shape == (a.size, b.size)
+    assert abs(cost - dense) <= 1e-12
+    with pytest.raises(TypeError):
+        wasserstein1(a, b, 2000, "auto", 4)  # k is keyword-only
+
+
+def test_wasserstein1_takes_the_flow_above_two_pairs_per_move():
+    # the k = 4 lattice of 3 labels has 15 points and 60 single-label moves
+    space = LabelSpace(3)
+    full = lattice_mixture(space, 4, 21)
+    for rows, route in ((4, "lp"), (8, "lp"), (9, "flow"), (15, "flow")):
+        part = mixture_from_arrays(
+            full.points_array()[:rows], np.full(rows, 1.0 / rows), space
+        )
+        cost, plan = wasserstein1(part, full, k=4)
+        dense, dense_plan = wasserstein1(part, full, method="lp")
+        if route == "lp":
+            assert float(cost).hex() == float(dense).hex()
+            assert plan.tobytes() == dense_plan.tobytes()
+        else:
+            assert plan is None and cost == w1_lattice(part, full, 4)
+            assert abs(cost - dense) <= 1e-12
+    # above the node cap a pair of any size takes the dense LP
+    k = 446
+    a = mixture_from_arrays([(1.0, 0.0, 0.0)], [1.0], space)
+    b = mixture_from_arrays([(0.0, 1.0, 0.0), (1 / k, 0.0, 445 / k)], [0.5, 0.5], space)
+    assert wasserstein1(a, b, k=k)[1].shape == (1, 2)
+
+
+def test_binary_route_ignores_k():
+    for seed in range(5):
+        a = lattice_mixture(BINARY, 8, 900 + seed)
+        b = lattice_mixture(BINARY, 8, 950 + seed)
+        cost, plan = wasserstein1(a, b)
+        cost_k, plan_k = wasserstein1(a, b, k=8)
+        assert float(cost_k).hex() == float(cost).hex()
+        assert plan_k.tobytes() == plan.tobytes()
+
+
 def _reduced_assembly(m, n):
     # the reduced system HiGHS was given before the full-system build: the
     # last column-sum row dropped at assembly time
