@@ -108,10 +108,12 @@ def gen(nature, n, k, seed, out, ref_path):
     """Sample a synthetic snapshot dataset from a known nature."""
     spec = parse_nature(nature)
     ds = gen_dataset(spec, n, k, RngSeed(seed))
+    # built before either file is written, so an over-cap k writes nothing;
+    # looked up on the module, where bench/probes.py wraps it in traced runs
+    ref = None if ref_path is None else synth.reference_table(spec, k)
     write_snapshot_dataset(ds, out)
-    if ref_path is not None:
-        # looked up on the module, where bench/probes.py wraps it in traced runs
-        write_calibration_table(synth.reference_table(spec, k), ref_path)
+    if ref is not None:
+        write_calibration_table(ref, ref_path)
     _echo_summary(
         {
             "command": "gen",

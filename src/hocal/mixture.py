@@ -250,33 +250,77 @@ def _lattice_rank(counts: np.ndarray, k: int) -> np.ndarray:
     return rank
 
 
+# cephes `lgam`, the code behind scipy's `gammaln`: log(sqrt(2 pi)) and the
+# Stirling series in 1/x^2 it adds for 13 <= x < 1000
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+# support points x lattice points per batched step of _projection_masses
+_BLOCK_TERMS = 2**16
+
+
+def _lgam(x: int) -> float:
+    """log((x - 1)!) for an integer 1 <= x <= 10^8, bit for bit what cephes
+    `lgam` returns: the exact product below 13, the Stirling series above.
+    Not math.lgamma, which differs in the last bit on about half of them."""
+    if x < 13:
+        return math.log(math.factorial(x - 1))
+    x = float(x)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    series = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        series = series * p + a
+    return q + series / x
+
+
 @lru_cache(maxsize=128)
 def _lattice(space: LabelSpace, k: int):
     """Snapshot lattice, cached per (space, k): the (N, l) float count
     matrix and log multinomial coefficients in lattice order, the lattice indices
     in the sorted order Mixture stores, and the points' coordinates in that order."""
-    from scipy.special import gammaln  # not math.lgamma: the two differ in the last bit
-
-    counts = enumerate_snapshot_space(space, k).astype(float)
-    logcoef = gammaln(k + 1) - gammaln(counts + 1.0).sum(axis=1)
+    counts = enumerate_snapshot_space(space, k)
+    logfact = np.array([_lgam(n + 1) for n in range(k + 1)])
+    logcoef = logfact[k] - logfact[counts].sum(axis=1)
+    counts = counts.astype(float)
     coords = simplex_rows(counts / k)
     order = np.lexsort(coords.T[::-1])
     return counts, logcoef, order, coords[order]
 
 
 def _projection_masses(m: Mixture, k: int) -> np.ndarray:
-    """Projected mass of every lattice point, in lattice order."""
+    """Projected mass of every lattice point, in lattice order.
+
+    Support points go through in blocks of about _BLOCK_TERMS terms. Each
+    block makes one batched gemv, the BLAS call a single point's
+    `counts @ logp` makes, and a cumulative sum down the support carried
+    from block to block, so every mass keeps the bits of a per-point loop.
+    """
     counts, logcoef, _, _ = _lattice(m.space, k)
+    points, weights = m.points_array(), m.weights_array()
+    pos = points > 0.0
+    logp = np.where(pos, np.log(np.where(pos, points, 1.0)), 0.0)
     mass = np.zeros(len(counts))
-    for p, weight in zip(m.points_array(), m.weights_array().tolist()):
-        pos = p > 0.0
-        logp = np.where(pos, np.log(np.where(pos, p, 1.0)), 0.0)
-        logmass = logcoef + counts @ logp
-        if not pos.all():
+    step = max(1, _BLOCK_TERMS // len(counts))
+    for start in range(0, len(points), step):
+        block = slice(start, start + step)
+        logmass = logcoef + (counts @ logp[block, :, None])[..., 0]
+        zero = ~pos[block]
+        if zero.any():
             # a zero-probability label with a positive count kills the term
-            dead = (counts[:, ~pos] > 0).any(axis=1)
-            logmass[dead] = -np.inf
-        mass += weight * np.exp(logmass)
+            logmass[((counts > 0) & zero[:, None, :]).any(axis=2)] = -np.inf
+        terms = weights[block, None] * np.exp(logmass)
+        terms[0] += mass
+        mass = np.cumsum(terms, axis=0)[-1]
     return mass
 
 

@@ -380,6 +380,19 @@ def test_gen_refuses_snapshot_sizes_below_one(tmp_path, capsys, nature, k):
     assert not out_path.exists()
 
 
+def test_gen_with_an_over_cap_reference_writes_nothing(tmp_path, capsys):
+    # the k = 10^6 binary lattice has 10^6 + 1 points, one over the cap
+    out_path, ref_path = tmp_path / "ds.ldjson", tmp_path / "ref.ldjson"
+    argv = ["gen", "--nature", "binary-regression", "--n", "1", "--k", "1000000", "--seed", "1",
+            "--out", str(out_path), "--ref", str(ref_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "CapExceeded"
+    assert not out_path.exists() and not ref_path.exists()
+
+
 def test_domain_error_diagnostic_shape(capsys):
     code, out, err = run(
         ["bounds", "--l", "2", "--k", "2", "--eps", "2.0", "--delta", "0.05"], capsys

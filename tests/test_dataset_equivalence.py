@@ -264,7 +264,7 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_gen_without_a_reference_loads_no_scipy(tmp_path):
-    # only the reference table needs project_k, whose lattice loads scipy.special
+    # the dataset alone never reaches project_k
     code = (
         "import sys, hocal.cli\n"
         "assert hocal.cli.main(['gen', '--nature', 'binary-regression', '--n', '100',\n"
@@ -278,3 +278,20 @@ def test_gen_without_a_reference_loads_no_scipy(tmp_path):
     ).stdout
     assert out.splitlines()[-1] == "[]"
     assert (tmp_path / "ds.ldjson").exists()
+
+
+def test_gen_with_a_reference_loads_no_scipy(tmp_path):
+    # the reference table's exact projection takes its log-factorials from _lgam
+    code = (
+        "import sys, hocal.cli\n"
+        "assert hocal.cli.main(['gen', '--nature', 'binary-regression', '--n', '100', '--k', '8',\n"
+        "                       '--seed', '1', '--out', sys.argv[1], '--ref', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "ds.ldjson"), str(tmp_path / "ref.ldjson")],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "ds.ldjson").exists() and (tmp_path / "ref.ldjson").exists()

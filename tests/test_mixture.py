@@ -15,9 +15,9 @@ from hocal.mixture import (
     project_k,
     sample_snapshots,
 )
-from hocal.mixture import _lattice, _projection_masses
+from hocal.mixture import _BLOCK_TERMS, _lattice, _lgam, _projection_masses
 from hocal.simplex import LabelSpace, simplex_rows
-from hocal.synth import RandomMixtureSpec, random_mixture
+from hocal.synth import BinaryRegression, RandomMixtureSpec, bayes_mixtures, random_mixture
 
 BINARY = LabelSpace(2)
 TERNARY = LabelSpace(3)
@@ -156,6 +156,67 @@ def _edge_mixtures(l):
     yield mixture_from_arrays([vertex, edge, inner], [0.2, 0.3, 0.5], space)
     if l > 2:
         yield mixture_from_arrays([edge], [1.0], space)
+
+
+def loop_masses(m, k):
+    """Oracle: the projected masses one support point at a time, the mass
+    vector accumulated left to right down the support."""
+    counts, logcoef, _, _ = _lattice(m.space, k)
+    mass = np.zeros(len(counts))
+    for p, weight in zip(m.points_array(), m.weights_array().tolist()):
+        pos = p > 0.0
+        logp = np.where(pos, np.log(np.where(pos, p, 1.0)), 0.0)
+        logmass = logcoef + counts @ logp
+        if not pos.all():
+            dead = (counts[:, ~pos] > 0).any(axis=1)
+            logmass[dead] = -np.inf
+        mass += weight * np.exp(logmass)
+    return mass
+
+
+def assert_same_masses(m, k):
+    got, want = _projection_masses(m, k), loop_masses(m, k)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
+def test_log_factorials_match_gammaln_bit_for_bit():
+    # every x the enumeration cap admits: k + 1 <= 10^6 + 1 at l = 2
+    from scipy.special import gammaln
+
+    got = np.array([_lgam(x) for x in range(1, 1_000_002)])
+    want = gammaln(np.arange(1, 1_000_002))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 8, 16, 24])
+def test_projection_masses_keep_the_bits_of_the_per_point_loop(l, k):
+    mixtures = list(_edge_mixtures(l))
+    for size in (1, 4, 50):
+        spec = RandomMixtureSpec(num_labels=l, support_size=size, dirichlet_alpha=0.7)
+        mixtures.append(random_mixture(spec, RngSeed(1000 * l + 10 * k + size)))
+    for m in mixtures:
+        assert_same_masses(m, k)
+
+
+@pytest.mark.parametrize("k", [2, 8, 16, 32])
+def test_projection_masses_keep_their_bits_on_the_binary_regression_bins(k):
+    for m in bayes_mixtures(BinaryRegression()).values():
+        assert_same_masses(m, k)
+
+
+def test_projection_masses_carry_the_sum_across_blocks():
+    # 2.5 blocks of support points, some on a face of the simplex
+    l, k = 3, 16
+    rows = _BLOCK_TERMS // len(_lattice(LabelSpace(l), k)[0])
+    spec = RandomMixtureSpec(num_labels=l, support_size=5 * rows // 2, dirichlet_alpha=1.0)
+    m = random_mixture(spec, RngSeed(77))
+    face = m.points_array().copy()
+    face[::7, 1] += face[::7, 2]
+    face[::7, 2] = 0.0
+    m = mixture_from_arrays(face, m.weights_array(), m.space)
+    assert m.size > 2 * rows
+    assert_same_masses(m, k)
 
 
 @pytest.mark.parametrize("l", [2, 3, 4])
