@@ -145,10 +145,10 @@ class CalibrationTable:
         for pid, mix in self.entries.items():
             if mix.space != self.space:
                 raise DimensionMismatch(f"partition {pid!r}: mixture over a different label space")
-            if _lattice_counts(mix.points_array(), self.k)[1].size:
-                raise InvalidDistribution(
-                    f"partition {pid!r}: support off the size-{self.k} snapshot lattice"
-                )
+            try:
+                _lattice_counts(mix.points_array(), self.k)
+            except InvalidDistribution as exc:
+                raise InvalidDistribution(f"partition {pid!r}: {exc}") from None
 
     @property
     def partitions(self) -> list:

@@ -258,18 +258,7 @@ def predset_cmd(table_path, alpha, kind, delta, eps, reference, audit_path, out)
             mv = estimate_moments(table.entries[pid], table.k, eps)
             s = moment_interval(mv, alpha)
         sets[pid] = s
-    with open(out, "w", encoding="utf-8") as fh:
-        for pid in table.partitions:
-            rec = {"partition": pid}
-            rec.update(sets[pid].to_dict())
-            fh.write(_dump(rec) + "\n")
-    summary = {
-        "command": "predset",
-        "alpha": alpha,
-        "kind": kind,
-        "out": out,
-        "partitions": len(sets),
-    }
+    audit_rows = None
     if reference is not None:
         ref = read_calibration_table(reference)
         audit_rows = []
@@ -283,6 +272,19 @@ def predset_cmd(table_path, alpha, kind, delta, eps, reference, audit_path, out)
                     "target": 1.0 - alpha,
                 }
             )
+    with open(out, "w", encoding="utf-8") as fh:
+        for pid in table.partitions:
+            rec = {"partition": pid}
+            rec.update(sets[pid].to_dict())
+            fh.write(_dump(rec) + "\n")
+    summary = {
+        "command": "predset",
+        "alpha": alpha,
+        "kind": kind,
+        "out": out,
+        "partitions": len(sets),
+    }
+    if audit_rows is not None:
         summary["min_coverage"] = min(r["coverage"] for r in audit_rows)
         if audit_path is not None:
             with open(audit_path, "w", encoding="utf-8") as fh:

@@ -16,8 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .entropy import EntropySpec, divergence_rows, entropy_rows, loss_rows
-from .errors import DimensionMismatch
-from .mixture import Mixture, _running_sum, centroid
+from .mixture import Mixture, _check_same_space, _running_sum, centroid
 
 REASON_INFINITE = "infinite-divergence"
 T_GRID_SIZE = 243
@@ -104,8 +103,7 @@ def decompose(m: Mixture, g: EntropySpec) -> UncertaintyReport:
 
 def aleatoric_error(predicted: Mixture, bayes: Mixture, g: EntropySpec) -> float:
     """|AU(predicted) - AU(bayes)|: how far the aleatoric estimate is off."""
-    if predicted.space != bayes.space:
-        raise DimensionMismatch("predicted and reference mixtures live over different label spaces")
+    _check_same_space(predicted, bayes)
     return abs(average_entropy(predicted, g) - average_entropy(bayes, g))
 
 
@@ -115,8 +113,7 @@ def loss_breakdown(predicted: Mixture, bayes: Mixture, g: EntropySpec) -> LossBr
     Infinite divergences (Shannon against a boundary centroid) propagate
     as inf in the affected fields rather than raising.
     """
-    if predicted.space != bayes.space:
-        raise DimensionMismatch("predicted and reference mixtures live over different label spaces")
+    _check_same_space(predicted, bayes)
     q_bar = centroid(predicted)
     p_bar = centroid(bayes)
     points, weights = bayes.points_array(), bayes.weights_array()
@@ -152,8 +149,7 @@ def mgf_diagnostic(a: Mixture, b: Mixture) -> float:
     is a cheap screen for that, since these expectations determine the
     mixture's moment-generating function on the probed set.
     """
-    if a.space != b.space:
-        raise DimensionMismatch("mixtures live over different label spaces")
+    _check_same_space(a, b)
     worst = 0.0
     for t in default_t_grid(a.space.num_labels):
         g = EntropySpec.exponential(t)

@@ -26,6 +26,11 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
+def _is_number(value) -> bool:
+    """A JSON number as json.loads returns it: int or float, not bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _read_text(path) -> str:
     """The file's text, line endings untranslated."""
     try:
@@ -160,9 +165,14 @@ def read_calibration_table(path) -> CalibrationTable:
             raise FormatError(f"{path}: duplicate partition {pid!r}", line=lineno)
         if not isinstance(points, list) or not isinstance(weights, list) or len(points) != len(weights):
             raise FormatError(f"{path}: points and weights must be lists of equal length", line=lineno)
+        if not (all(isinstance(row, list) and all(map(_is_number, row)) for row in points)
+                and all(map(_is_number, weights))):
+            raise FormatError(f"{path}: partition {pid!r}: coordinates and weights must be JSON numbers",
+                              line=lineno)
         try:
             entries[pid] = Mixture(points, weights, space)
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
+            # OverflowError: an integer too large for a float
             raise FormatError(f"{path}: partition {pid!r}: {exc}", line=lineno) from None
         count = rec.get("count")
         if count is not None:

@@ -204,6 +204,14 @@ class Mixture:
         )
 
 
+def _check_same_space(a: Mixture, b: Mixture):
+    """Raise DimensionMismatch unless both mixtures live over one label space."""
+    if a.space != b.space:
+        raise DimensionMismatch(
+            f"{a.space.num_labels}-label mixture vs {b.space.num_labels}-label mixture"
+        )
+
+
 # the constructor under its earlier name, which the benchmark sweep calls
 mixture_from_arrays = Mixture
 
@@ -221,15 +229,19 @@ def _running_sum(terms: np.ndarray, start: float = 0.0) -> float:
     return float(np.cumsum(np.concatenate(([start], terms)))[-1])
 
 
-def _lattice_counts(points: np.ndarray, k: int):
-    """(n, l) int64 counts round(k * p) of point rows, and the rows off the
-    size-k lattice: some coordinate of k * p more than 1e-9 * k from its
-    count, or counts that do not sum to k."""
+def _lattice_counts(points: np.ndarray, k: int, error=InvalidDistribution) -> np.ndarray:
+    """(n, l) int64 counts round(k * p) of point rows. The first row off the
+    size-k lattice raises `error`: some coordinate of k * p more than
+    1e-9 * k from its count, or counts that do not sum to k."""
     scaled = points * k
     counts = np.rint(scaled)
     off = (np.abs(scaled - counts) > LATTICE_TOL * k).any(axis=1)
     counts = counts.astype(np.int64)
-    return counts, np.flatnonzero(off | (counts.sum(axis=1) != k))
+    off = np.flatnonzero(off | (counts.sum(axis=1) != k))
+    if off.size:
+        point = tuple(points[off[0]].tolist())
+        raise error(f"support point {point} is not on the size-{k} snapshot lattice")
+    return counts
 
 
 def _lattice_rank(counts: np.ndarray, k: int) -> np.ndarray:

@@ -88,13 +88,7 @@ def estimate_moments(kth: Mixture, k: int, eps: float) -> MomentVector:
     if kth.space.num_labels != 2:
         raise DimensionMismatch("moment recovery is defined for binary spaces")
     k = _snapshot_size(k, DomainError)
-    counts, off = _lattice_counts(kth.points_array(), k)
-    if off.size:
-        bias = kth.points_array()[off[0], 1]
-        raise InvalidDistribution(
-            f"support point with bias {bias} is not on the size-{k} snapshot lattice"
-        )
-    ones = counts[:, 1].tolist()
+    ones = _lattice_counts(kth.points_array(), k)[:, 1].tolist()
     weights = kth.weights_array()
     values = []
     for m in range(1, k + 1):

@@ -73,15 +73,21 @@ def snapshot_space_size(space: LabelSpace, k: int) -> int:
     return math.comb(k + space.num_labels - 1, space.num_labels - 1)
 
 
+def _whole_number(value, name: str, error=InvalidDistribution) -> int:
+    """value as a Python int, refusing bool and non-integers (NaN and inf
+    included) with `error` naming the quantity `name`; numpy integers are
+    accepted."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
 def _snapshot_size(k, error=InvalidDistribution) -> int:
-    """k as a Python int, refusing bool, non-integers and k < 1 with `error`;
-    numpy integers are accepted."""
-    if isinstance(k, (bool, np.bool_)):
-        raise error(f"snapshot size must be an integer, got {k!r}")
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise error(f"snapshot size must be an integer, got {k!r}") from None
+    """k as a Python int (see _whole_number), refusing k < 1 with `error`."""
+    k = _whole_number(k, "snapshot size", error)
     if k < 1:
         raise error(f"snapshot size must be >= 1, got {k}")
     return k

@@ -20,7 +20,7 @@ import numpy as np
 from .calibrate import CalibrationTable, SnapshotDataset
 from .errors import DomainError
 from .mixture import Mixture, RngSeed, project_k, sample_snapshots
-from .simplex import LabelSpace
+from .simplex import LabelSpace, _whole_number
 
 QUADRATURE_POINTS = 1000
 X_DOMAIN_END = 3.0
@@ -54,6 +54,7 @@ class BinaryRegression:
     bins: int = 20
 
     def __post_init__(self):
+        object.__setattr__(self, "bins", _whole_number(self.bins, "bins", DomainError))
         if self.bins < 1:
             raise DomainError(f"need at least one bin, got {self.bins}")
 
@@ -67,11 +68,9 @@ class RandomMixtureSpec:
     dirichlet_alpha: float
 
     def __post_init__(self):
-        if not (
-            2 <= self.num_labels < math.inf
-            and 1 <= self.support_size < math.inf
-            and 0 < self.dirichlet_alpha < math.inf
-        ):
+        for field in ("num_labels", "support_size"):
+            object.__setattr__(self, field, _whole_number(getattr(self, field), field, DomainError))
+        if not (2 <= self.num_labels and 1 <= self.support_size and 0 < self.dirichlet_alpha < math.inf):
             raise DomainError("need finite num_labels >= 2, support_size >= 1, alpha > 0")
 
 
@@ -130,6 +129,7 @@ def reference_table(spec, k: int) -> CalibrationTable:
 
 def gen_dataset(spec, n: int, k: int, rng: RngSeed) -> SnapshotDataset:
     """n k-snapshots from the nature; `reference_table` gives its exact table."""
+    n, k = _whole_number(n, "n", DomainError), _whole_number(k, "k", DomainError)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if k < 1:

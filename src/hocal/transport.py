@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, DomainError, HocalError
-from .mixture import Mixture, _lattice, _lattice_counts, _lattice_rank
+from .mixture import Mixture, _check_same_space, _lattice, _lattice_counts, _lattice_rank
 from .simplex import _check_lattice_size, _snapshot_size, snapshot_space_size
 
 DEFAULT_SUPPORT_CAP = 2000
@@ -51,18 +51,19 @@ def _certify(cost, a_full, b_full, x, y):
 
     x must be non-negative and balance the full system, the dual y feasible
     (reduced costs cost - a_full.T @ y >= 0) and complementary to x where
-    x > 1e-12, and the objectives equal, each to CHECK_TOL.
+    x > 1e-12, and the objectives equal, each to CHECK_TOL. Each gate is
+    written so that a NaN residual fails it.
     """
-    if x.min() < -CHECK_TOL:
+    if not x.min() >= -CHECK_TOL:
         raise SolverFailure("negative mass or flow below -1e-8")
-    if np.abs(a_full @ x - b_full).max() > CHECK_TOL:
+    if not np.abs(a_full @ x - b_full).max() <= CHECK_TOL:
         raise SolverFailure("marginal or balance residual above 1e-8")
     reduced = cost - a_full.T @ y
-    if reduced.min() < -CHECK_TOL:
+    if not reduced.min() >= -CHECK_TOL:
         raise SolverFailure("dual infeasibility above 1e-8")
-    if np.abs(reduced[x > 1e-12]).max(initial=0.0) > CHECK_TOL:
+    if not np.abs(reduced[x > 1e-12]).max(initial=0.0) <= CHECK_TOL:
         raise SolverFailure("complementary slackness residual above 1e-8")
-    if abs(b_full @ y - cost @ x) > CHECK_TOL:
+    if not abs(b_full @ y - cost @ x) <= CHECK_TOL:
         raise SolverFailure("primal and dual objectives disagree")
 
 
@@ -80,29 +81,6 @@ def _solve_lp(cost, a_eq, b_eq):
         method="highs",
         options={"dual_feasibility_tolerance": _DUAL_TOL},
     )
-
-
-def _certified_lp(cost, a_full, b_full):
-    """x >= 0 minimizing cost @ x subject to a_full @ x = b_full, certified
-    by _certify after one HiGHS solve.
-
-    The last row of the rank-deficient flow system `a_full` is redundant:
-    HiGHS gets the others and the dropped row's dual is fixed at 0.
-    """
-    res = _solve_lp(cost, a_full[:-1], b_full[:-1])
-    if res.status != 0:
-        raise SolverFailure(f"highs LP failed: {res.message}")
-    x = res.x / _SUPPLY_SCALE
-    y = np.append(res.eqlin.marginals, 0.0)
-    _certify(cost, a_full, b_full, x, y)
-    return x
-
-
-def _check_same_space(a: Mixture, b: Mixture):
-    if a.space != b.space:
-        raise DimensionMismatch(
-            f"{a.space.num_labels}-label mixture vs {b.space.num_labels}-label mixture"
-        )
 
 
 def _l1_cost(apts: np.ndarray, bpts: np.ndarray) -> np.ndarray:
@@ -175,20 +153,26 @@ def _w1_binary(a: Mixture, b: Mixture):
 
 
 def _w1_lp(a: Mixture, b: Mixture):
-    """Exact transportation LP (HiGHS dual simplex), certified by _certified_lp."""
+    """Exact transportation LP, certified by _certify after one HiGHS solve.
+
+    HiGHS gets every row of the row/column-sum system but the redundant
+    last one, whose dual is fixed at 0. A one-point side takes the product
+    plan, the only feasible one: its stored weight is exactly 1.0.
+    """
     aw, bw = a.weights_array(), b.weights_array()
     m, n = len(aw), len(bw)
     cost_mat = _l1_cost(a.points_array(), b.points_array())
-
-    if m == 1:
-        mass = bw[None, :].copy()
-    elif n == 1:
-        mass = aw[:, None].copy()
+    if m == 1 or n == 1:
+        mass = np.outer(aw, bw)
     else:
-        flat = _certified_lp(
-            cost_mat.ravel(), _transport_constraints(m, n), np.concatenate([aw, bw])
-        )
-        mass = flat.reshape(m, n)
+        cost, a_full = cost_mat.ravel(), _transport_constraints(m, n)
+        b_full = np.concatenate([aw, bw])
+        res = _solve_lp(cost, a_full[:-1], b_full[:-1])
+        if res.status != 0:
+            raise SolverFailure(f"highs LP failed: {res.message}")
+        x = res.x / _SUPPLY_SCALE
+        _certify(cost, a_full, b_full, x, np.append(res.eqlin.marginals, 0.0))
+        mass = x.reshape(m, n)
     return float((cost_mat * mass).sum()), mass
 
 
@@ -413,15 +397,6 @@ def _lattice_flow(graph, supply, k: int):
     return x, potential * (-2.0 / k)
 
 
-def _lattice_index(m: Mixture, k: int) -> np.ndarray:
-    """The lattice index of every support point of m."""
-    counts, off = _lattice_counts(m.points_array(), k)
-    if off.size:
-        point = tuple(m.points_array()[off[0]].tolist())
-        raise DomainError(f"support point {point} is not on the k={k} snapshot lattice")
-    return _lattice_rank(counts, k)
-
-
 def w1_lattice(a: Mixture, b: Mixture, k: int) -> float:
     """W1 between mixtures supported on the same k-snapshot lattice.
 
@@ -446,10 +421,9 @@ def _w1_flow(a: Mixture, b: Mixture, k: int) -> float:
     graph = _move_graph(a.space, k)
     incidence = graph[0]
     supply = np.zeros(incidence.shape[0])
-    np.add.at(supply, _lattice_index(a, k), a.weights_array())
-    np.subtract.at(supply, _lattice_index(b, k), b.weights_array())
-    if np.abs(supply).max() == 0.0:
-        return 0.0
+    for m, spread in ((a, np.add), (b, np.subtract)):
+        index = _lattice_rank(_lattice_counts(m.points_array(), k, DomainError), k)
+        spread.at(supply, index, m.weights_array())
     flow, y = _lattice_flow(graph, supply, k)
     cost = np.full(incidence.shape[1], 2.0 / k)
     _certify(cost, incidence, supply, flow, y)

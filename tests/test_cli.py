@@ -276,6 +276,27 @@ def test_predset_subcommand_with_audit(tmp_path, capsys):
     assert float(audit_rows[0]["target"]) == pytest.approx(0.8)
 
 
+@pytest.mark.parametrize("reference", ["missing", "without-the-partition"])
+def test_predset_writes_nothing_when_its_reference_fails(tmp_path, capsys, reference):
+    mix = mixture_from_arrays([(0.5, 0.5)], [1.0], LabelSpace(2))
+    table, ref = tmp_path / "table.ldjson", tmp_path / "ref.ldjson"
+    write_calibration_table(CalibrationTable(entries={"a": mix}, k=2, space=LabelSpace(2)), table)
+    if reference == "without-the-partition":
+        write_calibration_table(CalibrationTable(entries={"b": mix}, k=2, space=LabelSpace(2)), ref)
+    sets_path, audit = tmp_path / "sets.ldjson", tmp_path / "audit.csv"
+    code, out, err = run(
+        ["predset", "--table", str(table), "--alpha", "0.2", "--delta", "0.5",
+         "--reference", str(ref), "--audit", str(audit), "--out", str(sets_path)],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    expected = "FileNotFoundError" if reference == "missing" else "FormatError"
+    assert json.loads(err)["error"] == expected
+    assert not sets_path.exists() and not audit.exists()
+
+
 def test_fitpoly_subcommand(tmp_path, capsys):
     out_path = tmp_path / "fit.json"
     code, out, _ = run(
@@ -444,6 +465,11 @@ TABLE_HEADER = '{"format_version": 1, "k": 1, "kind": "calibration_table", "num_
         ('{"count": 3, "partition": "a", "points": [[0.0, 1.0]], "weights": [null]}', "FormatError"),
         ('{"count": 3, "partition": "a", "points": [[1.0, 0.0], [0.0]], "weights": [0.5, 0.5]}',
          "DimensionMismatch"),
+        # JSON true and "0.5" are no numbers, although Python reads them as 1 and 0.5
+        ('{"count": 3, "partition": "a", "points": [[true, false]], "weights": [true]}', "FormatError"),
+        ('{"count": 3, "partition": "a", "points": [["0.5", "0.5"]], "weights": ["1"]}', "FormatError"),
+        pytest.param('{"count": 3, "partition": "a", "points": [[1' + "0" * 400 + ', 0]], "weights": [1]}',
+                     "FormatError", id="integer-too-large-for-a-float"),
     ],
 )
 def test_malformed_table_numbers_give_a_json_error(tmp_path, capsys, record, error):

@@ -307,12 +307,17 @@ def test_one_lattice_rule_for_tables_moments_and_w1_lattice(k):
     CalibrationTable(entries={"a": on}, k=k, space=BINARY, counts=None)
     estimate_moments(on, k, eps=0.0)
     assert w1_lattice(on, on, k) == 0.0
-    with pytest.raises(InvalidDistribution):
+    with pytest.raises(InvalidDistribution) as table:
         CalibrationTable(entries={"a": off}, k=k, space=BINARY, counts=None)
-    with pytest.raises(InvalidDistribution):
+    with pytest.raises(InvalidDistribution) as moments:
         estimate_moments(off, k, eps=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as flow:
         w1_lattice(off, on, k)
+    # one message, naming the first off-lattice point
+    point = tuple(off.points_array()[0].tolist())
+    message = f"support point {point} is not on the size-{k} snapshot lattice"
+    assert str(moments.value) == str(flow.value) == message
+    assert str(table.value) == f"partition 'a': {message}"
 
 
 def test_project_k_and_w1_lattice_share_one_lattice_per_space_and_k():

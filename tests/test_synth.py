@@ -154,6 +154,30 @@ def test_random_mixture_spec_rejects_nan_and_inf(fields):
         RandomMixtureSpec(*fields)
 
 
+@pytest.mark.parametrize("bins", [math.nan, math.inf, 2.5, True])
+def test_binary_regression_takes_whole_bin_counts_only(bins):
+    with pytest.raises(DomainError, match="bins must be an integer"):
+        BinaryRegression(bins=bins)
+
+
+@pytest.mark.parametrize("fields", [(2, 2.5, 1.0), (2.5, 3, 1.0), (2, True, 1.0)])
+def test_random_mixture_spec_takes_whole_sizes_only(fields):
+    with pytest.raises(DomainError, match="must be an integer"):
+        RandomMixtureSpec(*fields)
+
+
+def test_whole_number_fields_are_stored_as_python_ints():
+    assert type(BinaryRegression(bins=np.int64(4)).bins) is int
+    spec = RandomMixtureSpec(np.int64(3), np.int64(2), 1.0)
+    assert type(spec.num_labels) is int and type(spec.support_size) is int
+
+
+@pytest.mark.parametrize("n,k", [(2.5, 2), (math.nan, 2), (True, 2), (10, math.nan), (10, 2.0), (10, True)])
+def test_gen_dataset_takes_whole_n_and_k_only(n, k):
+    with pytest.raises(DomainError, match="must be an integer"):
+        gen_dataset(BinaryRegression(), n, k, RngSeed(1))
+
+
 def test_regression_aleatoric_truth_is_reasonable():
     # the clamp keeps p in [0.01, 0.99], so Shannon AU is bounded away
     # from zero in every bin

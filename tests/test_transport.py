@@ -17,7 +17,6 @@ from hocal.synth import random_mixture as draw_mixture
 import hocal.transport
 from hocal.transport import (
     SolverFailure,
-    _certified_lp,
     _transport_constraints,
     w1_lattice,
     wasserstein1,
@@ -392,10 +391,25 @@ def _lower_duals(x, y, *shape):
     return x, y * (1.0 - 1e-4)
 
 
+def _nan_solution(x, y, *shape):
+    # NaN fails every comparison: a gate written as residual > tol passes it
+    x = x.copy()
+    x[0] = np.nan
+    return x, y
+
+
+def _nan_dual(x, y, *shape):
+    y = y.copy()
+    y[0] = np.nan
+    return x, y
+
+
 SHARED_PERTURBATIONS = [
     (_scale_solution, "marginal or balance residual"),
     (_raise_duals, "dual infeasibility"),
     (_lower_duals, "complementary slackness"),
+    (_nan_solution, "negative mass or flow"),
+    (_nan_dual, "dual infeasibility"),
 ]
 
 
@@ -467,32 +481,38 @@ def test_lattice_flow_certificate_rejects_a_perturbed_flow_or_dual(monkeypatch, 
 
 
 def _hand_solved(monkeypatch, x, y, status=0):
-    # HiGHS returns the plan in supplies scaled by _SUPPLY_SCALE
+    # HiGHS returns the plan in supplies scaled by _SUPPLY_SCALE, and the
+    # duals of every row but the dropped last one
     res = SimpleNamespace(status=status, message="infeasible",
-                          x=np.array([x * hocal.transport._SUPPLY_SCALE]),
-                          eqlin=SimpleNamespace(marginals=np.array([y])))
+                          x=np.array(x) * hocal.transport._SUPPLY_SCALE,
+                          eqlin=SimpleNamespace(marginals=np.array(y)))
     monkeypatch.setattr(hocal.transport, "_solve_lp", lambda *args: res)
 
 
-# one edge carrying one unit from node 0 to node 1 at cost 100
-EDGE = (np.array([100.0]), sparse.csc_matrix(np.array([[1.0], [-1.0]])), np.array([1.0, -1.0]))
+# a 2 x 2 dense LP: a has half its mass at (0, 1) and half at (1, 0), b a
+# quarter at (0, 1). The optimal plan moves a quarter across at cost 2, and
+# its dual (u0, u1, v0) = (2, 0, -2), with v1 fixed at 0, is feasible and
+# complementary
+LP_A, LP_B = binary([1.0, 0.0], [0.5, 0.5]), binary([1.0, 0.0], [0.25, 0.75])
+LP_PLAN, LP_DUAL = [0.25, 0.25, 0.0, 0.5], [2.0, 0.0, -2.0]
 
 
-def test_certified_lp_rejects_a_duality_gap(monkeypatch):
-    # the plan overshoots the supply by 9e-9 (inside the balance gate) and
-    # the dual is exactly feasible and complementary, but the large dual
-    # turns the overshoot into a 9e-7 gap
-    _hand_solved(monkeypatch, 1.0, 100.0)
-    assert np.array_equal(_certified_lp(*EDGE), [1.0])
-    _hand_solved(monkeypatch, 1.0 + 9e-9, 100.0)
+def test_dense_lp_certificate_rejects_a_duality_gap(monkeypatch):
+    _hand_solved(monkeypatch, LP_PLAN, LP_DUAL)
+    cost, plan = wasserstein1(LP_A, LP_B, method="lp")
+    assert cost == 0.5 and np.array_equal(plan.ravel(), LP_PLAN)
+    # 8e-9 more on the cost-2 entry unbalances a row and a column by 8e-9,
+    # inside the balance gate; the dual stays feasible and complementary,
+    # but the objectives part by 1.6e-8
+    _hand_solved(monkeypatch, [0.25, 0.25 + 8e-9, 0.0, 0.5], LP_DUAL)
     with pytest.raises(SolverFailure, match="primal and dual objectives disagree"):
-        _certified_lp(*EDGE)
+        wasserstein1(LP_A, LP_B, method="lp")
 
 
-def test_certified_lp_rejects_a_failed_solve(monkeypatch):
-    _hand_solved(monkeypatch, 1.0, 100.0, status=2)
+def test_dense_lp_rejects_a_failed_solve(monkeypatch):
+    _hand_solved(monkeypatch, LP_PLAN, LP_DUAL, status=2)
     with pytest.raises(SolverFailure, match="highs LP failed: infeasible"):
-        _certified_lp(*EDGE)
+        wasserstein1(LP_A, LP_B, method="lp")
 
 
 # (labels, Dirichlet alpha, seed of m, then "proj" and k for
@@ -559,10 +579,16 @@ def move_graph_lp(a, b, k):
     return res.fun / scale
 
 
+def lattice_index(m, k):
+    """Row of each support point of m in `enumerate_snapshot_space`, by lookup."""
+    rows = {c: i for i, c in enumerate(map(tuple, enumerate_snapshot_space(m.space, k).tolist()))}
+    return np.array([rows[c] for c in map(tuple, np.rint(m.points_array() * k).astype(int).tolist())])
+
+
 def lattice_supply(a, b, k):
     supply = np.zeros(hocal.transport._move_graph(a.space, k)[0].shape[0])
-    np.add.at(supply, hocal.transport._lattice_index(a, k), a.weights_array())
-    np.subtract.at(supply, hocal.transport._lattice_index(b, k), b.weights_array())
+    np.add.at(supply, lattice_index(a, k), a.weights_array())
+    np.subtract.at(supply, lattice_index(b, k), b.weights_array())
     return supply
 
 
