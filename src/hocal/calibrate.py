@@ -266,21 +266,30 @@ def required_samples(space: LabelSpace, k: int, eps: float, delta: float) -> int
     to the exact projection with probability 1 - delta.
 
     ceil(2 (|Y^(k)| ln 2 + ln(1/delta)) / eps^2) with |Y^(k)| the snapshot
-    lattice size.
+    lattice size. Raises DomainError when that count is not a finite float.
     """
-    k = _snapshot_size(k, DomainError)
+    k = _snapshot_size(k)
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     size = snapshot_space_size(space, k)
-    return math.ceil(2.0 * (size * math.log(2.0) + math.log(1.0 / delta)) / eps**2)
+    try:
+        samples = 2.0 * (size * math.log(2.0) + math.log(1.0 / delta)) / eps**2
+    except (OverflowError, ZeroDivisionError):  # size beyond a float; eps**2 underflows to 0
+        samples = math.inf
+    if not math.isfinite(samples):
+        raise DomainError(
+            f"the sample count for eps={eps}, delta={delta} and a lattice of {size} points "
+            "is not a finite float"
+        )
+    return math.ceil(samples)
 
 
 def hoc_bound(eps: float, space: LabelSpace, k: int) -> float:
     """Higher-order calibration error implied by k-th order error eps:
     eps + l / (2 sqrt(k))."""
-    k = _snapshot_size(k, DomainError)
+    k = _snapshot_size(k)
     if not 0.0 <= eps < math.inf:
         raise DomainError(f"eps must be finite and non-negative, got {eps}")
     return eps + space.num_labels / (2.0 * math.sqrt(k))

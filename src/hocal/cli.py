@@ -24,8 +24,8 @@ from .io import (
     read_calibration_table,
     read_csv_rows,
     read_snapshot_dataset,
-    rows_to_csv,
     write_calibration_table,
+    write_csv,
     write_snapshot_dataset,
 )
 from .mixture import RngSeed
@@ -167,8 +167,7 @@ def evaluate(table_path, reference, out, support_cap):
     ref = read_calibration_table(reference)
     score = koc_error(table, ref, support_cap=support_cap)
     rows = [{"partition": p, "w1": score.per_partition[p]} for p in sorted(score.per_partition)]
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(rows_to_csv(rows, ["partition", "w1"]))
+    write_csv(out, rows, ["partition", "w1"])
     _echo_summary(
         {
             "command": "evaluate",
@@ -195,8 +194,7 @@ def decompose_cmd(table_path, entropy_text, out):
         row = {"partition": pid}
         row.update({f: ("" if v is None else v) for f, v in report.to_dict().items()})
         rows.append(row)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(rows_to_csv(rows, fields))
+    write_csv(out, rows, fields)
     _echo_summary(
         {
             "command": "decompose",
@@ -233,8 +231,7 @@ def moments_cmd(table_path, eps, central_j, out):
             row[f"central_{central_j}"] = cj
             row[f"central_{central_j}_bound"] = cbound
         rows.append(row)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(rows_to_csv(rows, fields))
+    write_csv(out, rows, fields)
     _echo_summary({"command": "moments", "eps": eps, "k": k, "out": out, "partitions": len(rows)})
 
 
@@ -287,8 +284,7 @@ def predset_cmd(table_path, alpha, kind, delta, eps, reference, audit_path, out)
     if audit_rows is not None:
         summary["min_coverage"] = min(r["coverage"] for r in audit_rows)
         if audit_path is not None:
-            with open(audit_path, "w", encoding="utf-8") as fh:
-                fh.write(rows_to_csv(audit_rows, ["partition", "coverage", "target"]))
+            write_csv(audit_path, audit_rows, ["partition", "coverage", "target"])
             summary["audit"] = audit_path
     _echo_summary(summary)
 
@@ -366,8 +362,7 @@ def bin_cmd(scores, slices, out):
         new_row["partition"] = f"c{cls}_s{s:02d}"
         out_rows.append(new_row)
     fields = list(rows[0].keys()) + ["partition"]
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(rows_to_csv(out_rows, fields))
+    write_csv(out, out_rows, fields)
     _echo_summary({"command": "bin", "out": out, "rows": len(out_rows), "slices": slices})
 
 

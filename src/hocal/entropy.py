@@ -56,9 +56,12 @@ class EntropySpec:
                 raise DomainError(f"polynomial coefficients must be finite, got {coeffs}")
             object.__setattr__(self, "coeffs", coeffs)
             xs = np.arange(0.0, 1.0 + CONCAVITY_GRID_STEP / 2, CONCAVITY_GRID_STEP)
-            vals = np.polynomial.polynomial.polyval(xs, np.asarray(coeffs))
-            second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
-            if second.max() > 1e-12:
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.polynomial.polynomial.polyval(xs, np.asarray(coeffs))
+                second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
+            if not np.isfinite(vals).all():
+                raise DomainError(f"polynomial {coeffs} is not finite on [0, 1]")
+            if not second.max() <= 1e-12:
                 raise DomainError("polynomial is not concave on [0, 1]")
 
     # -- constructors ---------------------------------------------------

@@ -15,9 +15,11 @@ import json
 import numpy as np
 
 from .calibrate import CalibrationTable, SnapshotDataset
-from .errors import FormatError
-from .mixture import Mixture
-from .simplex import LabelSpace
+from .errors import FormatError, InvalidDistribution
+from .mixture import (
+    WEIGHT_SUM_TOL, Mixture, _coordinate_rows, _lattice_counts, _near_clusters, _running_sum,
+)
+from .simplex import LabelSpace, simplex_rows
 
 FORMAT_VERSION = 1
 
@@ -141,6 +143,35 @@ def write_snapshot_dataset(ds: SnapshotDataset, path):
         fh.write("".join(map(lines.__getitem__, inverse.tolist())))
 
 
+def _table_entry(points, weights, space: LabelSpace, k: int) -> Mixture:
+    """The mixture of one table record, with the bits it was written with.
+
+    `_coordinate_rows` checks the rows, with the generic constructor's
+    messages. Each row on the size-k lattice becomes its canonical row
+    simplex_rows(counts / k), kept as checked where equal under == (so a
+    written -0.0 stays), and the rows are sorted as Mixture stores them.
+    Weights whose running total is within 1e-9 of 1 are kept undivided.
+    Rows off the lattice, or rows the merge would join (within 1e-12 in
+    l1), go to the generic constructor, and the table refuses what it must.
+    """
+    rows = _coordinate_rows(points, space)
+    try:
+        counts = _lattice_counts(rows, k)
+    except InvalidDistribution:
+        return Mixture(points, weights, space)
+    canonical = simplex_rows(counts / k)
+    rows = np.where(rows == canonical, rows, canonical)
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    if np.bincount(_near_clusters(rows)).max() > 1:
+        return Mixture(points, weights, space)
+    w = np.fromiter(map(float, weights), dtype=float)
+    total = _running_sum(w)
+    if abs(total - 1.0) <= WEIGHT_SUM_TOL:
+        total = 1.0  # the weights as written, not divided again
+    return Mixture._from_distinct(rows, w[order], total, space)
+
+
 def read_calibration_table(path) -> CalibrationTable:
     lines = _read_lines(path)
     header = _parse_header(lines, path, expect_kind="calibration_table")
@@ -170,7 +201,7 @@ def read_calibration_table(path) -> CalibrationTable:
             raise FormatError(f"{path}: partition {pid!r}: coordinates and weights must be JSON numbers",
                               line=lineno)
         try:
-            entries[pid] = Mixture(points, weights, space)
+            entries[pid] = _table_entry(points, weights, space, k)
         except (OverflowError, TypeError, ValueError) as exc:
             # OverflowError: an integer too large for a float
             raise FormatError(f"{path}: partition {pid!r}: {exc}", line=lineno) from None
@@ -200,14 +231,12 @@ def write_calibration_table(table: CalibrationTable, path):
             fh.write(_dump(rec) + "\n")
 
 
-def rows_to_csv(rows, fieldnames) -> str:
-    """Render dict rows as CSV text with a fixed column order."""
-    buf = _io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def write_csv(path, rows, fieldnames):
+    """Write dict rows as CSV with a fixed column order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def read_csv_rows(path) -> list:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDistribution
+from .errors import DimensionMismatch, DomainError, InvalidDistribution
 from .simplex import (
     DEFAULT_ENUM_CAP,
     LabelSpace,
@@ -229,10 +229,14 @@ def _running_sum(terms: np.ndarray, start: float = 0.0) -> float:
     return float(np.cumsum(np.concatenate(([start], terms)))[-1])
 
 
-def _lattice_counts(points: np.ndarray, k: int, error=InvalidDistribution) -> np.ndarray:
+def _lattice_counts(points: np.ndarray, k: int) -> np.ndarray:
     """(n, l) int64 counts round(k * p) of point rows. The first row off the
-    size-k lattice raises `error`: some coordinate of k * p more than
-    1e-9 * k from its count, or counts that do not sum to k."""
+    size-k lattice raises InvalidDistribution: some coordinate of k * p more
+    than 1e-9 * k from its count, or counts that do not sum to k. A k above
+    2**53, where k * p and its rounding are no longer exact, raises
+    DomainError."""
+    if k > 2**53:
+        raise DomainError(f"snapshot size {k} is above 2**53, too large for a lattice check")
     scaled = points * k
     counts = np.rint(scaled)
     off = (np.abs(scaled - counts) > LATTICE_TOL * k).any(axis=1)
@@ -240,7 +244,7 @@ def _lattice_counts(points: np.ndarray, k: int, error=InvalidDistribution) -> np
     off = np.flatnonzero(off | (counts.sum(axis=1) != k))
     if off.size:
         point = tuple(points[off[0]].tolist())
-        raise error(f"support point {point} is not on the size-{k} snapshot lattice")
+        raise InvalidDistribution(f"support point {point} is not on the size-{k} snapshot lattice")
     return counts
 
 

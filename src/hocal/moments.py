@@ -87,7 +87,7 @@ def estimate_moments(kth: Mixture, k: int, eps: float) -> MomentVector:
     """
     if kth.space.num_labels != 2:
         raise DimensionMismatch("moment recovery is defined for binary spaces")
-    k = _snapshot_size(k, DomainError)
+    k = _snapshot_size(k)
     ones = _lattice_counts(kth.points_array(), k)[:, 1].tolist()
     weights = kth.weights_array()
     values = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch, InvalidDistribution
+from .errors import CapExceeded, DimensionMismatch, DomainError, InvalidDistribution
 
 SUM_TOL = 1e-9
 DEFAULT_ENUM_CAP = 10**6
@@ -73,30 +73,30 @@ def snapshot_space_size(space: LabelSpace, k: int) -> int:
     return math.comb(k + space.num_labels - 1, space.num_labels - 1)
 
 
-def _whole_number(value, name: str, error=InvalidDistribution) -> int:
+def _whole_number(value, name: str) -> int:
     """value as a Python int, refusing bool and non-integers (NaN and inf
-    included) with `error` naming the quantity `name`; numpy integers are
-    accepted."""
+    included) with DomainError naming the quantity `name`; numpy integers
+    are accepted."""
     if not isinstance(value, (bool, np.bool_)):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise error(f"{name} must be an integer, got {value!r}")
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
-def _snapshot_size(k, error=InvalidDistribution) -> int:
-    """k as a Python int (see _whole_number), refusing k < 1 with `error`."""
-    k = _whole_number(k, "snapshot size", error)
+def _snapshot_size(k) -> int:
+    """k as a Python int (see _whole_number), refusing k < 1 with DomainError."""
+    k = _whole_number(k, "snapshot size")
     if k < 1:
-        raise error(f"snapshot size must be >= 1, got {k}")
+        raise DomainError(f"snapshot size must be >= 1, got {k}")
     return k
 
 
-def _check_lattice_size(space: LabelSpace, k, cap: int, error=InvalidDistribution) -> int:
+def _check_lattice_size(space: LabelSpace, k, cap: int) -> int:
     """k as a Python int (see _snapshot_size), refusing a lattice of more
     than `cap` points."""
-    k = _snapshot_size(k, error)
+    k = _snapshot_size(k)
     size = snapshot_space_size(space, k)
     if size > cap:
         raise CapExceeded(

@@ -54,7 +54,7 @@ class BinaryRegression:
     bins: int = 20
 
     def __post_init__(self):
-        object.__setattr__(self, "bins", _whole_number(self.bins, "bins", DomainError))
+        object.__setattr__(self, "bins", _whole_number(self.bins, "bins"))
         if self.bins < 1:
             raise DomainError(f"need at least one bin, got {self.bins}")
 
@@ -69,7 +69,7 @@ class RandomMixtureSpec:
 
     def __post_init__(self):
         for field in ("num_labels", "support_size"):
-            object.__setattr__(self, field, _whole_number(getattr(self, field), field, DomainError))
+            object.__setattr__(self, field, _whole_number(getattr(self, field), field))
         if not (2 <= self.num_labels and 1 <= self.support_size and 0 < self.dirichlet_alpha < math.inf):
             raise DomainError("need finite num_labels >= 2, support_size >= 1, alpha > 0")
 
@@ -129,7 +129,7 @@ def reference_table(spec, k: int) -> CalibrationTable:
 
 def gen_dataset(spec, n: int, k: int, rng: RngSeed) -> SnapshotDataset:
     """n k-snapshots from the nature; `reference_table` gives its exact table."""
-    n, k = _whole_number(n, "n", DomainError), _whole_number(k, "k", DomainError)
+    n, k = _whole_number(n, "n"), _whole_number(k, "k")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if k < 1:

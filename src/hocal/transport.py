@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch, DomainError, HocalError
+from .errors import CapExceeded, DimensionMismatch, HocalError
 from .mixture import Mixture, _check_same_space, _lattice, _lattice_counts, _lattice_rank
 from .simplex import _check_lattice_size, _snapshot_size, snapshot_space_size
 
@@ -198,7 +198,7 @@ def wasserstein1(
     """
     _check_same_space(a, b)
     if method == "auto" and a.space.num_labels > 2 and k is not None:
-        k = _snapshot_size(k, DomainError)
+        k = _snapshot_size(k)
         if _flow_route(a.space, k, a.size * b.size):
             return _w1_flow(a, b, k), None
     if method == "auto":
@@ -407,13 +407,13 @@ def w1_lattice(a: Mixture, b: Mixture, k: int) -> float:
     lives on edges rather than point pairs, so only the cost is returned.
     The flow is solved by _lattice_flow, a primal-dual method, and
     certified in-function by _certify. k must be an integer >= 1, numpy
-    integers included. Raises DomainError for any other k (bool too) and
-    for points off the lattice, CapExceeded when the lattice has more than
-    DEFAULT_NODE_CAP points, and SolverFailure when the flow fails its
-    certificate or its phase cap.
+    integers included. Raises DomainError for any other k (bool too),
+    InvalidDistribution for points off the lattice, CapExceeded when the
+    lattice has more than DEFAULT_NODE_CAP points, and SolverFailure when
+    the flow fails its certificate or its phase cap.
     """
     _check_same_space(a, b)
-    return _w1_flow(a, b, _check_lattice_size(a.space, k, DEFAULT_NODE_CAP, DomainError))
+    return _w1_flow(a, b, _check_lattice_size(a.space, k, DEFAULT_NODE_CAP))
 
 
 def _w1_flow(a: Mixture, b: Mixture, k: int) -> float:
@@ -422,7 +422,7 @@ def _w1_flow(a: Mixture, b: Mixture, k: int) -> float:
     incidence = graph[0]
     supply = np.zeros(incidence.shape[0])
     for m, spread in ((a, np.add), (b, np.subtract)):
-        index = _lattice_rank(_lattice_counts(m.points_array(), k, DomainError), k)
+        index = _lattice_rank(_lattice_counts(m.points_array(), k), k)
         spread.at(supply, index, m.weights_array())
     flow, y = _lattice_flow(graph, supply, k)
     cost = np.full(incidence.shape[1], 2.0 / k)

@@ -62,7 +62,7 @@ def test_dataset_validation():
         make_dataset([("a", (1, 1, 1))])  # wrong label count
     with pytest.raises(InvalidDistribution):
         make_dataset([("a", (1, 2))])  # k mismatch
-    with pytest.raises(InvalidDistribution, match="snapshot size must be >= 1, got 0"):
+    with pytest.raises(DomainError, match="snapshot size must be >= 1, got 0"):
         make_dataset([("a", (0, 0))], k=0)
 
 
@@ -114,9 +114,9 @@ def test_table_entries_must_sit_on_the_lattice():
 @pytest.mark.parametrize("k", [0, -1, True, np.True_, 2.0, "2", float("nan"), None])
 def test_snapshot_size_must_be_an_integer_of_at_least_one(k):
     on = mixture_from_arrays([(0.5, 0.5)], [1.0], BINARY)
-    with pytest.raises(InvalidDistribution, match="snapshot size must be"):
+    with pytest.raises(DomainError, match="snapshot size must be"):
         CalibrationTable(entries={"a": on}, k=k, space=BINARY)
-    with pytest.raises(InvalidDistribution, match="snapshot size must be"):
+    with pytest.raises(DomainError, match="snapshot size must be"):
         SnapshotDataset([(1, 1)], [0], ["a"], BINARY, k)
 
 

@@ -120,18 +120,18 @@ README_PIPELINE = (
 README_PIPELINE_SHA256 = {
     "stdout:gen": "9de18d76aeedcce084ded1d8d9bb44e02e15c84b153e6755d857111ad041611d",
     "stdout:calibrate": "cbc844e8ab76280dda16c267bf6812123fe7b6e05834ab41cbac39cbafd850d3",
-    "stdout:evaluate": "e2edfc5b306ffbdd65c61f3d161885794f27a90223309c3d2af2c37769c9f60e",
+    "stdout:evaluate": "6ce39661ccf38cfe03468dc6bce52a15411886ed6ff531cac36018a5ec3ed0df",
     "stdout:decompose": "716b8a8a454450c35cdcaf6bf20b61a6add416b688b6651b2d689953a8e03c80",
     "stdout:moments": "de23a7896680bf2d7f3ba7b9b38e44bb13f580ac8326d77d7999c7a2d9c6ddcb",
     "stdout:predset": "b97cf1d97796f5a352de913504dd899c429e13ca6bf866547cd40c373965659d",
-    "audit.csv": "e7fc32c3e1c7b09520a143a89165a1b9129391561933889c4607e7697039bc68",
+    "audit.csv": "580d9bf6f8b666561d21bfeaf53dbbc24b0f2334e94e9ee523c83f81a04d088b",
     "data.ldjson": "da9e8357525fde4a988bb6f633839b199b2100b2b360b317b7aadfbd357ac20c",
-    "moments.csv": "9c795bc3e2d081edd4ea8f81b7c9692d4d25607f590fed8cae36f374d42ba5a0",
+    "moments.csv": "539711f1d7c15f9d7855ea37cf54ec46e83f39851db342c8bc4e9ed9ce2f0eae",
     "ref.ldjson": "98cf3deba994cc31e62d02dd49b39abeea149b846db352176a6462fb4234c3c8",
     "sets.ldjson": "c62323de092128f9f9ede825764068aacf10b2c0a20a2e0134332eb0def52248",
     "table.ldjson": "306e4a02d2f0e044e5524a40f55ff6037b8c195da383745348e412835726ff42",
-    "uncertainty.csv": "0ef918a1d2f86f3522efc478e2afe1d642364db5a19a4e5c609cf1dd2ad77847",
-    "w1.csv": "f05072cbf7dc696a918b3221a17250e7764ed62497f001eec3674c2d8e5580cc",
+    "uncertainty.csv": "8c08870860ac6673fb6a6efe15757dfa965635b1f3c905b68813d0806da25d5c",
+    "w1.csv": "03aeaca0fa27b6f0d4c5c4b3037c2cc4d849e59f9555760c771834f886ab87fc",
 }
 
 
@@ -574,6 +574,61 @@ def test_bad_delta_gives_a_json_error(tmp_path, capsys, delta):
     _assert_domain_error_naming("delta", argv, tmp_path, capsys)
 
 
+def _run_hocal(argv, cwd):
+    """The command line in a fresh interpreter, so that warnings reach stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "hocal.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def _one_json_error(proc) -> dict:
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert set(diag) == {"error", "message"}
+    return diag
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--l", "2", "--k", "2", "--eps", "1e-200", "--delta", "0.05"],  # eps**2 underflows to 0
+        ["--l", "2", "--k", "2", "--eps", "1e-160", "--delta", "0.05"],  # the count overflows
+        ["--l", "2", "--k", "2", "--eps", "0.1", "--delta", "1e-320"],  # so does 1 / delta
+        ["--l", "1000", "--k", "1000", "--eps", "0.1", "--delta", "0.05"],  # lattice size > 1e308
+    ],
+)
+def test_bounds_refuses_sample_counts_beyond_a_float(tmp_path, argv):
+    diag = _one_json_error(_run_hocal(["bounds", *argv], tmp_path))
+    assert diag["error"] == "DomainError"
+    assert all(f"{name}=" in diag["message"] for name in ("eps", "delta"))
+    assert "is not a finite float" in diag["message"]
+
+
+@pytest.mark.parametrize("k", [10**20, 10**400], ids=["1e20", "1e400"])
+def test_tables_with_k_above_2_53_give_one_json_error(tmp_path, k):
+    # above 2**53, k * p and its rounding are no longer exact integers
+    header = {"format_version": 1, "k": k, "kind": "calibration_table", "num_labels": 2}
+    record = {"count": 2, "partition": "a", "points": [[1.0, 0.0], [0.5, 0.5]], "weights": [0.25, 0.75]}
+    (tmp_path / "table.ldjson").write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    proc = _run_hocal(["moments", "--table", "table.ldjson", "--out", "m.csv"], tmp_path)
+    assert _one_json_error(proc)["error"] == "DomainError"
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["fitpoly", "decompose"])
+def test_an_overflowing_polynomial_entropy_gives_one_json_error(tmp_path, command):
+    (tmp_path / "table.ldjson").write_text(
+        TABLE_HEADER + '{"count": 1, "partition": "a", "points": [[1.0, 0.0]], "weights": [1.0]}\n'
+    )
+    argv = {"fitpoly": ["--degree", "2"], "decompose": ["--table", "table.ldjson", "--out", "d.csv"]}
+    proc = _run_hocal([command, "--entropy", "poly:1e308,1e308", *argv[command]], tmp_path)
+    assert _one_json_error(proc)["error"] == "DomainError"
+
+
 # --- the CLI contract under malformed input -------------------------------
 
 _SCALARS = st.one_of(
@@ -611,6 +666,8 @@ _DATASET_HEADER = st.sampled_from([
 ])
 _TABLE_HEADER = st.sampled_from([
     '{"format_version": 1, "k": 2, "kind": "calibration_table", "num_labels": 3}',
+    '{"format_version": 1, "k": 100000000000000000000, "kind": "calibration_table", "num_labels": 3}',
+    '{"format_version": 1, "k": 1' + "0" * 400 + ', "kind": "calibration_table", "num_labels": 3}',
     '{"format_version": 1, "k": 2, "kind": "dataset", "num_labels": 3}',
     '{"format_version": 1, "k": -1, "kind": "calibration_table", "num_labels": 3}',
     "{",

@@ -1,19 +1,25 @@
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hocal.calibrate import CalibrationTable, SnapshotDataset
+from hocal.calibrate import CalibrationTable, SnapshotDataset, posthoc_calibrate
 from hocal.errors import FormatError
 from hocal.io import (
     read_calibration_table,
     read_csv_rows,
     read_snapshot_dataset,
-    rows_to_csv,
     write_calibration_table,
+    write_csv,
     write_snapshot_dataset,
 )
-from hocal.mixture import mixture_from_arrays
-from hocal.simplex import LabelSpace
+from hocal.mixture import RngSeed, mixture_from_arrays, project_k
+from hocal.simplex import LabelSpace, simplex_rows
+from hocal.synth import BinaryRegression, RandomMixtureSpec, TwoScenario, random_mixture, reference_table
 
 BINARY = LabelSpace(2)
 
@@ -170,6 +176,64 @@ def test_table_with_signed_zeros_is_written_back_unchanged(tmp_path):
     assert dst.read_text() == text
 
 
+def assert_round_trip(table):
+    """write -> read gives an equal table, and write -> read -> write the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.ldjson"), Path(tmp, "second.ldjson")
+        write_calibration_table(table, first)
+        back = read_calibration_table(first)
+        write_calibration_table(back, second)
+        assert second.read_bytes() == first.read_bytes()
+    assert back.partitions == table.partitions
+    assert all(back.entries[p] == table.entries[p] for p in table.partitions)
+    assert back == table
+
+
+_LABELS = st.integers(min_value=2, max_value=4)
+_SIZES = st.sampled_from([1, 2, 3, 6, 7, 16])
+
+
+@settings(deadline=None, max_examples=60)
+@given(num_labels=_LABELS, k=_SIZES, n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       fill_missing=st.booleans())
+def test_calibrated_tables_round_trip_bit_for_bit(num_labels, k, n, seed, fill_missing):
+    rng = np.random.default_rng(seed)
+    counts = [rng.multinomial(k, p) for p in rng.dirichlet(np.ones(num_labels), size=n)]
+    ds = SnapshotDataset(counts, rng.integers(0, 3, size=n), ["a", "b", "c"], LabelSpace(num_labels), k)
+    # "d" never has records, so --fill-missing gives it the uniform vertex mixture
+    partitions = ["a", "b", "c", "d"] if fill_missing else None
+    assert_round_trip(posthoc_calibrate(ds, partitions=partitions, fill_missing=fill_missing))
+
+
+@settings(deadline=None, max_examples=60)
+@given(num_labels=_LABELS, k=_SIZES, support=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_projected_tables_round_trip_bit_for_bit(num_labels, k, support, seed):
+    spec = RandomMixtureSpec(num_labels, support, 1.0)
+    entries = {f"p{i}": project_k(random_mixture(spec, RngSeed(seed + i)), k) for i in range(3)}
+    assert_round_trip(CalibrationTable(entries=entries, k=k, space=LabelSpace(num_labels)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 16])
+@pytest.mark.parametrize("spec", [TwoScenario(1), TwoScenario(2), BinaryRegression()])
+def test_reference_tables_round_trip_bit_for_bit(spec, k):
+    assert_round_trip(reference_table(spec, k))
+
+
+def test_a_point_near_the_lattice_reads_as_its_canonical_row(tmp_path):
+    # 1e-12 off 1/3 and 2/3 passes the lattice rule and is snapped; the
+    # vertex keeps its written -0.0
+    path = tmp_path / "table.ldjson"
+    path.write_text(
+        '{"format_version": 1, "k": 3, "kind": "calibration_table", "num_labels": 2}\n'
+        '{"count": null, "partition": "a", "points": [[0.333333333334, 0.666666666666], '
+        '[1.0, -0.0]], "weights": [0.5, 0.5]}\n'
+    )
+    mix = read_calibration_table(path).entries["a"]
+    canonical = simplex_rows(np.array([[1.0, 2.0]]) / 3)[0]
+    assert mix.points_array()[0].tolist() == canonical.tolist()
+    assert np.signbit(mix.points_array()[1]).tolist() == [False, True]
+
+
 def test_table_duplicate_partition_rejected(tmp_path):
     path = tmp_path / "table.ldjson"
     path.write_text(
@@ -202,10 +266,9 @@ def test_csv_round_trip(tmp_path):
         {"partition": "a", "w1": 0.125},
         {"partition": "b", "w1": 0.5},
     ]
-    text = rows_to_csv(rows, ["partition", "w1"])
-    assert text.splitlines()[0] == "partition,w1"
     path = tmp_path / "out.csv"
-    path.write_text(text)
+    write_csv(path, rows, ["partition", "w1"])
+    assert path.read_bytes() == b"partition,w1\na,0.125\nb,0.5\n"
     got = read_csv_rows(path)
     assert got[0]["partition"] == "a"
     assert float(got[0]["w1"]) == 0.125

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hocal.errors import CapExceeded, DimensionMismatch, InvalidDistribution
+from hocal.errors import CapExceeded, DimensionMismatch, DomainError, InvalidDistribution
 from hocal.mixture import Mixture, _lattice_rank, project_k
 from hocal.simplex import (
     LabelSpace,
@@ -175,17 +175,17 @@ def test_lattice_rank_inverts_the_enumeration_on_large_lattices(num_labels, k):
 
 
 def test_enumeration_refuses_sizes_below_one():
-    with pytest.raises(InvalidDistribution, match="snapshot size must be >= 1, got 0"):
+    with pytest.raises(DomainError, match="snapshot size must be >= 1, got 0"):
         enumerate_snapshot_space(LabelSpace(3), 0)
 
 
 @pytest.mark.parametrize("k", [True, np.True_, 2.5, "2", np.array(2.0), np.array([2])])
 def test_lattice_sizes_must_be_integers(k):
     # k = True once enumerated (and projected onto) the k = 1 lattice
-    with pytest.raises(InvalidDistribution, match="snapshot size must be an integer"):
+    with pytest.raises(DomainError, match="snapshot size must be an integer"):
         enumerate_snapshot_space(LabelSpace(3), k)
     m = Mixture(np.array([[0.2, 0.3, 0.5]]), np.array([1.0]), LabelSpace(3))
-    with pytest.raises(InvalidDistribution, match="snapshot size must be an integer"):
+    with pytest.raises(DomainError, match="snapshot size must be an integer"):
         project_k(m, k)
     assert project_k(m, np.int64(2)) == project_k(m, 2)
 

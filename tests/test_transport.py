@@ -9,8 +9,8 @@ from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hocal.errors import CapExceeded, DimensionMismatch, DomainError
-from hocal.mixture import RngSeed, mixture_from_arrays, project_k
+from hocal.errors import CapExceeded, DimensionMismatch, DomainError, InvalidDistribution
+from hocal.mixture import Mixture, RngSeed, mixture_from_arrays, project_k
 from hocal.simplex import LabelSpace, enumerate_snapshot_space
 from hocal.synth import RandomMixtureSpec
 from hocal.synth import random_mixture as draw_mixture
@@ -227,7 +227,7 @@ def test_w1_lattice_rejects_off_lattice_points():
     space = LabelSpace(3)
     a = mixture_from_arrays([(0.3, 0.7, 0.0)], [1.0], space)
     b = mixture_from_arrays([(0.5, 0.5, 0.0)], [1.0], space)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidDistribution):
         w1_lattice(a, b, 2)
     with pytest.raises(DomainError):
         w1_lattice(b, b, 0)
@@ -435,6 +435,18 @@ def test_dense_lp_certificate_rejects_a_perturbed_plan_or_dual(monkeypatch, pert
     monkeypatch.setattr(hocal.transport, "_solve_lp", _perturbed_solve(perturb, a.size, b.size))
     with pytest.raises(SolverFailure, match=message):
         wasserstein1(a, b, method="lp")
+
+
+def test_cdf_route_refuses_a_coupling_whose_marginals_drift():
+    # stored weights summing to 1.1 get past only the trusted constructor;
+    # the quantile coupling stops once the one-point side is spent
+    heavy = Mixture._from_distinct(
+        np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([0.55, 0.55]), 1.0, BINARY
+    )
+    unit = mixture_from_arrays([(0.0, 1.0)], [1.0], BINARY)
+    for a, b in ((heavy, unit), (unit, heavy)):
+        with pytest.raises(SolverFailure, match="quantile coupling marginals drift above 1e-8"):
+            wasserstein1(a, b)
 
 
 def _negative_cycle(x, y):
