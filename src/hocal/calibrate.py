@@ -288,8 +288,12 @@ def required_samples(space: LabelSpace, k: int, eps: float, delta: float) -> int
 
 def hoc_bound(eps: float, space: LabelSpace, k: int) -> float:
     """Higher-order calibration error implied by k-th order error eps:
-    eps + l / (2 sqrt(k))."""
+    eps + l / (2 sqrt(k)). Raises DomainError when k is beyond a float."""
     k = _snapshot_size(k)
     if not 0.0 <= eps < math.inf:
         raise DomainError(f"eps must be finite and non-negative, got {eps}")
-    return eps + space.num_labels / (2.0 * math.sqrt(k))
+    try:
+        root = math.sqrt(k)
+    except OverflowError:
+        raise DomainError(f"snapshot size {k} is beyond a float") from None
+    return eps + space.num_labels / (2.0 * root)

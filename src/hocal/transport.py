@@ -3,19 +3,23 @@
 Three routes, never collapsed: binary mixtures use the exact 1-D quantile
 formula (the monotone coupling is optimal on a line), checked against both
 marginals and against 2 * integral |F_a - F_b| over the bias coordinate;
-general supports solve the dense transportation LP with HiGHS; mixtures on
-a common k-snapshot lattice use `w1_lattice`, a min-cost flow over
-single-label moves that scales far beyond the dense LP, solved by two
-rounds of the primal-dual method on scipy.sparse.csgraph. `wasserstein1`
-picks the route by input: cdf for binary spaces, the lattice flow when the
-caller names the lattice `k`, it has at most DEFAULT_NODE_CAP points and
-the LP's support pairs outnumber twice the lattice's single-label moves,
-the dense LP otherwise; no route stands in for another. Both the dense LP
-and the lattice flow pass one certificate, `_certify`: non-negativity,
-balance of the full equality system, dual feasibility, complementary
-slackness and the primal-dual gap, each to 1e-8. The dense LP is one HiGHS
-solve in one configuration. scipy is imported only when an LP or a flow is
-built or solved, and scipy.optimize only by the dense LP.
+general supports solve the dense transportation LP; mixtures on a common
+k-snapshot lattice use `w1_lattice`, a min-cost flow over single-label
+moves that scales far beyond the dense LP, solved by two rounds of the
+primal-dual method on scipy.sparse.csgraph. The LP route has two
+sub-routes, picked by one rule: when a side has at most _FEW_SOURCES (8)
+points, `_few_source` takes it as the sources and runs dual ascent on
+their prices, leaving HiGHS only the split of sinks tied between sources;
+otherwise HiGHS solves the whole LP. `wasserstein1` picks the route by
+input: cdf for binary spaces, the lattice flow when the caller names the
+lattice `k`, it has at most DEFAULT_NODE_CAP points and the LP's support
+pairs outnumber twice the lattice's single-label moves, the LP otherwise;
+no route stands in for another. The lattice flow and both LP sub-routes
+pass one certificate, `_certify`: non-negativity, balance of the full
+equality system, dual feasibility, complementary slackness and the
+primal-dual gap, each to 1e-8. Every HiGHS solve is one call in one
+configuration. scipy is imported only when an LP or a flow is built or
+solved, and scipy.optimize only by a HiGHS solve.
 """
 
 from __future__ import annotations
@@ -153,17 +157,20 @@ def _w1_binary(a: Mixture, b: Mixture):
 
 
 def _w1_lp(a: Mixture, b: Mixture):
-    """Exact transportation LP, certified by _certify after one HiGHS solve.
+    """Exact transportation LP, certified by _certify.
 
-    HiGHS gets every row of the row/column-sum system but the redundant
-    last one, whose dual is fixed at 0. A one-point side takes the product
-    plan, the only feasible one: its stored weight is exactly 1.0.
+    When one side has at most _FEW_SOURCES points, `_few_source` solves it
+    with that side as the sources. Otherwise HiGHS gets every row of the
+    row/column-sum system but the redundant last one, whose dual is fixed
+    at 0.
     """
     aw, bw = a.weights_array(), b.weights_array()
     m, n = len(aw), len(bw)
     cost_mat = _l1_cost(a.points_array(), b.points_array())
-    if m == 1 or n == 1:
-        mass = np.outer(aw, bw)
+    if m <= _FEW_SOURCES and m <= n:
+        mass = _few_source(cost_mat, aw, bw)
+    elif n <= _FEW_SOURCES:
+        mass = _few_source(cost_mat.T, bw, aw).T
     else:
         cost, a_full = cost_mat.ravel(), _transport_constraints(m, n)
         b_full = np.concatenate([aw, bw])
@@ -174,6 +181,88 @@ def _w1_lp(a: Mixture, b: Mixture):
         _certify(cost, a_full, b_full, x, np.append(res.eqlin.marginals, 0.0))
         mass = x.reshape(m, n)
     return float((cost_mat * mass).sum()), mass
+
+
+# Sides of at most this many points are the sources of `_few_source`, whose
+# Hall check walks all 2^m - 2 source subsets. Measured against HiGHS
+# (README "Distances"): 8 sources win from 64 sinks on and lose at most
+# 0.6 ms below; 10 sources already lose at 64 sinks
+_FEW_SOURCES = 8
+# Dual ascent steps `_few_source` may take before it raises SolverFailure;
+# the most measured was 34, at 7 sources
+_ASCENT_CAP = 100
+# An arc whose reduced cost is at most _TIE_TOL is tight and may carry
+# mass: far inside the 1e-8 complementary-slackness gate, far above the
+# rounding of c_ij - u_i - v_j
+_TIE_TOL = 1e-12
+# A source subset whose sinks need at most _HALL_TOL more than its supply
+# passes Hall's condition. Scaled by _SUPPLY_SCALE that is 1e-8, inside
+# HiGHS's 1e-7 primal tolerance on the restricted primal
+_HALL_TOL = 1e-14
+
+
+def _few_source(cost, a, b):
+    """Optimal plan of the m x n transport problem with m the few sources.
+
+    Dual ascent on the source prices u, with sink prices v_j = min_i (c_ij -
+    u_i) (Tokuyama & Nakano 1995). u is optimal when the tight arcs
+    (reduced cost <= _TIE_TOL) can carry a to b, Hall's condition: no
+    source subset R owns (holds every tight arc of) sinks that need more
+    than a(R). One subset-sum pass over the sinks' tight-set bitmasks
+    gives each R's demand. A violating R has its prices lowered by the
+    exact line search of the concave dual, a weighted quantile of the
+    owned sinks' breakpoints. Then each sink with one tight source takes
+    its mass from it, and HiGHS (`_solve_lp`) splits the tied sinks over
+    their tight arcs. _certify checks the plan with y = (u, v). Raises
+    SolverFailure past _ASCENT_CAP steps; nothing falls back to the dense LP.
+    """
+    m, n = cost.shape
+    bits = 1 << np.arange(m)
+    full = (1 << m) - 1
+    members = (np.arange(1, full)[:, None] & bits) > 0
+    supply = members @ a
+    u = np.zeros(m)
+    for _ in range(_ASCENT_CAP):
+        shifted = cost - u[:, None]
+        v = shifted.min(axis=0)
+        tight = shifted - v <= _TIE_TOL
+        owner = bits @ tight
+        # demand[R]: mass of the sinks whose tight sources all lie in R
+        demand = np.bincount(owner, weights=b, minlength=full + 1).reshape((2,) * m)
+        for axis in range(m):
+            demand = demand.cumsum(axis)
+        excess = demand.ravel()[1:full] - supply
+        if not excess.max(initial=0.0) > _HALL_TOL:
+            break
+        worst = int(excess.argmax())  # R, the subset with bitmask worst + 1
+        inside = members[worst]
+        owned = (owner & ~(worst + 1)) == 0
+        # lowering u on R by t raises v_j by t on each sink R owns, until an
+        # outside source ties at t = gap[j]. The dual's slope is the mass of
+        # the owned sinks not yet tied less a(R): the exact step is the
+        # first gap past which that mass is at most a(R)
+        gap = shifted[~inside][:, owned].min(axis=0) - v[owned]
+        order = np.argsort(gap, kind="stable")
+        need = b[owned][order]
+        beyond = need.sum() - need.cumsum()
+        u[inside] -= gap[order][np.argmax(beyond <= supply[worst])]
+    else:
+        raise SolverFailure(f"few-source dual ascent needs more than {_ASCENT_CAP} steps")
+    mass = np.zeros((m, n))
+    single = (owner & (owner - 1)) == 0
+    mass[tight[:, single].argmax(axis=0), single] = b[single]
+    tied = np.flatnonzero(~single)
+    if tied.size:
+        rows, cols = np.nonzero(tight[:, tied])
+        a_eq = _transport_constraints(m, tied.size)[:-1, rows * tied.size + cols]
+        rhs = np.concatenate([a - mass.sum(axis=1), b[tied]])
+        res = _solve_lp(cost[:, tied][rows, cols], a_eq, rhs[:-1])
+        if res.status != 0:
+            raise SolverFailure(f"highs LP on the tied sinks failed: {res.message}")
+        mass[rows, tied[cols]] = res.x / _SUPPLY_SCALE
+    _certify(cost.ravel(), _transport_constraints(m, n), np.concatenate([a, b]), mass.ravel(),
+             np.concatenate([u, v]))
+    return mass
 
 
 def wasserstein1(

@@ -9,7 +9,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hocal.calibrate import CalibrationTable
@@ -608,6 +608,13 @@ def test_bounds_refuses_sample_counts_beyond_a_float(tmp_path, argv):
     assert "is not a finite float" in diag["message"]
 
 
+def test_bounds_refuses_a_snapshot_size_beyond_a_float(tmp_path):
+    argv = ["bounds", "--l", "2", "--k", "1" + "0" * 400, "--eps", "0.1", "--delta", "0.05"]
+    diag = _one_json_error(_run_hocal(argv, tmp_path))
+    assert diag["error"] == "DomainError"
+    assert "is beyond a float" in diag["message"]
+
+
 @pytest.mark.parametrize("k", [10**20, 10**400], ids=["1e20", "1e400"])
 def test_tables_with_k_above_2_53_give_one_json_error(tmp_path, k):
     # above 2**53, k * p and its rounding are no longer exact integers
@@ -664,10 +671,13 @@ _DATASET_HEADER = st.sampled_from([
     "[]",
     "",
 ])
-_TABLE_HEADER = st.sampled_from([
-    '{"format_version": 1, "k": 2, "kind": "calibration_table", "num_labels": 3}',
+_OVERSIZED_K_TABLE_HEADERS = [
     '{"format_version": 1, "k": 100000000000000000000, "kind": "calibration_table", "num_labels": 3}',
     '{"format_version": 1, "k": 1' + "0" * 400 + ', "kind": "calibration_table", "num_labels": 3}',
+]
+_TABLE_HEADER = st.sampled_from([
+    '{"format_version": 1, "k": 2, "kind": "calibration_table", "num_labels": 3}',
+    *_OVERSIZED_K_TABLE_HEADERS,
     '{"format_version": 1, "k": 2, "kind": "dataset", "num_labels": 3}',
     '{"format_version": 1, "k": -1, "kind": "calibration_table", "num_labels": 3}',
     "{",
@@ -675,13 +685,12 @@ _TABLE_HEADER = st.sampled_from([
 _DATASET_LINES = st.lists(
     _records(["labels", "partition"], '{"labels": [0, 2], "partition": "a"}'), max_size=4
 )
+_TABLE_RECORD = (
+    '{"count": 2, "partition": "a", "points": [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]], '
+    '"weights": [0.25, 0.75]}'
+)
 _TABLE_LINES = st.lists(
-    _records(
-        ["count", "partition", "points", "weights"],
-        '{"count": 2, "partition": "a", "points": [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]], '
-        '"weights": [0.25, 0.75]}',
-    ),
-    max_size=4,
+    _records(["count", "partition", "points", "weights"], _TABLE_RECORD), max_size=4
 )
 _NUMBER = st.one_of(
     st.integers(min_value=-3, max_value=40).map(str),
@@ -705,6 +714,18 @@ _COMMANDS = [
 ]
 
 
+def _every_table_command_on_oversized_k(test):
+    """An example per table command and oversized-k header, with a valid
+    record: random draws pair them in about 2 of 100 examples."""
+    for header in _OVERSIZED_K_TABLE_HEADERS:
+        for command in _COMMANDS:
+            if "{table}" in command:
+                test = example(command=command, numbers=["0.1"] * 4,
+                               dataset=('{"format_version": 1, "k": 2, "num_labels": 3}', []),
+                               table=(header, [_TABLE_RECORD]))(test)
+    return test
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     command=st.sampled_from(_COMMANDS),
@@ -712,6 +733,7 @@ _COMMANDS = [
     dataset=st.tuples(_DATASET_HEADER, _DATASET_LINES),
     table=st.tuples(_TABLE_HEADER, _TABLE_LINES),
 )
+@_every_table_command_on_oversized_k
 def test_cli_contract_holds_for_malformed_files_and_numbers(command, numbers, dataset, table):
     # any input ends in exit 0, 1 or 2, and every failure is one line of
     # JSON on stderr

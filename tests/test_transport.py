@@ -270,20 +270,22 @@ def test_wasserstein1_takes_the_lattice_flow_when_given_k():
 
 
 def test_wasserstein1_takes_the_flow_above_two_pairs_per_move():
-    # the k = 4 lattice of 3 labels has 15 points and 60 single-label moves
+    # the k = 6 lattice of 3 labels has 28 points and 126 single-label
+    # moves; on the LP side, 4 rows are few enough for the few-source
+    # sub-route and 9 go to HiGHS
     space = LabelSpace(3)
-    full = lattice_mixture(space, 4, 21)
-    for rows, route in ((4, "lp"), (8, "lp"), (9, "flow"), (15, "flow")):
+    full = lattice_mixture(space, 6, 21)
+    for rows, route in ((4, "lp"), (9, "lp"), (10, "flow"), (28, "flow")):
         part = mixture_from_arrays(
             full.points_array()[:rows], np.full(rows, 1.0 / rows), space
         )
-        cost, plan = wasserstein1(part, full, k=4)
+        cost, plan = wasserstein1(part, full, k=6)
         dense, dense_plan = wasserstein1(part, full, method="lp")
         if route == "lp":
             assert float(cost).hex() == float(dense).hex()
             assert plan.tobytes() == dense_plan.tobytes()
         else:
-            assert plan is None and cost == w1_lattice(part, full, 4)
+            assert plan is None and cost == w1_lattice(part, full, 6)
             assert abs(cost - dense) <= 1e-12
     # above the node cap a pair of any size takes the dense LP
     k = 446
@@ -424,6 +426,13 @@ def _perturbed_solve(perturb, *shape):
     return perturbed
 
 
+@pytest.fixture
+def dense_lp(monkeypatch):
+    """Send every LP to HiGHS: no side is small enough for `_few_source`."""
+    monkeypatch.setattr(hocal.transport, "_FEW_SOURCES", 0)
+
+
+@pytest.mark.usefixtures("dense_lp")
 @pytest.mark.parametrize(
     "perturb,message", [(_nudge_plan, "negative mass or flow")] + SHARED_PERTURBATIONS
 )
@@ -509,6 +518,7 @@ LP_A, LP_B = binary([1.0, 0.0], [0.5, 0.5]), binary([1.0, 0.0], [0.25, 0.75])
 LP_PLAN, LP_DUAL = [0.25, 0.25, 0.0, 0.5], [2.0, 0.0, -2.0]
 
 
+@pytest.mark.usefixtures("dense_lp")
 def test_dense_lp_certificate_rejects_a_duality_gap(monkeypatch):
     _hand_solved(monkeypatch, LP_PLAN, LP_DUAL)
     cost, plan = wasserstein1(LP_A, LP_B, method="lp")
@@ -521,6 +531,7 @@ def test_dense_lp_certificate_rejects_a_duality_gap(monkeypatch):
         wasserstein1(LP_A, LP_B, method="lp")
 
 
+@pytest.mark.usefixtures("dense_lp")
 def test_dense_lp_rejects_a_failed_solve(monkeypatch):
     _hand_solved(monkeypatch, LP_PLAN, LP_DUAL, status=2)
     with pytest.raises(SolverFailure, match="highs LP failed: infeasible"):
@@ -556,6 +567,7 @@ SKEWED_LPS = [
 ]
 
 
+@pytest.mark.usefixtures("dense_lp")
 @pytest.mark.parametrize("l,alpha,seed,kind,other,expected", SKEWED_LPS)
 def test_skewed_dense_lp_certifies_in_one_solve(monkeypatch, l, alpha, seed, kind, other, expected):
     import scipy.optimize
@@ -575,6 +587,115 @@ def test_skewed_dense_lp_certifies_in_one_solve(monkeypatch, l, alpha, seed, kin
     assert statuses == [0]
     assert abs(cost - expected) <= 1e-12
     assert abs(cost - plan_cost(m, target, plan)) <= 1e-12
+
+
+def criterion_2_pair(l, k, trial, support=4):
+    """Criterion 2's mixture `trial` at (l, k) and its size-k projection."""
+    spec = RandomMixtureSpec(num_labels=l, support_size=support, dirichlet_alpha=2.0)
+    m = draw_mixture(spec, RngSeed(10_000 * l + 100 * k + trial))
+    return m, project_k(m, k)
+
+
+def criterion_3_direct(l, k, trial):
+    """Criterion 3's unprojected pair `trial` at (l, k)."""
+    spec = RandomMixtureSpec(num_labels=l, support_size=4, dirichlet_alpha=2.0)
+    f = draw_mixture(spec, RngSeed(20_000 * l + 200 * k + trial))
+    return f, draw_mixture(spec, RngSeed(20_000 * l + 200 * k + trial + 100))
+
+
+def uniform_on_lattice(l, k, rows=None):
+    """Equal weights on the first `rows` points of the size-k lattice: costs
+    are multiples of 2/k, so many arcs tie."""
+    space = LabelSpace(l)
+    points = enumerate_snapshot_space(space, k)[:rows] / k
+    return mixture_from_arrays(points, np.full(len(points), 1.0 / len(points)), space)
+
+
+ONE_POINT = mixture_from_arrays([(0.2, 0.3, 0.5)], [1.0], LabelSpace(3))
+FEW_SOURCE_CASES = {
+    "criterion 2 at (3, 16)": lambda: criterion_2_pair(3, 16, 0),
+    "criterion 2 at (4, 16)": lambda: criterion_2_pair(4, 16, 1),
+    "criterion 3 direct at (4, 8)": lambda: criterion_3_direct(4, 8, 2),
+    "8 points against their (4, 8) projection": lambda: criterion_2_pair(4, 8, 3, support=8),
+    "4 lattice points against the (3, 4) lattice": lambda: (
+        uniform_on_lattice(3, 4, 4), uniform_on_lattice(3, 4)),
+    "the (4, 4) lattice against 5 of its points": lambda: (
+        uniform_on_lattice(4, 4), uniform_on_lattice(4, 4, 5)),
+    "one point against a projection": lambda: (ONE_POINT, criterion_2_pair(3, 8, 4)[1]),
+    "a projection against one point": lambda: (criterion_2_pair(3, 8, 4)[1], ONE_POINT),
+}
+
+
+def spy_few_source(monkeypatch):
+    """Record the (sources, sinks) shape of every `_few_source` call."""
+    shapes = []
+    solve = hocal.transport._few_source
+
+    def spy(cost, a, b):
+        shapes.append(cost.shape)
+        return solve(cost, a, b)
+
+    monkeypatch.setattr(hocal.transport, "_few_source", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("case", list(FEW_SOURCE_CASES))
+def test_few_source_route_agrees_with_highs(monkeypatch, case):
+    # the smaller side is the sources, and the plan comes back in the
+    # caller's orientation when that is b
+    a, b = FEW_SOURCE_CASES[case]()
+    shapes = spy_few_source(monkeypatch)
+    cost, plan = wasserstein1(a, b, support_cap=10_000)
+    assert shapes == [(min(a.size, b.size), max(a.size, b.size))]
+    assert plan.shape == (a.size, b.size)
+    assert np.abs(plan.sum(axis=1) - a.weights_array()).max() <= 1e-12
+    assert np.abs(plan.sum(axis=0) - b.weights_array()).max() <= 1e-12
+    assert abs(cost - plan_cost(a, b, plan)) <= 1e-15
+    monkeypatch.setattr(hocal.transport, "_FEW_SOURCES", 0)
+    dense, _ = wasserstein1(a, b, support_cap=10_000)
+    assert abs(cost - dense) <= 1e-12
+    assert len(shapes) == 1
+
+
+@pytest.mark.parametrize("l,alpha,seed,kind,other,expected", SKEWED_LPS)
+def test_few_source_route_matches_the_skewed_lp_costs(l, alpha, seed, kind, other, expected):
+    spec = RandomMixtureSpec(num_labels=l, support_size=4, dirichlet_alpha=alpha)
+    m = draw_mixture(spec, RngSeed(seed))
+    target = project_k(m, other) if kind == "proj" else draw_mixture(spec, RngSeed(other))
+    cost, plan = wasserstein1(m, target, support_cap=10_000)
+    assert abs(cost - expected) <= 1e-12
+    assert abs(cost - plan_cost(m, target, plan)) <= 1e-12
+
+
+def test_few_source_raises_past_its_ascent_cap(monkeypatch):
+    m, p = criterion_2_pair(4, 16, 0)
+    wasserstein1(m, p, support_cap=10_000)
+    solves = []
+    monkeypatch.setattr(hocal.transport, "_solve_lp", lambda *args: solves.append(args))
+    monkeypatch.setattr(hocal.transport, "_ASCENT_CAP", 1)
+    with pytest.raises(SolverFailure, match="few-source dual ascent needs more than 1 steps"):
+        wasserstein1(m, p, support_cap=10_000)
+    assert solves == []
+
+
+@pytest.mark.parametrize("perturb,message", SHARED_PERTURBATIONS)
+def test_few_source_certificate_rejects_a_perturbed_plan_or_dual(monkeypatch, perturb, message):
+    a, b = criterion_3_direct(3, 4, 0)
+    shapes = spy_few_source(monkeypatch)
+    wasserstein1(a, b)
+    assert shapes == [(4, 4)]
+    certify = hocal.transport._certify
+    monkeypatch.setattr(hocal.transport, "_certify",
+                        lambda cost, a_full, b_full, x, y: certify(cost, a_full, b_full, *perturb(x, y)))
+    with pytest.raises(SolverFailure, match=message):
+        wasserstein1(a, b)
+
+
+def test_few_source_rejects_a_failed_solve_on_the_tied_sinks(monkeypatch):
+    a, b = criterion_3_direct(3, 4, 0)
+    _hand_solved(monkeypatch, [], [], status=2)
+    with pytest.raises(SolverFailure, match="highs LP on the tied sinks failed: infeasible"):
+        wasserstein1(a, b)
 
 
 def move_graph_lp(a, b, k):
