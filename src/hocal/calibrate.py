@@ -232,7 +232,8 @@ def koc_error(
 
     Each partition is one `wasserstein1(..., k=table.k)` call: binary
     tables take the CDF route; others the lattice flow where its rule
-    holds, else the dense LP under `support_cap`.
+    holds, else the dense LP, whose `support_cap` binds only when both
+    sides have more than 8 points (HiGHS on the whole LP).
     The weighted mean weights each partition by the table's record count
     when counts are available, else uniformly.
     """

@@ -159,7 +159,8 @@ def calibrate(data, out, reference, fill_missing):
     "--support-cap", type=int, default=DEFAULT_SUPPORT_CAP, show_default=True,
     help="combined support cap of the dense LP, which scores tables of 3 or more labels "
     "only where the lattice flow does not: partitions with at most two support pairs "
-    "per single-label move of the size-k lattice, and lattices above 10^5 points",
+    "per single-label move of the size-k lattice, and lattices above 10^5 points; "
+    "it binds only when both sides have more than 8 points",
 )
 def evaluate(table_path, reference, out, support_cap):
     """Per-partition Wasserstein-1 error of a table against a reference."""

@@ -156,16 +156,18 @@ def _w1_binary(a: Mixture, b: Mixture):
     return cost, mass
 
 
-def _w1_lp(a: Mixture, b: Mixture):
+def _w1_lp(a: Mixture, b: Mixture, support_cap: int):
     """Exact transportation LP, certified by _certify.
 
     When one side has at most _FEW_SOURCES points, `_few_source` solves it
     with that side as the sources. Otherwise HiGHS gets every row of the
     row/column-sum system but the redundant last one, whose dual is fixed
-    at 0.
+    at 0; only this sub-route refuses combined supports above `support_cap`.
     """
     aw, bw = a.weights_array(), b.weights_array()
     m, n = len(aw), len(bw)
+    if min(m, n) > _FEW_SOURCES and m + n > support_cap:
+        raise CapExceeded(f"combined support {m + n} exceeds support_cap={support_cap}")
     cost_mat = _l1_cost(a.points_array(), b.points_array())
     if m <= _FEW_SOURCES and m <= n:
         mass = _few_source(cost_mat, aw, bw)
@@ -283,7 +285,9 @@ def wasserstein1(
     space is binary; else the flow of `w1_lattice` when `k` is given and
     `_flow_route` holds, returning plan None since that flow lives on
     moves, not point pairs; else lp. "cdf" and "lp" ignore `k`. The LP
-    route refuses combined supports above `support_cap`.
+    route refuses combined supports above `support_cap` when both sides
+    have more than _FEW_SOURCES (8) points, the pairs HiGHS solves whole;
+    the few-source sub-route has no cap.
     """
     _check_same_space(a, b)
     if method == "auto" and a.space.num_labels > 2 and k is not None:
@@ -296,9 +300,7 @@ def wasserstein1(
         raise ValueError(f"unknown method {method!r}")
     if method == "cdf" and a.space.num_labels != 2:
         raise DimensionMismatch("the CDF route only applies to binary spaces")
-    if method == "lp" and a.size + b.size > support_cap:
-        raise CapExceeded(f"combined support {a.size + b.size} exceeds support_cap={support_cap}")
-    return _w1_binary(a, b) if method == "cdf" else _w1_lp(a, b)
+    return _w1_binary(a, b) if method == "cdf" else _w1_lp(a, b, support_cap)
 
 
 DEFAULT_NODE_CAP = 100_000
@@ -338,8 +340,9 @@ def _move_graph(space, k: int):
     metric of this graph with edge cost 2/k reproduces the l1 metric.
     Edges are sorted by source point, then target point. Returns the
     node-by-edge incidence matrix (+1 at the edge's source point, -1 at its
-    target), each edge's source and target, the edge that undoes it, and
-    the row pointer of the edges as a CSR graph.
+    target), each edge's source and target, the edge that undoes it, the
+    row pointer of the edges as a CSR graph, and the (N, l) integer counts
+    of the lattice points.
     """
     from scipy import sparse
 
@@ -362,7 +365,7 @@ def _move_graph(space, k: int):
          (np.concatenate([heads, tails]), np.concatenate([edges, edges]))),
         shape=(n, len(heads)),
     )
-    return incidence, heads, tails, reverse, indptr
+    return incidence, heads, tails, reverse, indptr, counts
 
 
 def _integer_supply(supply):
@@ -399,7 +402,9 @@ def _phase_cap(k: int) -> int:
     lattice diameter in moves: between a node u that keeps its excess and
     a node v that keeps its deficit, potential[v] - potential[u] goes from
     at least -k to at most k, a rise of at most 2k. Hence at most 2k + 2
-    phases.
+    phases. The argument needs only integer potentials that are dual
+    feasible at the round's start, so the bound holds from any such start:
+    round 1's coordinate-marginal dual and round 2's start at round 1's end.
     """
     return 2 * k + 2
 
@@ -419,7 +424,7 @@ def _flow_phases(graph, supply, flow, potential, k: int):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra, maximum_flow
 
-    _, heads, tails, reverse, indptr = graph
+    _, heads, tails, reverse, indptr, _ = graph
     n = len(indptr) - 1
     excess = supply.copy()
     for _ in range(_phase_cap(k)):
@@ -462,17 +467,38 @@ def _flow_phases(graph, supply, flow, potential, k: int):
         raise SolverFailure(f"lattice flow needs more than {_phase_cap(k)} phases at k={k}")
 
 
+def _marginal_potential(counts, supply, k: int):
+    """Integer potentials of the coordinate-marginal dual of integer node
+    supplies on the lattice points `counts`, for a flow that is all zero.
+
+    Label i's marginal dual steps by +1 from count j to j + 1 where the
+    supply at counts <= j is positive, by -1 elsewhere: the optimal 1-D
+    dual, whose objective is that marginal's W1. Each step is odd, so
+    phi_i(j) has the parity of j; the counts of a point sum to k, so the
+    halving below is exact. A move shifts two counts by one each and
+    sum_i phi_i by at most 2, so every move keeps reduced cost >= 0.
+    """
+    total = np.zeros(len(counts), dtype=np.int64)
+    for column in counts.T:
+        running = np.bincount(column, weights=supply, minlength=k + 1).cumsum()
+        phi = np.concatenate([[0], np.where(running[:-1] > 0, 1, -1).cumsum()])
+        total += phi[column]
+    return (total - k) // 2
+
+
 def _lattice_flow(graph, supply, k: int):
     """Mass per move of an optimal flow for node supplies `supply`, and its
     dual y (node prices, y[u] - y[v] <= 2/k on every move u -> v).
 
-    Round 1 solves the supplies rounded to integers. Its gap can come near
-    1e-8, so round 2 solves the rounding residual at its own, finer scale,
-    starting from round 1's flow and potentials; it may cancel round-1 flow.
+    Round 1 solves the supplies rounded to integers, starting from no flow
+    and the coordinate-marginal dual of those integers. Its gap can come
+    near 1e-8, so round 2 solves the rounding residual at its own, finer
+    scale, starting from round 1's flow and potentials; it may cancel
+    round-1 flow.
     """
     z1, unit1 = _integer_supply(supply)
     flow = np.zeros(graph[0].shape[1], dtype=np.int64)
-    potential = np.zeros(len(supply), dtype=np.int64)
+    potential = _marginal_potential(graph[5], z1, k)
     _flow_phases(graph, z1, flow, potential, k)
     x = flow * unit1
     z2, unit2 = _integer_supply(supply - z1 * unit1)

@@ -303,10 +303,13 @@ def test_koc_error_on_the_lattice_matches_the_dense_lp(l, k, fill, monkeypatch):
 
 
 def test_koc_error_above_the_node_cap_takes_the_capped_dense_lp():
-    # l = 3, k = 446: 100 128 lattice points, above the node cap of 10^5
+    # l = 3, k = 446: 100 128 lattice points, above the node cap of 10^5;
+    # 9 points a side are too many for the few-source route, so HiGHS
+    # solves the whole LP
     space, k = LabelSpace(3), 446
-    a = mixture_from_arrays([(1.0, 0.0, 0.0), (445 / k, 1 / k, 0.0)], [0.5, 0.5], space)
-    b = mixture_from_arrays([(0.0, 1.0, 0.0), (1 / k, 0.0, 445 / k)], [0.25, 0.75], space)
+    shift = np.arange(9)
+    a = mixture_from_arrays(np.stack([k - shift, shift, 0 * shift], axis=1) / k, np.full(9, 1 / 9), space)
+    b = mixture_from_arrays(np.stack([shift, 0 * shift, k - shift], axis=1) / k, np.full(9, 1 / 9), space)
     table = CalibrationTable(entries={"a": a}, k=k, space=space)
     ref = CalibrationTable(entries={"a": b}, k=k, space=space)
     assert koc_error(table, ref).worst == wasserstein1(a, b, method="lp")[0]

@@ -119,12 +119,30 @@ def test_w1_symmetry():
 
 
 def test_w1_support_cap():
+    # both sides above 8 points: the LP goes to HiGHS whole, under the cap
     a = binary(np.linspace(0.01, 0.99, 60), np.full(60, 1 / 60))
-    b = binary([0.5], [1.0])
+    b = binary(np.linspace(0.05, 0.95, 9), np.full(9, 1 / 9))
     with pytest.raises(CapExceeded):
         wasserstein1(a, b, support_cap=50, method="lp")
     cost, _ = wasserstein1(a, b, support_cap=50)  # cdf route ignores the cap
     assert cost >= 0.0
+
+
+def test_support_cap_binds_only_where_highs_solves_the_whole_lp():
+    # 4 lattice points against the 20 301-point projection at k = 200 take
+    # the few-source route, which builds no LP over all pairs; 9 points send
+    # the same pair to HiGHS, under the cap
+    space, k = LabelSpace(3), 200
+    p = project_k(mixture_from_arrays([(0.2, 0.3, 0.5), (0.6, 0.3, 0.1)], [0.4, 0.6], space), k)
+    points = enumerate_snapshot_space(space, k)[::2300] / k
+    g = mixture_from_arrays(points[1:5], [0.1, 0.2, 0.3, 0.4], space)
+    cost, plan = wasserstein1(g, p, k=k)
+    assert plan.shape == (4, p.size)
+    assert abs(cost - w1_lattice(g, p, k)) <= 1e-12
+    many = mixture_from_arrays(points, np.full(len(points), 1.0 / len(points)), space)
+    assert many.size == 9
+    with pytest.raises(CapExceeded, match="combined support 20310 exceeds support_cap=2000"):
+        wasserstein1(many, p, k=k)
 
 
 def test_w1_space_mismatch():
@@ -733,11 +751,64 @@ def projected_pair(l, k, trial, alpha=2.0):
     return project_k(f, k), project_k(h, k)
 
 
+def spy_dijkstra_rounds(monkeypatch):
+    """Count Dijkstra calls, one per phase, per `_flow_phases` call. Returns
+    the list of counts, which fills as flows run, and the counting
+    `_flow_phases`, for rounds a test runs itself."""
+    from scipy.sparse import csgraph
+
+    calls, rounds = [0], []
+    dijkstra, phases = csgraph.dijkstra, hocal.transport._flow_phases
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return dijkstra(*args, **kwargs)
+
+    def counted_phases(*args):
+        before = calls[0]
+        phases(*args)
+        rounds.append(calls[0] - before)
+
+    monkeypatch.setattr(csgraph, "dijkstra", counted)
+    monkeypatch.setattr(hocal.transport, "_flow_phases", counted_phases)
+    return rounds, counted_phases
+
+
 @pytest.mark.parametrize("l,k", [(3, 8), (3, 16), (4, 8), (4, 16)])
-def test_lattice_flow_matches_highs_on_criterion_3_pairs(l, k):
+def test_lattice_flow_matches_highs_on_criterion_3_pairs(l, k, monkeypatch):
+    # round 1 from the coordinate-marginal dual takes no more phases than
+    # from zero potentials
+    rounds, counted_phases = spy_dijkstra_rounds(monkeypatch)
     for trial in range(3):
         a, b = projected_pair(l, k, trial)
+        rounds.clear()
         assert abs(w1_lattice(a, b, k) - move_graph_lp(a, b, k)) <= 1e-12
+        graph = hocal.transport._move_graph(a.space, k)
+        z1, _ = hocal.transport._integer_supply(lattice_supply(a, b, k))
+        counted_phases(graph, z1, np.zeros(graph[0].shape[1], dtype=np.int64),
+                       np.zeros(len(z1), dtype=np.int64), k)
+        warm, _, cold = rounds
+        assert warm <= cold
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 16])
+def test_marginal_potential_is_a_feasible_integer_lower_bound(l, k):
+    space = LabelSpace(l)
+    graph = hocal.transport._move_graph(space, k)
+    _, heads, tails, _, _, counts = graph
+    for seed in range(5):
+        a, b = lattice_mixture(space, k, 1000 + seed), lattice_mixture(space, k, 2000 + seed)
+        supply = lattice_supply(a, b, k)
+        z1, _ = hocal.transport._integer_supply(supply)
+        potential = hocal.transport._marginal_potential(counts, z1, k)
+        assert potential.dtype == np.int64
+        assert (1 + potential[heads] - potential[tails]).min() >= 0
+        assert supply @ (potential * (-2.0 / k)) <= w1_lattice(a, b, k) + 1e-12
+        # in units, twice the objective is the sum over labels of the
+        # integer supplies' coordinate-marginal W1: the area between CDFs
+        cdfs = [np.bincount(column, weights=z1, minlength=k + 1).cumsum() for column in counts.T]
+        assert -2 * int(z1 @ potential) == sum(int(np.abs(cdf).sum()) for cdf in cdfs)
 
 
 def test_lattice_flow_cancels_round_1_flow_in_round_2(monkeypatch):
@@ -809,8 +880,10 @@ def test_lattice_flow_certifies_supplies_whose_float_sum_is_off():
 
 
 def test_lattice_flow_raises_past_its_phase_cap(monkeypatch):
-    a, b = projected_pair(3, 8, 0)
+    rounds, _ = spy_dijkstra_rounds(monkeypatch)
+    a, b = projected_pair(3, 8, 1)
     w1_lattice(a, b, 8)
+    assert max(rounds) >= 2
     monkeypatch.setattr(hocal.transport, "_phase_cap", lambda k: 1)
     with pytest.raises(SolverFailure, match="lattice flow needs more than 1 phases at k=8"):
         w1_lattice(a, b, 8)
