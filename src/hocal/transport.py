@@ -8,8 +8,8 @@ k-snapshot lattice use `w1_lattice`, a min-cost flow over single-label
 moves that scales far beyond the dense LP, solved by two rounds of the
 primal-dual method on scipy.sparse.csgraph. The LP route has two
 sub-routes, picked by one rule: when a side has at most _FEW_SOURCES (8)
-points, `_few_source` takes it as the sources and runs dual ascent on
-their prices, leaving HiGHS only the split of sinks tied between sources;
+points, `_few_source` takes it as the sources, runs dual ascent on their
+prices and splits the sinks tied between sources by its own Hall slacks;
 otherwise HiGHS solves the whole LP. `wasserstein1` picks the route by
 input: cdf for binary spaces, the lattice flow when the caller names the
 lattice `k`, it has at most DEFAULT_NODE_CAP points and the LP's support
@@ -17,9 +17,9 @@ pairs outnumber twice the lattice's single-label moves, the LP otherwise;
 no route stands in for another. The lattice flow and both LP sub-routes
 pass one certificate, `_certify`: non-negativity, balance of the full
 equality system, dual feasibility, complementary slackness and the
-primal-dual gap, each to 1e-8. Every HiGHS solve is one call in one
-configuration. scipy is imported only when an LP or a flow is built or
-solved, and scipy.optimize only by a HiGHS solve.
+primal-dual gap, each to 1e-8. HiGHS runs only on a whole LP, in one call
+and one configuration. scipy is imported only when an LP or a flow is
+built or solved, and scipy.optimize only by that HiGHS solve.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def _w1_lp(a: Mixture, b: Mixture, support_cap: int):
 
 # Sides of at most this many points are the sources of `_few_source`, whose
 # Hall check walks all 2^m - 2 source subsets. Measured against HiGHS
-# (README "Distances"): 8 sources win from 64 sinks on and lose at most
-# 0.6 ms below; 10 sources already lose at 64 sinks
+# (README "Distances"): 8 sources win at every size measured; 10 sources
+# already lose at 16 sinks
 _FEW_SOURCES = 8
 # Dual ascent steps `_few_source` may take before it raises SolverFailure;
 # the most measured was 34, at 7 sources
@@ -198,8 +198,9 @@ _ASCENT_CAP = 100
 # rounding of c_ij - u_i - v_j
 _TIE_TOL = 1e-12
 # A source subset whose sinks need at most _HALL_TOL more than its supply
-# passes Hall's condition. Scaled by _SUPPLY_SCALE that is 1e-8, inside
-# HiGHS's 1e-7 primal tolerance on the restricted primal
+# passes Hall's condition. `_few_source`'s split never gives a sink more
+# than it needs, so a slack down to -_HALL_TOL only overdraws a source by
+# about as much: balance residuals near 1e-14, far inside the 1e-8 gate
 _HALL_TOL = 1e-14
 
 
@@ -213,15 +214,17 @@ def _few_source(cost, a, b):
     than a(R). One subset-sum pass over the sinks' tight-set bitmasks
     gives each R's demand. A violating R has its prices lowered by the
     exact line search of the concave dual, a weighted quantile of the
-    owned sinks' breakpoints. Then each sink with one tight source takes
-    its mass from it, and HiGHS (`_solve_lp`) splits the tied sinks over
-    their tight arcs. _certify checks the plan with y = (u, v). Raises
-    SolverFailure past _ASCENT_CAP steps; nothing falls back to the dense LP.
+    owned sinks' breakpoints. The last pass's Hall slacks then split the
+    sinks over their tight arcs, each arc in turn taking the most that any
+    feasible completion allows. _certify checks the plan with y = (u, v).
+    Raises SolverFailure past _ASCENT_CAP steps; nothing falls back to the
+    dense LP.
     """
     m, n = cost.shape
     bits = 1 << np.arange(m)
     full = (1 << m) - 1
-    members = (np.arange(1, full)[:, None] & bits) > 0
+    subsets = np.arange(1, full)
+    members = (subsets[:, None] & bits) > 0
     supply = members @ a
     u = np.zeros(m)
     for _ in range(_ASCENT_CAP):
@@ -250,18 +253,26 @@ def _few_source(cost, a, b):
         u[inside] -= gap[order][np.argmax(beyond <= supply[worst])]
     else:
         raise SolverFailure(f"few-source dual ascent needs more than {_ASCENT_CAP} steps")
+    # -excess[R] is R's Hall slack. Giving t of sink j to source i spends t
+    # of the slack of every R holding i but not all of j's tight sources, so
+    # arc (i, j) can carry at most the least of those slacks; once it has
+    # that, no feasible completion adds to it. Sinks with one tight set share
+    # these cuts, so each of its sources fills them in turn, and the last
+    # takes what is left (all of it, on a sink with one tight source)
     mass = np.zeros((m, n))
-    single = (owner & (owner - 1)) == 0
-    mass[tight[:, single].argmax(axis=0), single] = b[single]
-    tied = np.flatnonzero(~single)
-    if tied.size:
-        rows, cols = np.nonzero(tight[:, tied])
-        a_eq = _transport_constraints(m, tied.size)[:-1, rows * tied.size + cols]
-        rhs = np.concatenate([a - mass.sum(axis=1), b[tied]])
-        res = _solve_lp(cost[:, tied][rows, cols], a_eq, rhs[:-1])
-        if res.status != 0:
-            raise SolverFailure(f"highs LP on the tied sinks failed: {res.message}")
-        mass[rows, tied[cols]] = res.x / _SUPPLY_SCALE
+    slack = -excess
+    for tie in np.unique(owner):
+        sinks = np.flatnonzero(owner == tie)
+        left = b[sinks]
+        spare = (subsets & tie) != tie
+        sources = np.flatnonzero(bits & tie)
+        for i in sources:
+            cut = members[:, i] & spare
+            cap = np.inf if i == sources[-1] else max(slack[cut].min(), 0.0)
+            take = np.minimum(left, np.maximum(cap - (left.cumsum() - left), 0.0))
+            mass[i, sinks] = take
+            slack[cut] -= take.sum()
+            left -= take
     _certify(cost.ravel(), _transport_constraints(m, n), np.concatenate([a, b]), mass.ravel(),
              np.concatenate([u, v]))
     return mass

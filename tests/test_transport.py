@@ -145,6 +145,18 @@ def test_support_cap_binds_only_where_highs_solves_the_whole_lp():
         wasserstein1(many, p, k=k)
 
 
+def test_few_source_splits_tiny_tied_sinks_at_a_lattice_vertex():
+    # the vertex (0, 0, 1) has about 6e-13 of supply left for about 2e-12 of
+    # tight sink mass; HiGHS presolve once called that split infeasible
+    space, k = LabelSpace(3), 200
+    p = project_k(mixture_from_arrays([(0.2, 0.3, 0.5), (0.6, 0.3, 0.1)], [0.4, 0.6], space), k)
+    points = enumerate_snapshot_space(space, k)[[0, 2300, 4600, 6900]] / k
+    g = mixture_from_arrays(points, [0.1, 0.2, 0.3, 0.4], space)
+    cost, plan = wasserstein1(g, p, k=k)
+    assert plan.shape == (4, p.size)
+    assert abs(cost - w1_lattice(g, p, k)) <= 1e-12
+
+
 def test_w1_space_mismatch():
     a = binary([0.5], [1.0])
     b = mixture_from_arrays([(0.4, 0.3, 0.3)], [1.0], LabelSpace(3))
@@ -663,16 +675,21 @@ def test_few_source_route_agrees_with_highs(monkeypatch, case):
     # caller's orientation when that is b
     a, b = FEW_SOURCE_CASES[case]()
     shapes = spy_few_source(monkeypatch)
+    highs, solve = [], hocal.transport._solve_lp
+    monkeypatch.setattr(hocal.transport, "_solve_lp",
+                        lambda *args: highs.append(args) or solve(*args))
     cost, plan = wasserstein1(a, b, support_cap=10_000)
     assert shapes == [(min(a.size, b.size), max(a.size, b.size))]
     assert plan.shape == (a.size, b.size)
     assert np.abs(plan.sum(axis=1) - a.weights_array()).max() <= 1e-12
     assert np.abs(plan.sum(axis=0) - b.weights_array()).max() <= 1e-12
     assert abs(cost - plan_cost(a, b, plan)) <= 1e-15
+    assert highs == []
     monkeypatch.setattr(hocal.transport, "_FEW_SOURCES", 0)
     dense, _ = wasserstein1(a, b, support_cap=10_000)
     assert abs(cost - dense) <= 1e-12
     assert len(shapes) == 1
+    assert len(highs) == 1
 
 
 @pytest.mark.parametrize("l,alpha,seed,kind,other,expected", SKEWED_LPS)
@@ -709,11 +726,38 @@ def test_few_source_certificate_rejects_a_perturbed_plan_or_dual(monkeypatch, pe
         wasserstein1(a, b)
 
 
-def test_few_source_rejects_a_failed_solve_on_the_tied_sinks(monkeypatch):
-    a, b = criterion_3_direct(3, 4, 0)
-    _hand_solved(monkeypatch, [], [], status=2)
-    with pytest.raises(SolverFailure, match="highs LP on the tied sinks failed: infeasible"):
-        wasserstein1(a, b)
+def test_few_source_splits_tied_sinks_whose_tight_arcs_form_cycles(monkeypatch):
+    # costs on a 4-value grid tie many arcs: the tight arcs of the sinks
+    # with two or more tight sources often form cycles, where the split is
+    # not unique; each plan must still be optimal
+    from scipy.optimize import linprog
+
+    duals, certify = [], hocal.transport._certify
+    monkeypatch.setattr(hocal.transport, "_certify",
+                        lambda cost, a_full, b_full, x, y: duals.append(y)
+                        or certify(cost, a_full, b_full, x, y))
+    rng = np.random.default_rng(20)
+    cycles = 0
+    for _ in range(120):
+        m = int(rng.integers(1, 9))
+        n = int(rng.integers(m, 41))
+        cost = rng.choice([0.0, 1.0, 2.0, 3.0], size=(m, n))
+        a, b = rng.integers(1, 10, m) + 0.0, rng.integers(1, 10, n) + 0.0
+        a, b = a / a.sum(), b / b.sum()
+        plan = hocal.transport._few_source(cost, a, b)
+        oracle = linprog(cost.ravel(), A_eq=_transport_constraints(m, n)[:-1],
+                         b_eq=np.concatenate([a, b])[:-1], method="highs")
+        assert oracle.status == 0
+        assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
+        assert np.abs(plan.sum(axis=0) - b).max() <= 1e-12
+        assert abs((cost * plan).sum() - oracle.fun) <= 1e-12
+        u, v = duals[-1][:m], duals[-1][m:]
+        tight = cost - u[:, None] - v <= hocal.transport._TIE_TOL
+        tied = tight[:, tight.sum(axis=0) >= 2]
+        # a graph with at least as many edges as nodes holds a cycle
+        cycles += tied.sum() >= tied.shape[1] + tied.any(axis=1).sum() > 0
+    assert len(duals) == 120
+    assert cycles >= 1
 
 
 def move_graph_lp(a, b, k):
@@ -887,6 +931,28 @@ def test_lattice_flow_raises_past_its_phase_cap(monkeypatch):
     monkeypatch.setattr(hocal.transport, "_phase_cap", lambda k: 1)
     with pytest.raises(SolverFailure, match="lattice flow needs more than 1 phases at k=8"):
         w1_lattice(a, b, 8)
+
+
+def test_few_source_route_loads_no_scipy_optimize():
+    # a 4 x 4 pair and 4 points against their projection, both solved by
+    # `_few_source`
+    code = (
+        "import sys\n"
+        "from hocal import LabelSpace, mixture_from_arrays, project_k, wasserstein1\n"
+        "space = LabelSpace(3)\n"
+        "f = mixture_from_arrays([(0.1, 0.2, 0.7), (0.7, 0.2, 0.1), (0.3, 0.3, 0.4),"
+        " (0.2, 0.6, 0.2)], [0.1, 0.2, 0.3, 0.4], space)\n"
+        "h = mixture_from_arrays([(0.5, 0.25, 0.25), (0.2, 0.2, 0.6), (0.0, 0.5, 0.5),"
+        " (0.8, 0.1, 0.1)], [0.25, 0.25, 0.25, 0.25], space)\n"
+        "assert wasserstein1(f, h)[0] > 0.0\n"
+        "assert wasserstein1(f, project_k(f, 16))[0] > 0.0\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_w1_lattice_loads_no_scipy_optimize():
