@@ -402,20 +402,22 @@ def _integer_supply(supply):
 def _phase_cap(k: int) -> int:
     """Phases one round of _flow_phases may take on the size-k lattice.
 
-    Put a source s before the nodes with excess and a sink t after those
-    with deficit. A phase keeps the potentials of excess nodes and raises
-    those of all deficit nodes by the same D, the current s-t distance in
-    reduced costs; D >= 1 in every phase but the first, since costs are
-    integers and the previous max flow left no path of reduced cost 0. So
-    each later phase raises the s-t distance, in the costs reduced by the
-    round's starting potentials, by at least 1. Both directions of every
-    move keep reduced cost >= 0, so two potentials differ by at most k, the
-    lattice diameter in moves: between a node u that keeps its excess and
-    a node v that keeps its deficit, potential[v] - potential[u] goes from
-    at least -k to at most k, a rise of at most 2k. Hence at most 2k + 2
-    phases. The argument needs only integer potentials that are dual
-    feasible at the round's start, so the bound holds from any such start:
-    round 1's coordinate-marginal dual and round 2's start at round 1's end.
+    A phase raises each potential by the node's distance in reduced costs
+    from the excess nodes (capped at D in the first phase), D being the
+    distance to the nearest deficit node. An excess node is a source of
+    that search, so its distance is 0 and its potential does not move.
+    Every node still in deficit rises by at least D, and D >= 1 in every
+    phase but the first, since costs are integers and the previous max
+    flow left no path of reduced cost 0 from an excess to a deficit node.
+    So for a node u that keeps its excess and a node v that keeps its
+    deficit, potential[v] - potential[u] rises by at least 1 in each later
+    phase. Both directions of every move keep reduced cost >= 0, so two
+    potentials differ by at most k, the lattice diameter in moves: that
+    difference goes from at least -k to at most k, a rise of at most 2k.
+    Hence at most 2k + 2 phases. The argument needs only integer
+    potentials that are dual feasible at the round's start, so the bound
+    holds from any such start: round 1's coordinate-marginal dual and
+    round 2's start at round 1's end.
     """
     return 2 * k + 2
 
@@ -428,9 +430,14 @@ def _flow_phases(graph, supply, flow, potential, k: int):
     1 + potential[source] - potential[target] == 0, every move >= 0. A
     move with flow can be cancelled at reduced cost 0 from its target.
     Each phase runs one multi-source Dijkstra on reduced costs from the
-    excess nodes, raises potentials by min(distance, D) with D the distance
-    to the nearest deficit, then one max flow on the arcs of reduced cost 0.
-    Raises SolverFailure past _phase_cap(k) phases.
+    excess nodes, raises every potential by its distance, then runs one max
+    flow on the arcs of reduced cost 0. Shortest-path distances keep every
+    reduced cost >= 0 and every move with flow at 0, so after the raise the
+    max flow reaches deficits at every distance, not only the nearest. The
+    first phase caps the raise at D, the distance to the nearest deficit,
+    so a round first routes on the tight arcs of its start; README
+    "Distances" gives the phases taken with and without that cap. Raises
+    SolverFailure past _phase_cap(k) phases.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra, maximum_flow
@@ -438,7 +445,7 @@ def _flow_phases(graph, supply, flow, potential, k: int):
     _, heads, tails, reverse, indptr, _ = graph
     n = len(indptr) - 1
     excess = supply.copy()
-    for _ in range(_phase_cap(k)):
+    for phase in range(_phase_cap(k)):
         sources = np.flatnonzero(excess > 0)
         if not sources.size:
             return
@@ -450,7 +457,9 @@ def _flow_phases(graph, supply, flow, potential, k: int):
         weight = reduced - 2 * cancellable
         dist = dijkstra(csr_matrix((weight.astype(float), tails, indptr), shape=(n, n)),
                         indices=sources, min_only=True)
-        potential += np.minimum(dist, dist[sinks].min()).astype(np.int64)
+        if not phase:
+            dist = np.minimum(dist, dist[sinks].min())
+        potential += dist.astype(np.int64)
 
         reduced = 1 + potential[heads] - potential[tails]
         forward = reduced == 0
@@ -505,7 +514,10 @@ def _lattice_flow(graph, supply, k: int):
     and the coordinate-marginal dual of those integers. Its gap can come
     near 1e-8, so round 2 solves the rounding residual at its own, finer
     scale, starting from round 1's flow and potentials; it may cancel
-    round-1 flow.
+    round-1 flow. In each round the first phase raises the potentials at
+    most to the nearest deficit and every later phase by the full Dijkstra
+    distance (_flow_phases); both keep complementary slackness, so round 2
+    starts from a dual that is optimal for round 1's flow.
     """
     z1, unit1 = _integer_supply(supply)
     flow = np.zeros(graph[0].shape[1], dtype=np.int64)

@@ -835,6 +835,77 @@ def test_lattice_flow_matches_highs_on_criterion_3_pairs(l, k, monkeypatch):
         assert warm <= cold
 
 
+def capped_flow_phases(graph, supply, flow, potential, k):
+    """The number of phases _flow_phases takes when every phase, not only
+    the first, raises the potentials by min(distance, D), D the distance to
+    the nearest deficit. Runs in place, like _flow_phases."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra, maximum_flow
+
+    _, heads, tails, reverse, indptr, _ = graph
+    n = len(indptr) - 1
+    excess = supply.copy()
+    cap = hocal.transport._phase_cap(k)
+    for phase in range(cap):
+        sources, sinks = np.flatnonzero(excess > 0), np.flatnonzero(excess < 0)
+        if not sources.size:
+            return phase
+        cancellable = flow[reverse] > 0
+        weight = 1 + potential[heads] - potential[tails] - 2 * cancellable
+        dist = dijkstra(csr_matrix((weight.astype(float), tails, indptr), shape=(n, n)),
+                        indices=sources, min_only=True)
+        potential += np.minimum(dist, dist[sinks].min()).astype(np.int64)
+        reduced = 1 + potential[heads] - potential[tails]
+        forward = reduced == 0
+        arcs = np.flatnonzero(forward | ((reduced == 2) & cancellable))
+        forward = forward[arcs]
+        total = excess[sources].sum()
+        rows = np.concatenate([heads[arcs], np.full(len(sources), n), sinks])
+        cols = np.concatenate([tails[arcs], sources, np.full(len(sinks), n + 1)])
+        caps = np.concatenate([
+            np.where(forward, total, np.minimum(flow[reverse[arcs]], total)),
+            excess[sources], -excess[sinks],
+        ]).astype(np.int32)
+        net = maximum_flow(csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2)),
+                           n, n + 1, method="dinic").flow
+        moved = np.maximum(np.asarray(net[rows, cols]).ravel(), 0)
+        along, drained, filled = np.split(moved, [len(arcs), len(arcs) + len(sources)])
+        flow[arcs[forward]] += along[forward]
+        flow[reverse[arcs[~forward]]] -= along[~forward]
+        excess[sources] -= drained
+        excess[sinks] += filled
+    assert not (excess > 0).any()
+    return cap
+
+
+@pytest.mark.parametrize("l,k", [(3, 8), (3, 16), (3, 32), (4, 8), (4, 16), (4, 24)])
+def test_lattice_flow_rounds_keep_slackness_in_no_more_phases_than_capped_raises(
+        l, k, monkeypatch):
+    # raising the potentials by the full Dijkstra distance after the first
+    # phase keeps every move's reduced cost >= 0 and every move with flow
+    # tight, and round 1 takes no more phases than raising by at most the
+    # distance to the nearest deficit in every phase
+    rounds, counted_phases = spy_dijkstra_rounds(monkeypatch)
+
+    def checked(graph, supply, flow, potential, k):
+        counted_phases(graph, supply, flow, potential, k)
+        _, heads, tails, *_ = graph
+        reduced = 1 + potential[heads] - potential[tails]
+        assert reduced.min() >= 0
+        assert not reduced[flow > 0].any()
+
+    monkeypatch.setattr(hocal.transport, "_flow_phases", checked)
+    for trial in range(6):
+        a, b = projected_pair(l, k, trial)
+        rounds.clear()
+        w1_lattice(a, b, k)
+        graph = hocal.transport._move_graph(a.space, k)
+        z1, _ = hocal.transport._integer_supply(lattice_supply(a, b, k))
+        capped = capped_flow_phases(graph, z1, np.zeros(graph[0].shape[1], dtype=np.int64),
+                                    hocal.transport._marginal_potential(graph[5], z1, k), k)
+        assert rounds[0] <= capped
+
+
 @pytest.mark.parametrize("l", [2, 3, 4])
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 16])
 def test_marginal_potential_is_a_feasible_integer_lower_bound(l, k):
