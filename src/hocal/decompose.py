@@ -24,12 +24,16 @@ T_GRID_SIZE = 243
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    """(pu, au, eu) plus the pairwise (TMI) variants when computable.
+    """(pu, au, eu) plus the pairwise (TMI) and centroid (RMI) refinements of eu.
 
     pu = au + eu holds by construction; eu is non-negative up to float
-    noise for every concave entropy. The tmi fields are computed for every
-    support, in O(n^2 l) time and O(n l) memory; they are None only when a
-    divergence came out infinite, and tmi_reason then says so.
+    noise for every concave entropy. eu_rmi = E D(c||p) is the average
+    divergence of the centroid c to the components, and eu_tmi = E D(p||p')
+    over two independent component draws, which the cosine law gives as
+    eu + eu_rmi: one O(n l) pass for n support points over l labels. The
+    three are None only when some D(c||p) is infinite, which under Shannon is
+    exactly when some D(p||p') is (supp c is the union of the supports);
+    tmi_reason then says so.
     """
 
     pu: float
@@ -75,22 +79,11 @@ def decompose(m: Mixture, g: EntropySpec) -> UncertaintyReport:
     pu = float(entropy_rows(g, center)[0])
     au = average_entropy(m, g)
     eu = pu - au
-    infinite = UncertaintyReport(pu=pu, au=au, eu=eu, tmi_reason=REASON_INFINITE)
-
-    points, weights = m.points_array(), m.weights_array()
-    d = divergence_rows(g, center, points)
+    d = divergence_rows(g, center, m.points_array())
     if np.isinf(d).any():
-        return infinite
-    eu_rmi = _running_sum(weights * d)
-
-    # the pairwise pass goes one support row at a time: O(n l) memory
-    eu_tmi = 0.0
-    for i in range(m.size):
-        d = divergence_rows(g, points[i], points)
-        if np.isinf(d).any():
-            return infinite
-        eu_tmi = _running_sum(weights[i] * weights * d, eu_tmi)
-
+        return UncertaintyReport(pu=pu, au=au, eu=eu, tmi_reason=REASON_INFINITE)
+    eu_rmi = _running_sum(m.weights_array() * d)
+    eu_tmi = eu + eu_rmi
     return UncertaintyReport(
         pu=pu,
         au=au,

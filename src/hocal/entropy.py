@@ -193,9 +193,8 @@ def divergence_rows(g: EntropySpec, p_rows, q_rows) -> np.ndarray:
         return _shannon_pairs(g, p, q, loss=False)
     if g.kind == "brier":
         if g.binary_scaled and p.shape[1] == 2:
-            # squared by C pow() (`** 2` on floats), as this divergence always
-            # was; x * x rounds differently for about 0.1% of values
-            return 4.0 * ((p[:, 1] - q[:, 1]).astype(object) ** 2).astype(float)
+            d = p[:, 1] - q[:, 1]
+            return 4.0 * (d * d)
         return ((p - q) ** 2).sum(axis=1)
     return loss_rows(g, p, q) - entropy_rows(g, p)
 

@@ -25,6 +25,7 @@ from hocal import (
     chebyshev_fit,
     coverage,
     decompose,
+    divergence_rows,
     enlarge,
     estimate_moments,
     gen_dataset,
@@ -56,6 +57,13 @@ def true_moments(m, i):
 
 def binary_mixture(biases, weights):
     return mixture_from_arrays([(1.0 - b, b) for b in biases], weights, BINARY)
+
+
+def pairwise_divergence(m, g):
+    """sum_i sum_j w_i w_j D(p_i||p_j): the expected divergence between two
+    independent component draws, term by term."""
+    points, weights = m.points_array(), m.weights_array()
+    return sum(w * float(weights @ divergence_rows(g, p, points)) for p, w in zip(points, weights))
 
 
 def test_criterion_1():
@@ -176,7 +184,8 @@ def test_criterion_6():
 
 def test_criterion_7():
     # decomposition identities on 500 random mixtures, Shannon and Brier:
-    # pu = au + eu, eu >= 0, eu_tmi = eu + eu_rmi, and the loss breakdown
+    # pu = au + eu, eu >= 0, eu_tmi = E D(p||p') summed pair by pair (the
+    # library takes it from the cosine law eu + eu_rmi), and the loss breakdown
     # expected = average aleatoric + grouping + first-order miscalibration
     for trial in range(500):
         spec = RandomMixtureSpec(num_labels=2, support_size=5, dirichlet_alpha=1.5)
@@ -187,7 +196,7 @@ def test_criterion_7():
             assert rep.pu == pytest.approx(rep.au + rep.eu, abs=1e-12)
             assert rep.eu >= -1e-10
             assert rep.eu_tmi is not None
-            assert rep.eu_tmi == pytest.approx(rep.eu + rep.eu_rmi, abs=1e-8)
+            assert rep.eu_tmi == pytest.approx(pairwise_divergence(m, g), abs=1e-8)
             lb = loss_breakdown(predicted, m, g)
             assert lb.expected_loss == pytest.approx(
                 lb.avg_au + lb.grouping_loss + lb.foc_error, abs=1e-8

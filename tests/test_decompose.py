@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -13,10 +14,11 @@ from hocal.decompose import (
     loss_breakdown,
     mgf_diagnostic,
 )
-from hocal.entropy import EntropySpec
+from hocal.entropy import EntropySpec, divergence_rows
 from hocal.mixture import RngSeed, mixture_from_arrays
 from hocal.simplex import LabelSpace
 from hocal.synth import RandomMixtureSpec, random_mixture
+from test_entropy_equivalence import check_report, ref_decompose, report_tuple
 
 BINARY = LabelSpace(2)
 SHANNON = EntropySpec.shannon()
@@ -79,6 +81,41 @@ def test_support_above_512_gets_tmi_fields():
     assert r.pu_tmi == pytest.approx(r.au + r.eu_tmi, abs=1e-15)
 
 
+def test_tmi_takes_one_divergence_pass(monkeypatch):
+    calls = []
+
+    def spy(g, p_rows, q_rows):
+        calls.append(1)
+        return divergence_rows(g, p_rows, q_rows)
+
+    # the package exports the function `decompose` under the module's name
+    module = importlib.import_module("hocal.decompose")
+    monkeypatch.setattr(module, "divergence_rows", spy)
+    m = interior(513, num_labels=3, support=513)
+    assert m.size == 513
+    r = decompose(m, BRIER)
+    assert r.tmi_reason is None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "rows, infinite",
+    [
+        ([(1.0, 0.0, 0.0), (0.2, 0.3, 0.5)], True),  # a vertex and an interior point
+        ([(0.0, 0.5, 0.5), (0.5, 0.0, 0.5)], True),  # no vertex, but disjoint zeros
+        ([(0.2, 0.3, 0.5), (0.6, 0.1, 0.3), (0.1, 0.8, 0.1)], False),
+    ],
+    ids=["vertex", "disjoint-zeros", "interior"],
+)
+def test_shannon_infinite_tmi_matches_the_pairwise_reference(rows, infinite):
+    # supp c is the union of the component supports, so D(c||p) is infinite
+    # exactly when some D(p||p') is
+    m = mixture_from_arrays(rows, [1.0 / len(rows)] * len(rows), LabelSpace(3))
+    r = decompose(m, SHANNON)
+    assert (r.tmi_reason == "infinite-divergence") == infinite
+    check_report(report_tuple(r), ref_decompose(m, SHANNON))
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_decomposition_identities(seed):
@@ -87,7 +124,8 @@ def test_decomposition_identities(seed):
         r = decompose(m, g)
         assert r.pu == pytest.approx(r.au + r.eu, abs=1e-12)
         assert r.eu >= -1e-10
-        assert r.eu_tmi == pytest.approx(r.eu + r.eu_rmi, abs=1e-8)
+        # the pairwise sum, not the cosine law the library uses
+        assert r.eu_tmi == pytest.approx(ref_decompose(m, g)[4], abs=1e-8)
         assert r.pu_tmi == pytest.approx(r.au + r.eu_tmi, abs=1e-12)
         assert r.eu_tmi >= r.eu - 1e-10
 

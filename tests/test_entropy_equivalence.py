@@ -8,7 +8,9 @@ left-to-right sums (Python `sum` up to 3.11), `+=` loops and
 For Shannon and Brier (both scalings), and for polynomial entropies, the
 array path must give the same bits. Exponential entropies may differ by
 1e-13: `np.exp` and `math.exp` disagree in the last bit for a few percent
-of arguments.
+of arguments. The library takes eu_tmi from the cosine law (eu + eu_rmi)
+rather than the pairwise sum kept here, so pu_tmi and eu_tmi are held to
+TMI_TOL relative to the pairwise value instead.
 """
 
 import itertools
@@ -85,7 +87,8 @@ def ref_divergence(g, p, q):
         return float((pa[pos] * (np.log(pa[pos]) - np.log(qa[pos]))).sum() / math.log(g.log_base))
     if g.kind == "brier":
         if g.binary_scaled and len(p) == 2:
-            return 4.0 * (pa[1] - qa[1]) ** 2
+            d = pa[1] - qa[1]
+            return 4.0 * (d * d)
         return float(((pa - qa) ** 2).sum())
     return ref_entropy_value(g, q) + float(ref_gradient(g, q) @ (pa - qa)) - ref_entropy_value(g, p)
 
@@ -185,8 +188,26 @@ def report_tuple(r):
     return (r.pu, r.au, r.eu, r.pu_tmi, r.eu_tmi, r.eu_rmi, r.tmi_reason)
 
 
-def hexed_report(values):
-    return [v if isinstance(v, str) else hexed(v) for v in values]
+# the cosine law and the pairwise sum round differently; over 2527 random
+# reports (2-4 labels, 1-40 points, Shannon, Brier, exponential and
+# polynomial G) they moved apart by at most 3.1e-15
+TMI_TOL = 1e-12
+TMI_FIELDS = (3, 4)  # pu_tmi, eu_tmi in report_tuple order
+
+
+def check_report(got, expected, tol=0.0):
+    """pu, au, eu, eu_rmi and tmi_reason within tol of the reference (the
+    same bits when tol is 0); pu_tmi and eu_tmi within TMI_TOL relative."""
+    assert got[-1] == expected[-1]
+    for i, (a, b) in enumerate(zip(got[:-1], expected[:-1])):
+        if a is None or b is None:
+            assert a is b, (i, a, b)
+        elif i in TMI_FIELDS:
+            assert abs(a - b) <= TMI_TOL * max(1.0, abs(b)), (i, a, b)
+        elif tol == 0.0:
+            assert hexed(a) == hexed(b), (i, a, b)
+        else:
+            assert abs(a - b) <= tol, (i, a, b)
 
 
 @st.composite
@@ -233,7 +254,7 @@ def check_points(g, m):
 @given(mixtures(), mixtures(), st.sampled_from(SHANNON_AND_BRIER))
 def test_entropy_and_decompose_keep_their_bits(m, other, g):
     check_points(g, m)
-    assert hexed_report(report_tuple(decompose(m, g))) == hexed_report(ref_decompose(m, g))
+    check_report(report_tuple(decompose(m, g)), ref_decompose(m, g))
     if other.space == m.space:
         lb = loss_breakdown(other, m, g)
         got = (lb.expected_loss, lb.avg_au, lb.avg_bias, lb.grouping_loss, lb.foc_error)
@@ -266,12 +287,8 @@ def test_exponential_and_polynomial_entropies_stay_close(m, seed):
     if m.space.num_labels == 2:
         families.append(EntropySpec.polynomial((0.1, 1.0, -1.5, 0.25)))
     for g in families:
-        got = report_tuple(decompose(m, g))
-        expected = ref_decompose(m, g)
-        assert got[-1] == expected[-1]
         tol = 0.0 if g.kind == "polynomial" else 1e-13
-        for a, b in zip(got[:-1], expected[:-1]):
-            assert abs(a - b) <= tol
+        check_report(report_tuple(decompose(m, g)), ref_decompose(m, g), tol)
         points = [p for p, _ in ref_support(m)][:4]
         for p in points:
             assert abs(entropy_rows(g, p)[0] - ref_entropy_value(g, p)) <= tol
@@ -283,8 +300,8 @@ def test_exponential_and_polynomial_entropies_stay_close(m, seed):
 @pytest.mark.parametrize("g", SHANNON_AND_BRIER, ids=lambda g: json.dumps(g.to_dict(), sort_keys=True))
 @pytest.mark.parametrize("num_labels", [2, 3, 9, 12])
 def test_row_functions_match_the_reference_pair_by_pair(g, num_labels):
-    # many pairs, so that rare roundings (C pow() squares, pairwise sums
-    # over rows with zeros) show up one value at a time
+    # many pairs, so that rare roundings (pairwise sums over rows with
+    # zeros) show up one value at a time
     rng = np.random.default_rng(num_labels)
     n = 20_000 if num_labels == 2 else 2_000
     p = rng.dirichlet(np.full(num_labels, 0.5), size=n)
@@ -338,7 +355,7 @@ def test_supports_above_512_get_the_reference_tmi(g, num_labels, zeros):
     check_points(g, m)
     r = decompose(m, g)
     assert r.tmi_reason is None
-    assert hexed_report(report_tuple(r)) == hexed_report(ref_decompose(m, g))
+    check_report(report_tuple(r), ref_decompose(m, g))
     lb = loss_breakdown(m, m, g)
     got = (lb.expected_loss, lb.avg_au, lb.avg_bias, lb.grouping_loss, lb.foc_error)
     assert hexed(got) == hexed(ref_loss_breakdown(m, m, g))
