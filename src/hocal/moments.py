@@ -19,7 +19,7 @@ import numpy as np
 from .entropy import EntropySpec, entropy_rows
 from .errors import DimensionMismatch, DomainError, InvalidDistribution
 from .mixture import Mixture, _lattice_counts
-from .simplex import _snapshot_size, simplex_rows
+from .simplex import _snapshot_size, _whole_number, simplex_rows
 
 MAX_FIT_DEGREE = 24
 SUP_ERROR_GRID = 10**4
@@ -39,6 +39,7 @@ class MomentVector:
     eps: float
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _snapshot_size(self.k))
         if not 0.0 <= self.eps < math.inf:
             raise DomainError(f"eps must be finite and non-negative, got {self.eps}")
         values = tuple(float(v) for v in self.values)
@@ -103,6 +104,7 @@ def central_moment(mv: MomentVector, j: int) -> tuple:
     c_j = sum_{i=0}^{j} C(j, i) m_i (-m_1)^{j-i} with m_0 = 1; the bound
     is j * eps * (1 + m_1)^j / 2.
     """
+    j = _whole_number(j, "moment order")
     if not 1 <= j <= mv.k:
         raise DomainError(f"need 1 <= j <= {mv.k}, got {j}")
     m1 = mv.values[0]
@@ -121,6 +123,7 @@ def chebyshev_fit(g: EntropySpec, d: int) -> PolyApprox:
     converts to monomial coefficients. The sup error is then measured on
     a 10^4-point grid that does include the endpoints.
     """
+    d = _whole_number(d, "degree")
     if not 1 <= d <= MAX_FIT_DEGREE:
         raise DomainError(f"degree must lie in [1, {MAX_FIT_DEGREE}], got {d}")
 

@@ -1,25 +1,24 @@
 """Wasserstein-1 distance between mixtures under the l1 ground metric.
 
 Three routes, never collapsed: binary mixtures use the exact 1-D quantile
-formula (the monotone coupling is optimal on a line), checked against both
-marginals and against 2 * integral |F_a - F_b| over the bias coordinate;
-general supports solve the dense transportation LP; mixtures on a common
-k-snapshot lattice use `w1_lattice`, a min-cost flow over single-label
-moves that scales far beyond the dense LP, solved by two rounds of the
-primal-dual method on scipy.sparse.csgraph. The LP route has two
-sub-routes, picked by one rule: when a side has at most _FEW_SOURCES (8)
-points, `_few_source` takes it as the sources, runs dual ascent on their
-prices and splits the sinks tied between sources by its own Hall slacks;
-otherwise HiGHS solves the whole LP. `wasserstein1` picks the route by
-input: cdf for binary spaces, the lattice flow when the caller names the
-lattice `k`, it has at most DEFAULT_NODE_CAP points and the LP's support
-pairs outnumber twice the lattice's single-label moves, the LP otherwise;
-no route stands in for another. The lattice flow and both LP sub-routes
-pass one certificate, `_certify`: non-negativity, balance of the full
-equality system, dual feasibility, complementary slackness and the
-primal-dual gap, each to 1e-8. HiGHS runs only on a whole LP, in one call
-and one configuration. scipy is imported only when an LP or a flow is
-built or solved, and scipy.optimize only by that HiGHS solve.
+formula (the monotone coupling is optimal on a line); general supports
+solve the dense transportation LP; mixtures on a common k-snapshot lattice
+use `w1_lattice`, a min-cost flow over single-label moves that scales far
+beyond the dense LP, solved by two rounds of the primal-dual method on
+scipy.sparse.csgraph. The LP route has two sub-routes, picked by one rule:
+when a side has at most _FEW_SOURCES (8) points, `_few_source` takes it as
+the sources, runs dual ascent on their prices and splits the sinks tied
+between sources by its own Hall slacks; otherwise HiGHS solves the whole
+LP. `wasserstein1` picks the route by input: cdf for binary spaces, the
+lattice flow when the caller names the lattice `k`, it has at most
+DEFAULT_NODE_CAP points and the LP's support pairs outnumber twice the
+lattice's single-label moves, the LP otherwise; no route stands in for
+another. Every route passes one certificate, `_certify`, of a flow on a
+graph (support pairs or lattice moves): non-negativity, node balance, dual
+feasibility, complementary slackness and the primal-dual gap, each to
+1e-8. HiGHS runs only on a whole LP, in one call and one configuration.
+scipy is imported only by HiGHS and the lattice flow, and scipy.optimize
+only by that HiGHS solve.
 """
 
 from __future__ import annotations
@@ -49,25 +48,29 @@ class SolverFailure(HocalError):
     short of a solution."""
 
 
-def _certify(cost, a_full, b_full, x, y):
-    """Raise SolverFailure unless x and y are optimal for min cost @ x subject
-    to a_full @ x = b_full, x >= 0.
+def _certify(cost, heads, tails, supply, x, y):
+    """Raise SolverFailure unless the edge flows x and node potentials y are
+    optimal for min cost @ x over flows x >= 0 on the graph with edges
+    heads[e] -> tails[e] whose nodes send out `supply`.
 
-    x must be non-negative and balance the full system, the dual y feasible
-    (reduced costs cost - a_full.T @ y >= 0) and complementary to x where
-    x > 1e-12, and the objectives equal, each to CHECK_TOL. Each gate is
-    written so that a NaN residual fails it.
+    x must be non-negative and balance every node (outflow less inflow equal
+    to its supply), y feasible (reduced costs cost - y[heads] + y[tails] >=
+    0) and complementary to x where x > 1e-12, and the objectives
+    supply @ y and cost @ x equal, each to CHECK_TOL. Each gate is written
+    so that a NaN residual fails it.
     """
     if not x.min() >= -CHECK_TOL:
         raise SolverFailure("negative mass or flow below -1e-8")
-    if not np.abs(a_full @ x - b_full).max() <= CHECK_TOL:
+    n = len(supply)
+    balance = np.bincount(heads, x, n) - np.bincount(tails, x, n)
+    if not np.abs(balance - supply).max() <= CHECK_TOL:
         raise SolverFailure("marginal or balance residual above 1e-8")
-    reduced = cost - a_full.T @ y
+    reduced = cost - y[heads] + y[tails]
     if not reduced.min() >= -CHECK_TOL:
         raise SolverFailure("dual infeasibility above 1e-8")
     if not np.abs(reduced[x > 1e-12]).max(initial=0.0) <= CHECK_TOL:
         raise SolverFailure("complementary slackness residual above 1e-8")
-    if not abs(b_full @ y - cost @ x) <= CHECK_TOL:
+    if not abs(supply @ y - cost @ x) <= CHECK_TOL:
         raise SolverFailure("primal and dual objectives disagree")
 
 
@@ -92,6 +95,11 @@ def _l1_cost(apts: np.ndarray, bpts: np.ndarray) -> np.ndarray:
     return np.abs(apts[:, None, :] - bpts[None, :, :]).sum(axis=2)
 
 
+def _pairs(m: int, n: int):
+    """Source i and sink node m + j of variable i*n + j of the m x n transport LP."""
+    return np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)
+
+
 def _transport_constraints(m: int, n: int):
     """Row-sum and column-sum constraints of the m x n transport LP, as scipy CSC.
 
@@ -101,9 +109,7 @@ def _transport_constraints(m: int, n: int):
     """
     from scipy import sparse
 
-    indices = np.empty((m * n, 2), dtype=np.int32)
-    indices[:, 0] = np.repeat(np.arange(m), n)
-    indices[:, 1] = m + np.tile(np.arange(n), m)
+    indices = np.column_stack(_pairs(m, n)).astype(np.int32)
     indptr = np.arange(0, 2 * m * n + 1, 2, dtype=np.int32)
     return sparse.csc_matrix(
         (np.ones(2 * m * n), indices.ravel(), indptr), shape=(m + n, m * n)
@@ -111,12 +117,12 @@ def _transport_constraints(m: int, n: int):
 
 
 def _w1_binary(a: Mixture, b: Mixture):
-    """Exact 1-D route: monotone coupling plus an independent CDF integral.
+    """Exact 1-D route: the monotone coupling, which pairs quantiles in order.
 
-    On the bias line the optimal plan pairs quantiles in order. The plan
-    must carry both marginals, and its cost must reproduce
-    2 * integral |F_a - F_b| dt; both are computed and compared, so a bug in
-    either route cannot go unnoticed.
+    _certify checks it with the dual of Vallender (1973): phi = 0 at the
+    least bias of either side, then a step of -2 sign(F_a - F_b) dt to each
+    next. phi is 2-Lipschitz, so feasible, tight on every coupled pair, and
+    its objective is 2 * integral |F_a - F_b| dt.
     """
     a_bias, b_bias = a.points_array()[:, 1], b.points_array()[:, 1]
     a_w, b_w = a.weights_array(), b.weights_array()
@@ -142,17 +148,14 @@ def _w1_binary(a: Mixture, b: Mixture):
             if j == b.size:
                 break
             left_b = b_w[ib[j]]
-    if max(np.abs(mass.sum(axis=1) - a_w).max(), np.abs(mass.sum(axis=0) - b_w).max()) > CHECK_TOL:
-        raise SolverFailure("quantile coupling marginals drift above 1e-8")
 
-    # independent check: 2 * integral of |F_a - F_b| over the bias axis
     grid = np.unique(np.concatenate([a_bias, b_bias]))
-    fa = np.cumsum(np.bincount(np.searchsorted(grid, a_bias[ia]), weights=a_w[ia], minlength=len(grid)))
-    fb = np.cumsum(np.bincount(np.searchsorted(grid, b_bias[ib]), weights=b_w[ib], minlength=len(grid)))
-    integral = 2.0 * float(np.sum(np.abs(fa[:-1] - fb[:-1]) * np.diff(grid)))
-    if abs(integral - cost) > CHECK_TOL:
-        raise SolverFailure("quantile coupling and CDF integral disagree")
-
+    at_a, at_b = np.searchsorted(grid, a_bias), np.searchsorted(grid, b_bias)
+    # F_a - F_b at each grid point
+    excess = np.cumsum(np.bincount(at_a, a_w, len(grid)) - np.bincount(at_b, b_w, len(grid)))
+    phi = np.concatenate([[0.0], np.cumsum(-2.0 * np.sign(excess[:-1]) * np.diff(grid))])
+    _certify(2.0 * np.abs(a_bias[:, None] - b_bias).ravel(), *_pairs(a.size, b.size),
+             np.concatenate([a_w, -b_w]), mass.ravel(), phi[np.concatenate([at_a, at_b])])
     return cost, mass
 
 
@@ -174,13 +177,14 @@ def _w1_lp(a: Mixture, b: Mixture, support_cap: int):
     elif n <= _FEW_SOURCES:
         mass = _few_source(cost_mat.T, bw, aw).T
     else:
-        cost, a_full = cost_mat.ravel(), _transport_constraints(m, n)
-        b_full = np.concatenate([aw, bw])
-        res = _solve_lp(cost, a_full[:-1], b_full[:-1])
+        cost = cost_mat.ravel()
+        res = _solve_lp(cost, _transport_constraints(m, n)[:-1], np.concatenate([aw, bw[:-1]]))
         if res.status != 0:
             raise SolverFailure(f"highs LP failed: {res.message}")
         x = res.x / _SUPPLY_SCALE
-        _certify(cost, a_full, b_full, x, np.append(res.eqlin.marginals, 0.0))
+        # row duals u and column duals v (the last fixed at 0) as potentials (u, -v)
+        y = np.concatenate([res.eqlin.marginals[:m], -res.eqlin.marginals[m:], [0.0]])
+        _certify(cost, *_pairs(m, n), np.concatenate([aw, -bw]), x, y)
         mass = x.reshape(m, n)
     return float((cost_mat * mass).sum()), mass
 
@@ -216,7 +220,7 @@ def _few_source(cost, a, b):
     exact line search of the concave dual, a weighted quantile of the
     owned sinks' breakpoints. The last pass's Hall slacks then split the
     sinks over their tight arcs, each arc in turn taking the most that any
-    feasible completion allows. _certify checks the plan with y = (u, v).
+    feasible completion allows. _certify checks the plan with y = (u, -v).
     Raises SolverFailure past _ASCENT_CAP steps; nothing falls back to the
     dense LP.
     """
@@ -273,8 +277,8 @@ def _few_source(cost, a, b):
             mass[i, sinks] = take
             slack[cut] -= take.sum()
             left -= take
-    _certify(cost.ravel(), _transport_constraints(m, n), np.concatenate([a, b]), mass.ravel(),
-             np.concatenate([u, v]))
+    _certify(cost.ravel(), *_pairs(m, n), np.concatenate([a, -b]), mass.ravel(),
+             np.concatenate([u, -v]))
     return mass
 
 
@@ -349,14 +353,11 @@ def _move_graph(space, k: int):
     histogram by exactly 2/k in l1. Any two lattice points at l1 distance
     d are joined by d*k/2 such moves and no fewer, so the shortest-path
     metric of this graph with edge cost 2/k reproduces the l1 metric.
-    Edges are sorted by source point, then target point. Returns the
-    node-by-edge incidence matrix (+1 at the edge's source point, -1 at its
-    target), each edge's source and target, the edge that undoes it, the
-    row pointer of the edges as a CSR graph, and the (N, l) integer counts
-    of the lattice points.
+    Edges are sorted by source point, then target point. Returns each
+    edge's source and target, the edge that undoes it, the row pointer of
+    the edges as a CSR graph, and the (N, l) integer counts of the lattice
+    points.
     """
-    from scipy import sparse
-
     counts = _lattice(space, k)[0].astype(np.int64)
     n, l = counts.shape
     moves = np.array([(i, j) for i in range(l) for j in range(l) if i != j])
@@ -370,13 +371,7 @@ def _move_graph(space, k: int):
     key = heads.astype(np.int64) * n + tails
     reverse = np.searchsorted(key, tails.astype(np.int64) * n + heads)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))]).astype(np.int32)
-    edges = np.arange(len(heads))
-    incidence = sparse.csc_matrix(
-        (np.concatenate([np.ones(len(heads)), -np.ones(len(heads))]),
-         (np.concatenate([heads, tails]), np.concatenate([edges, edges]))),
-        shape=(n, len(heads)),
-    )
-    return incidence, heads, tails, reverse, indptr, counts
+    return heads, tails, reverse, indptr, counts
 
 
 def _integer_supply(supply):
@@ -442,7 +437,7 @@ def _flow_phases(graph, supply, flow, potential, k: int):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra, maximum_flow
 
-    _, heads, tails, reverse, indptr, _ = graph
+    heads, tails, reverse, indptr, _ = graph
     n = len(indptr) - 1
     excess = supply.copy()
     for phase in range(_phase_cap(k)):
@@ -520,8 +515,8 @@ def _lattice_flow(graph, supply, k: int):
     starts from a dual that is optimal for round 1's flow.
     """
     z1, unit1 = _integer_supply(supply)
-    flow = np.zeros(graph[0].shape[1], dtype=np.int64)
-    potential = _marginal_potential(graph[5], z1, k)
+    flow = np.zeros(len(graph[0]), dtype=np.int64)
+    potential = _marginal_potential(graph[4], z1, k)
     _flow_phases(graph, z1, flow, potential, k)
     x = flow * unit1
     z2, unit2 = _integer_supply(supply - z1 * unit1)
@@ -557,12 +552,12 @@ def w1_lattice(a: Mixture, b: Mixture, k: int) -> float:
 def _w1_flow(a: Mixture, b: Mixture, k: int) -> float:
     """w1_lattice for a Python int k whose lattice is within the node cap."""
     graph = _move_graph(a.space, k)
-    incidence = graph[0]
-    supply = np.zeros(incidence.shape[0])
+    heads, tails, *_, counts = graph
+    supply = np.zeros(len(counts))
     for m, spread in ((a, np.add), (b, np.subtract)):
         index = _lattice_rank(_lattice_counts(m.points_array(), k), k)
         spread.at(supply, index, m.weights_array())
     flow, y = _lattice_flow(graph, supply, k)
-    cost = np.full(incidence.shape[1], 2.0 / k)
-    _certify(cost, incidence, supply, flow, y)
+    cost = np.full(len(heads), 2.0 / k)
+    _certify(cost, heads, tails, supply, flow, y)
     return float(cost @ flow)

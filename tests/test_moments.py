@@ -93,6 +93,26 @@ def test_moment_vector_validation_and_bounds():
             MomentVector(k=1, values=(0.5,), eps=bad)
 
 
+UNIFORM_2 = MomentVector(k=2, values=(0.5, 0.5), eps=0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MomentVector(k=True, values=(0.5,), eps=0.0),
+    lambda: MomentVector(k=2.0, values=(0.5, 0.5), eps=0.0),
+    lambda: MomentVector(k=0, values=(), eps=0.0),
+    lambda: central_moment(UNIFORM_2, 2.0),
+    lambda: central_moment(UNIFORM_2, True),
+    lambda: chebyshev_fit(EntropySpec.shannon(), 2.5),
+    lambda: chebyshev_fit(EntropySpec.shannon(), True),
+    lambda: chebyshev_fit(EntropySpec.shannon(), 3.0),
+], ids=["k-bool", "k-float", "k-zero", "j-float", "j-bool", "d-fraction", "d-bool", "d-float"])
+def test_moment_orders_and_degrees_follow_the_integer_rule(build):
+    # bool and float orders are refused like any other non-integer, never
+    # read as 1 or rounded
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_moment_ratio_is_correctly_rounded_at_k_100():
     k = 100
     for c in range(k + 1):

@@ -484,14 +484,14 @@ def test_cdf_route_refuses_a_coupling_whose_marginals_drift():
     )
     unit = mixture_from_arrays([(0.0, 1.0)], [1.0], BINARY)
     for a, b in ((heavy, unit), (unit, heavy)):
-        with pytest.raises(SolverFailure, match="quantile coupling marginals drift above 1e-8"):
+        with pytest.raises(SolverFailure, match="marginal or balance residual above 1e-8"):
             wasserstein1(a, b)
 
 
 def _negative_cycle(x, y):
     # -eps on two opposite moves u -> v and v -> u keeps every node balanced
     # and drives a zero flow negative
-    reverse = hocal.transport._move_graph(LabelSpace(3), 2)[3]
+    reverse = hocal.transport._move_graph(LabelSpace(3), 2)[2]
     x = x.copy()
     e = int(np.flatnonzero(x == x.min())[0])
     x[e] -= 1e-6
@@ -546,6 +546,47 @@ def _hand_solved(monkeypatch, x, y, status=0):
 # complementary
 LP_A, LP_B = binary([1.0, 0.0], [0.5, 0.5]), binary([1.0, 0.0], [0.25, 0.75])
 LP_PLAN, LP_DUAL = [0.25, 0.25, 0.0, 0.5], [2.0, 0.0, -2.0]
+
+
+def perturbed_certify(monkeypatch, perturb):
+    """Route every `_certify` call through `perturb(x, y)` first."""
+    certify = hocal.transport._certify
+    monkeypatch.setattr(hocal.transport, "_certify",
+                        lambda cost, heads, tails, supply, x, y:
+                        certify(cost, heads, tails, supply, *perturb(x, y)))
+
+
+@pytest.mark.parametrize("perturb,message", SHARED_PERTURBATIONS)
+def test_cdf_route_certificate_rejects_a_perturbed_plan_or_dual(monkeypatch, perturb, message):
+    # the coupling moves a quarter from bias 1 to bias 0 at cost 2; its dual
+    # is the potential 0 at bias 0 and 2 at bias 1
+    cost, plan = wasserstein1(LP_A, LP_B, method="cdf")
+    assert cost == 0.5 and np.array_equal(plan.ravel(), LP_PLAN)
+    perturbed_certify(monkeypatch, perturb)
+    with pytest.raises(SolverFailure, match=message):
+        wasserstein1(LP_A, LP_B, method="cdf")
+
+
+def test_every_route_passes_one_certificate_per_solve(monkeypatch):
+    calls, certify = [], hocal.transport._certify
+    monkeypatch.setattr(hocal.transport, "_certify",
+                        lambda *args: calls.append(1) or certify(*args))
+    shapes = spy_few_source(monkeypatch)
+    highs, solve = [], hocal.transport._solve_lp
+    monkeypatch.setattr(hocal.transport, "_solve_lp", lambda *args: highs.append(1) or solve(*args))
+    space = LabelSpace(3)
+    lattice = mixture_from_arrays(*LATTICE_A, space), mixture_from_arrays(*LATTICE_B, space)
+    a, b = criterion_3_direct(3, 4, 0)
+
+    wasserstein1(LP_A, LP_B)
+    assert (len(calls), shapes, highs) == (1, [], [])
+    wasserstein1(a, b)
+    assert (len(calls), shapes, highs) == (2, [(4, 4)], [])
+    w1_lattice(*lattice, 2)
+    assert (len(calls), shapes, highs) == (3, [(4, 4)], [])
+    monkeypatch.setattr(hocal.transport, "_FEW_SOURCES", 0)
+    wasserstein1(a, b)
+    assert (len(calls), shapes, highs) == (4, [(4, 4)], [1])
 
 
 @pytest.mark.usefixtures("dense_lp")
@@ -719,9 +760,7 @@ def test_few_source_certificate_rejects_a_perturbed_plan_or_dual(monkeypatch, pe
     shapes = spy_few_source(monkeypatch)
     wasserstein1(a, b)
     assert shapes == [(4, 4)]
-    certify = hocal.transport._certify
-    monkeypatch.setattr(hocal.transport, "_certify",
-                        lambda cost, a_full, b_full, x, y: certify(cost, a_full, b_full, *perturb(x, y)))
+    perturbed_certify(monkeypatch, perturb)
     with pytest.raises(SolverFailure, match=message):
         wasserstein1(a, b)
 
@@ -734,8 +773,8 @@ def test_few_source_splits_tied_sinks_whose_tight_arcs_form_cycles(monkeypatch):
 
     duals, certify = [], hocal.transport._certify
     monkeypatch.setattr(hocal.transport, "_certify",
-                        lambda cost, a_full, b_full, x, y: duals.append(y)
-                        or certify(cost, a_full, b_full, x, y))
+                        lambda cost, heads, tails, supply, x, y: duals.append(y)
+                        or certify(cost, heads, tails, supply, x, y))
     rng = np.random.default_rng(20)
     cycles = 0
     for _ in range(120):
@@ -751,7 +790,7 @@ def test_few_source_splits_tied_sinks_whose_tight_arcs_form_cycles(monkeypatch):
         assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
         assert np.abs(plan.sum(axis=0) - b).max() <= 1e-12
         assert abs((cost * plan).sum() - oracle.fun) <= 1e-12
-        u, v = duals[-1][:m], duals[-1][m:]
+        u, v = duals[-1][:m], -duals[-1][m:]
         tight = cost - u[:, None] - v <= hocal.transport._TIE_TOL
         tied = tight[:, tight.sum(axis=0) >= 2]
         # a graph with at least as many edges as nodes holds a cycle
@@ -766,9 +805,16 @@ def move_graph_lp(a, b, k):
     from scipy.optimize import linprog
 
     scale = 1e8
-    incidence = hocal.transport._move_graph(a.space, k)[0]
+    heads, tails, *_, counts = hocal.transport._move_graph(a.space, k)
+    # node-by-move incidence: +1 at the move's source point, -1 at its target
+    moves = np.arange(len(heads))
+    incidence = sparse.csc_matrix(
+        (np.concatenate([np.ones(len(heads)), -np.ones(len(heads))]),
+         (np.concatenate([heads, tails]), np.concatenate([moves, moves]))),
+        shape=(len(counts), len(heads)),
+    )
     supply = lattice_supply(a, b, k)
-    res = linprog(np.full(incidence.shape[1], 2.0 / k), A_eq=incidence[:-1],
+    res = linprog(np.full(len(heads), 2.0 / k), A_eq=incidence[:-1],
                   b_eq=supply[:-1] * scale, bounds=(0, None), method="highs-ipm")
     assert res.status == 0
     return res.fun / scale
@@ -781,7 +827,7 @@ def lattice_index(m, k):
 
 
 def lattice_supply(a, b, k):
-    supply = np.zeros(hocal.transport._move_graph(a.space, k)[0].shape[0])
+    supply = np.zeros(len(hocal.transport._move_graph(a.space, k)[4]))
     np.add.at(supply, lattice_index(a, k), a.weights_array())
     np.subtract.at(supply, lattice_index(b, k), b.weights_array())
     return supply
@@ -829,7 +875,7 @@ def test_lattice_flow_matches_highs_on_criterion_3_pairs(l, k, monkeypatch):
         assert abs(w1_lattice(a, b, k) - move_graph_lp(a, b, k)) <= 1e-12
         graph = hocal.transport._move_graph(a.space, k)
         z1, _ = hocal.transport._integer_supply(lattice_supply(a, b, k))
-        counted_phases(graph, z1, np.zeros(graph[0].shape[1], dtype=np.int64),
+        counted_phases(graph, z1, np.zeros(len(graph[0]), dtype=np.int64),
                        np.zeros(len(z1), dtype=np.int64), k)
         warm, _, cold = rounds
         assert warm <= cold
@@ -842,7 +888,7 @@ def capped_flow_phases(graph, supply, flow, potential, k):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra, maximum_flow
 
-    _, heads, tails, reverse, indptr, _ = graph
+    heads, tails, reverse, indptr, _ = graph
     n = len(indptr) - 1
     excess = supply.copy()
     cap = hocal.transport._phase_cap(k)
@@ -889,7 +935,7 @@ def test_lattice_flow_rounds_keep_slackness_in_no_more_phases_than_capped_raises
 
     def checked(graph, supply, flow, potential, k):
         counted_phases(graph, supply, flow, potential, k)
-        _, heads, tails, *_ = graph
+        heads, tails, *_ = graph
         reduced = 1 + potential[heads] - potential[tails]
         assert reduced.min() >= 0
         assert not reduced[flow > 0].any()
@@ -901,8 +947,8 @@ def test_lattice_flow_rounds_keep_slackness_in_no_more_phases_than_capped_raises
         w1_lattice(a, b, k)
         graph = hocal.transport._move_graph(a.space, k)
         z1, _ = hocal.transport._integer_supply(lattice_supply(a, b, k))
-        capped = capped_flow_phases(graph, z1, np.zeros(graph[0].shape[1], dtype=np.int64),
-                                    hocal.transport._marginal_potential(graph[5], z1, k), k)
+        capped = capped_flow_phases(graph, z1, np.zeros(len(graph[0]), dtype=np.int64),
+                                    hocal.transport._marginal_potential(graph[4], z1, k), k)
         assert rounds[0] <= capped
 
 
@@ -911,7 +957,7 @@ def test_lattice_flow_rounds_keep_slackness_in_no_more_phases_than_capped_raises
 def test_marginal_potential_is_a_feasible_integer_lower_bound(l, k):
     space = LabelSpace(l)
     graph = hocal.transport._move_graph(space, k)
-    _, heads, tails, _, _, counts = graph
+    heads, tails, _, _, counts = graph
     for seed in range(5):
         a, b = lattice_mixture(space, k, 1000 + seed), lattice_mixture(space, k, 2000 + seed)
         supply = lattice_supply(a, b, k)
@@ -986,12 +1032,12 @@ def test_lattice_flow_certifies_supplies_whose_float_sum_is_off():
     # most four units of rounding to absorb it
     space, k = LabelSpace(3), 4
     graph = hocal.transport._move_graph(space, k)
-    supply = np.zeros(graph[0].shape[0])
+    supply = np.zeros(len(graph[4]))
     supply[[0, 3, 7, 14]] = [0.3, 0.7, -0.6, -0.4 + 1e-15]
     assert supply.sum() > 9e-16
     flow, y = hocal.transport._lattice_flow(graph, supply, k)
     cost = np.full(len(flow), 2.0 / k)
-    hocal.transport._certify(cost, graph[0], supply, flow, y)
+    hocal.transport._certify(cost, graph[0], graph[1], supply, flow, y)
 
 
 def test_lattice_flow_raises_past_its_phase_cap(monkeypatch):
@@ -1006,7 +1052,7 @@ def test_lattice_flow_raises_past_its_phase_cap(monkeypatch):
 
 def test_few_source_route_loads_no_scipy_optimize():
     # a 4 x 4 pair and 4 points against their projection, both solved by
-    # `_few_source`
+    # `_few_source`, then a binary pair on the CDF route: none loads any scipy
     code = (
         "import sys\n"
         "from hocal import LabelSpace, mixture_from_arrays, project_k, wasserstein1\n"
@@ -1017,13 +1063,16 @@ def test_few_source_route_loads_no_scipy_optimize():
         " (0.8, 0.1, 0.1)], [0.25, 0.25, 0.25, 0.25], space)\n"
         "assert wasserstein1(f, h)[0] > 0.0\n"
         "assert wasserstein1(f, project_k(f, 16))[0] > 0.0\n"
-        "print('scipy.optimize' in sys.modules)"
+        "two = LabelSpace(2)\n"
+        "g = mixture_from_arrays([(0.9, 0.1), (0.4, 0.6)], [0.3, 0.7], two)\n"
+        "assert wasserstein1(g, mixture_from_arrays([(0.5, 0.5)], [1.0], two))[0] > 0.0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_w1_lattice_loads_no_scipy_optimize():
