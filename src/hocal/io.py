@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -26,11 +27,6 @@ FORMAT_VERSION = 1
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
-
-
-def _is_number(value) -> bool:
-    """A JSON number as json.loads returns it: int or float, not bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _read_text(path) -> str:
@@ -196,8 +192,10 @@ def read_calibration_table(path) -> CalibrationTable:
             raise FormatError(f"{path}: duplicate partition {pid!r}", line=lineno)
         if not isinstance(points, list) or not isinstance(weights, list) or len(points) != len(weights):
             raise FormatError(f"{path}: points and weights must be lists of equal length", line=lineno)
-        if not (all(isinstance(row, list) and all(map(_is_number, row)) for row in points)
-                and all(map(_is_number, weights))):
+        # JSON numbers are the ints and floats json.loads returns; bool is
+        # a type of its own, so true and false are refused too
+        if not (set(map(type, points)) <= {list}
+                and set(map(type, chain(chain.from_iterable(points), weights))) <= {int, float}):
             raise FormatError(f"{path}: partition {pid!r}: coordinates and weights must be JSON numbers",
                               line=lineno)
         try:

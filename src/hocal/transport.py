@@ -156,7 +156,7 @@ def _w1_binary(a: Mixture, b: Mixture):
     phi = np.concatenate([[0.0], np.cumsum(-2.0 * np.sign(excess[:-1]) * np.diff(grid))])
     _certify(2.0 * np.abs(a_bias[:, None] - b_bias).ravel(), *_pairs(a.size, b.size),
              np.concatenate([a_w, -b_w]), mass.ravel(), phi[np.concatenate([at_a, at_b])])
-    return cost, mass
+    return float(cost), mass
 
 
 def _w1_lp(a: Mixture, b: Mixture, support_cap: int):
@@ -501,6 +501,74 @@ def _marginal_potential(counts, supply, k: int):
     return (total - k) // 2
 
 
+def _subtree_sums(parent, amount):
+    """amount summed over each node's subtree in the forest `parent`, whose
+    roots have parent len(parent), by pointer doubling: pass i adds each
+    node's partial sum to its 2^i-th ancestor. Exact while the sums stay
+    below 2^53."""
+    n = len(parent)
+    up = np.append(parent, n)
+    sums = np.append(amount, 0).astype(float)
+    while (up < n).any():
+        sums[n] = 0.0
+        sums += np.bincount(up, sums, n + 1)
+        up = up[up]
+    return sums[:n]
+
+
+def _route_in_components(graph, supply, flow, potential):
+    """Route integer node supplies inside the strongly connected components
+    of the wide arcs, in place on `flow`; return what is left, the net
+    supply of each component at its root.
+
+    A wide arc can carry any amount the round moves: a tight move (reduced
+    cost 0), or the cancellation of a move whose flow is at least twice the
+    total excess. Every excess goes to its component's root along an
+    in-tree, every deficit is fed from the root along an out-tree, each
+    tree one breadth-first search from all roots. An arc carries at most
+    the total excess in each tree, so no flow goes negative; every change
+    is on a tight move, so the potentials stay complementary to the flow.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+    heads, tails, reverse, indptr, _ = graph
+    n = len(indptr) - 1
+    tight = potential[tails] - potential[heads] == 1
+    wide = tight | (flow[reverse] >= 2 * supply[supply > 0].sum())
+
+    def arcs(mask, roots):
+        # the masked moves as a CSR graph, its rows straight from the sorted
+        # moves, and a node n with an arc to each of the integer array roots.
+        # Every lattice point starts a move, so no row of moves is empty, as
+        # reduceat needs
+        cols = np.concatenate([tails.compress(mask), roots])
+        rows = np.add.reduceat(mask.view(np.uint8), indptr[:-1], dtype=np.int32)
+        ends = np.concatenate([[0], rows, [len(roots)]]).cumsum()
+        return csr_matrix((np.ones(len(cols)), cols, ends), shape=(n + 1, n + 1))
+
+    labels = connected_components(arcs(wide, indptr[:0]), connection="strong")[1][:n]
+    _, roots, component = np.unique(labels, return_index=True, return_inverse=True)
+    wide &= labels[heads] == labels[tails]
+    key = heads.astype(np.int64) * n + tails
+    moved = np.zeros(len(heads))
+    # the in-tree is an out-tree of the transposed moves, and the transpose
+    # of move e is move reverse[e]
+    for mask, amount, out in ((wide[reverse], np.maximum(supply, 0), False),
+                              (wide, np.maximum(-supply, 0), True)):
+        parent = breadth_first_order(arcs(mask, roots), n, return_predecessors=True)[1][:n]
+        child = np.flatnonzero(parent < n)
+        # the move from each child to its parent
+        arc = np.searchsorted(key, child * n + parent[child])
+        moved += np.bincount(reverse[arc] if out else arc,
+                             _subtree_sums(parent, amount)[child], len(heads))
+    # a wide arc that is not tight cancels the opposite move
+    flow += np.where(tight, moved - moved[reverse], 0.0).astype(np.int64)
+    left = np.zeros_like(supply)
+    left[roots] = np.bincount(component, supply, len(roots))
+    return left
+
+
 def _lattice_flow(graph, supply, k: int):
     """Mass per move of an optimal flow for node supplies `supply`, and its
     dual y (node prices, y[u] - y[v] <= 2/k on every move u -> v).
@@ -509,10 +577,14 @@ def _lattice_flow(graph, supply, k: int):
     and the coordinate-marginal dual of those integers. Its gap can come
     near 1e-8, so round 2 solves the rounding residual at its own, finer
     scale, starting from round 1's flow and potentials; it may cancel
-    round-1 flow. In each round the first phase raises the potentials at
-    most to the nearest deficit and every later phase by the full Dijkstra
-    distance (_flow_phases); both keep complementary slackness, so round 2
-    starts from a dual that is optimal for round 1's flow.
+    round-1 flow. Round 2 first routes the residual inside the strongly
+    connected components of round 1's tight moves and wide cancellations
+    (_route_in_components), which needs no max flow, and then solves what
+    is left at the component roots. In each round the first phase raises
+    the potentials at most to the nearest deficit and every later phase by
+    the full Dijkstra distance (_flow_phases); both keep complementary
+    slackness, so round 2 starts from a dual that is optimal for round 1's
+    flow.
     """
     z1, unit1 = _integer_supply(supply)
     flow = np.zeros(len(graph[0]), dtype=np.int64)
@@ -521,11 +593,16 @@ def _lattice_flow(graph, supply, k: int):
     x = flow * unit1
     z2, unit2 = _integer_supply(supply - z1 * unit1)
     if unit2 > 0.0:
-        # round-1 flow in round-2 units; round 2 never cancels more than
-        # _FLOW_UNITS, so the cap is not binding and keeps the floats finite
-        start = np.minimum(flow * min(unit1 / unit2, _FLOW_UNITS), _FLOW_UNITS).astype(np.int64)
+        # round-1 flow in round-2 units. Round 2's total excess is at most
+        # (_FLOW_UNITS + nodes) / 2, so the cap is at least twice it and
+        # leaves every flow the routing may cancel wide; it keeps the floats
+        # finite and never binds in the max flow, whose capacities stay
+        # min(flow, total excess)
+        start = np.minimum(flow * min(unit1 / unit2, 2 * _FLOW_UNITS),
+                           2 * _FLOW_UNITS).astype(np.int64)
         flow = start.copy()
-        _flow_phases(graph, z2, flow, potential, k)
+        left = _route_in_components(graph, z2, flow, potential)
+        _flow_phases(graph, left, flow, potential, k)
         x = x + (flow - start) * unit2
     return x, potential * (-2.0 / k)
 

@@ -468,6 +468,8 @@ TABLE_HEADER = '{"format_version": 1, "k": 1, "kind": "calibration_table", "num_
         # JSON true and "0.5" are no numbers, although Python reads them as 1 and 0.5
         ('{"count": 3, "partition": "a", "points": [[true, false]], "weights": [true]}', "FormatError"),
         ('{"count": 3, "partition": "a", "points": [["0.5", "0.5"]], "weights": ["1"]}', "FormatError"),
+        ('{"count": 3, "partition": "a", "points": [[1.0, 0.0]], "weights": [true]}', "FormatError"),
+        ('{"count": 3, "partition": "a", "points": [[[1.0], 0.0]], "weights": [1.0]}', "FormatError"),
         pytest.param('{"count": 3, "partition": "a", "points": [[1' + "0" * 400 + ', 0]], "weights": [1]}',
                      "FormatError", id="integer-too-large-for-a-float"),
     ],

@@ -589,6 +589,21 @@ def test_every_route_passes_one_certificate_per_solve(monkeypatch):
     assert (len(calls), shapes, highs) == (4, [(4, 4)], [1])
 
 
+def test_every_route_returns_the_cost_as_a_python_float(monkeypatch):
+    # cdf, few-source and the flow through `wasserstein1`, `w1_lattice`, and
+    # HiGHS once no side counts as few: exactly float, never np.float64
+    space = LabelSpace(3)
+    a, b = criterion_3_direct(3, 4, 0)
+    on_lattice = lattice_mixture(space, 4, 11), lattice_mixture(space, 4, 12)
+    flow, plan = wasserstein1(*on_lattice, k=4)
+    assert plan is None
+    costs = [wasserstein1(LP_A, LP_B)[0], wasserstein1(a, b)[0], flow,
+             w1_lattice(*on_lattice, 4)]
+    monkeypatch.setattr(hocal.transport, "_FEW_SOURCES", 0)
+    costs.append(wasserstein1(a, b)[0])
+    assert [type(cost) for cost in costs] == [float] * 5
+
+
 @pytest.mark.usefixtures("dense_lp")
 def test_dense_lp_certificate_rejects_a_duality_gap(monkeypatch):
     _hand_solved(monkeypatch, LP_PLAN, LP_DUAL)
@@ -841,25 +856,26 @@ def projected_pair(l, k, trial, alpha=2.0):
     return project_k(f, k), project_k(h, k)
 
 
-def spy_dijkstra_rounds(monkeypatch):
-    """Count Dijkstra calls, one per phase, per `_flow_phases` call. Returns
-    the list of counts, which fills as flows run, and the counting
-    `_flow_phases`, for rounds a test runs itself."""
+def spy_rounds(monkeypatch, function="dijkstra"):
+    """Count calls of csgraph's `function` per `_flow_phases` call: of
+    Dijkstra, one per phase, and of the max flow. Returns the list of
+    counts, which fills as flows run, and the counting `_flow_phases`, for
+    rounds a test runs itself."""
     from scipy.sparse import csgraph
 
     calls, rounds = [0], []
-    dijkstra, phases = csgraph.dijkstra, hocal.transport._flow_phases
+    spied, phases = getattr(csgraph, function), hocal.transport._flow_phases
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return dijkstra(*args, **kwargs)
+        return spied(*args, **kwargs)
 
     def counted_phases(*args):
         before = calls[0]
         phases(*args)
         rounds.append(calls[0] - before)
 
-    monkeypatch.setattr(csgraph, "dijkstra", counted)
+    monkeypatch.setattr(csgraph, function, counted)
     monkeypatch.setattr(hocal.transport, "_flow_phases", counted_phases)
     return rounds, counted_phases
 
@@ -868,7 +884,7 @@ def spy_dijkstra_rounds(monkeypatch):
 def test_lattice_flow_matches_highs_on_criterion_3_pairs(l, k, monkeypatch):
     # round 1 from the coordinate-marginal dual takes no more phases than
     # from zero potentials
-    rounds, counted_phases = spy_dijkstra_rounds(monkeypatch)
+    rounds, counted_phases = spy_rounds(monkeypatch)
     for trial in range(3):
         a, b = projected_pair(l, k, trial)
         rounds.clear()
@@ -931,7 +947,7 @@ def test_lattice_flow_rounds_keep_slackness_in_no_more_phases_than_capped_raises
     # phase keeps every move's reduced cost >= 0 and every move with flow
     # tight, and round 1 takes no more phases than raising by at most the
     # distance to the nearest deficit in every phase
-    rounds, counted_phases = spy_dijkstra_rounds(monkeypatch)
+    rounds, counted_phases = spy_rounds(monkeypatch)
 
     def checked(graph, supply, flow, potential, k):
         counted_phases(graph, supply, flow, potential, k)
@@ -972,11 +988,33 @@ def test_marginal_potential_is_a_feasible_integer_lower_bound(l, k):
         assert -2 * int(z1 @ potential) == sum(int(np.abs(cdf).sum()) for cdf in cdfs)
 
 
+def round_2_on_the_whole_residual(a, b, k):
+    """Round 1 of `_lattice_flow`, then round 2's `_flow_phases` on the whole
+    rounding residual with no routing between them, from round 1's
+    potentials and its flow in round-2 units, capped at _FLOW_UNITS.
+    Returns the flow's cost."""
+    graph = hocal.transport._move_graph(a.space, k)
+    supply = lattice_supply(a, b, k)
+    z1, unit1 = hocal.transport._integer_supply(supply)
+    flow = np.zeros(len(graph[0]), dtype=np.int64)
+    potential = hocal.transport._marginal_potential(graph[4], z1, k)
+    hocal.transport._flow_phases(graph, z1, flow, potential, k)
+    z2, unit2 = hocal.transport._integer_supply(supply - z1 * unit1)
+    assert unit2 > 0.0
+    units = hocal.transport._FLOW_UNITS
+    start = np.minimum(flow * min(unit1 / unit2, units), units).astype(np.int64)
+    x = flow * unit1
+    flow = start.copy()
+    hocal.transport._flow_phases(graph, z2, flow, potential, k)
+    return np.full(len(x), 2.0 / k) @ (x + (flow - start) * unit2)
+
+
 def test_lattice_flow_cancels_round_1_flow_in_round_2(monkeypatch):
     # round 2 starts from round 1's flow and sends some of it back: Dijkstra
     # must price the cancellation of a move v -> u at 0, although the move
     # u -> v between the same two points costs 2 (a CSR graph holding both
-    # would add them up)
+    # would add them up). `_lattice_flow` routes this pair's residual before
+    # its phases run, so round 2 runs here on the whole residual
     lowered = []
     phases = hocal.transport._flow_phases
 
@@ -987,9 +1025,11 @@ def test_lattice_flow_cancels_round_1_flow_in_round_2(monkeypatch):
 
     monkeypatch.setattr(hocal.transport, "_flow_phases", spy)
     a, b = projected_pair(3, 2, 6)
-    value = w1_lattice(a, b, 2)
+    cost = round_2_on_the_whole_residual(a, b, 2)
     assert lowered == [False, True]
-    assert abs(value - move_graph_lp(a, b, 2)) <= 1e-12
+    exact = move_graph_lp(a, b, 2)
+    assert abs(cost - exact) <= 1e-12
+    assert abs(w1_lattice(a, b, 2) - exact) <= 1e-12
 
 
 def test_lattice_flow_reads_the_net_max_flow_of_a_node_pair_once(monkeypatch):
@@ -1012,9 +1052,89 @@ def test_lattice_flow_reads_the_net_max_flow_of_a_node_pair_once(monkeypatch):
 
     monkeypatch.setattr(csgraph, "maximum_flow", spy)
     a, b = projected_pair(3, 2, 6)
-    value = w1_lattice(a, b, 2)
+    cost = round_2_on_the_whole_residual(a, b, 2)
     assert any(two_way)
-    assert abs(value - move_graph_lp(a, b, 2)) <= 1e-12
+    exact = move_graph_lp(a, b, 2)
+    assert abs(cost - exact) <= 1e-12
+    assert abs(w1_lattice(a, b, 2) - exact) <= 1e-12
+
+
+def wide_components(graph, supply, flow, potential):
+    """Strong components of the moves of reduced cost 0 and the
+    cancellations of moves whose flow is at least twice the total excess."""
+    from scipy.sparse.csgraph import connected_components
+
+    heads, tails, reverse, _, counts = graph
+    wide = (1 + potential[heads] - potential[tails] == 0) | (
+        flow[reverse] >= 2 * supply[supply > 0].sum())
+    arcs = sparse.csr_matrix((np.ones(wide.sum()), (heads[wide], tails[wide])),
+                             shape=(len(counts), len(counts)))
+    return connected_components(arcs, connection="strong")[1]
+
+
+@pytest.mark.parametrize("l,k", [(3, 8), (3, 16), (4, 8), (4, 12)])
+def test_routing_in_components_moves_integers_on_tight_moves_only(l, k):
+    # round 1 on a random lattice pair leaves a flow and potentials. Random
+    # integer supplies whose total excess is near the median flow are then
+    # routed, so some moves with flow hold less than twice that total
+    space = LabelSpace(l)
+    graph = hocal.transport._move_graph(space, k)
+    heads, tails, _, _, counts = graph
+    n = len(counts)
+    for trial in range(6):
+        a = lattice_mixture(space, k, 100 * l + trial)
+        z1, _ = hocal.transport._integer_supply(
+            lattice_supply(a, lattice_mixture(space, k, 200 * l + trial), k))
+        flow = np.zeros(len(heads), dtype=np.int64)
+        potential = hocal.transport._marginal_potential(counts, z1, k)
+        hocal.transport._flow_phases(graph, z1, flow, potential, k)
+        rng = np.random.default_rng([l, k, trial])
+        scale = int(np.median(flow[flow > 0])) // n
+        supply = rng.integers(-scale, scale + 1, n)
+        supply[rng.integers(n)] -= supply.sum()
+        before = flow.copy()
+        left = hocal.transport._route_in_components(graph, supply, flow, potential)
+        assert flow.min() >= 0
+        # each node's balance changes by its supply less what is left
+        change = flow - before
+        balance = np.zeros(n, dtype=np.int64)
+        np.add.at(balance, heads, change)
+        np.subtract.at(balance, tails, change)
+        assert left.dtype == np.int64
+        assert (balance == supply - left).all()
+        # only tight moves change: more flow, or the cancellation of some
+        assert not (1 + potential[heads] - potential[tails])[change != 0].any()
+        # what is left sits at one node per component and is its net supply
+        labels = wide_components(graph, supply, before, potential)
+        assert np.bincount(labels, left != 0).max() <= 1
+        assert not np.bincount(labels, supply - left).any()
+        assert np.count_nonzero(left) < np.count_nonzero(supply)
+
+
+def sweep_pair(config, index, seed=1):
+    """Pair `index` of config `config` of the benchmark's lattice sweep
+    (bench/sweep.py) at `seed`, projected onto the config's lattice."""
+    l, k = ((3, 8), (3, 16), (3, 32), (4, 8), (4, 16), (4, 24))[config]
+    rng = np.random.default_rng([seed, config, index])
+    space = LabelSpace(l)
+
+    def draw():
+        points = rng.dirichlet(np.full(l, 2.0), size=4)
+        return project_k(mixture_from_arrays(points, rng.dirichlet(np.ones(4)), space), k)
+
+    return draw(), draw(), k
+
+
+@pytest.mark.parametrize("config", [0, 3])
+def test_round_2_makes_no_max_flow_call_on_small_sweep_pairs(config, monkeypatch):
+    # at (3, 8) and (4, 8) the routing leaves nothing for round 2's phases
+    rounds, _ = spy_rounds(monkeypatch, "maximum_flow")
+    for index in range(12):
+        rounds.clear()
+        w1_lattice(*sweep_pair(config, index))
+        assert len(rounds) == 2
+        assert rounds[0] >= 1
+        assert rounds[1] == 0
 
 
 def test_lattice_flow_fits_int32_on_supplies_spanning_many_magnitudes():
@@ -1041,7 +1161,7 @@ def test_lattice_flow_certifies_supplies_whose_float_sum_is_off():
 
 
 def test_lattice_flow_raises_past_its_phase_cap(monkeypatch):
-    rounds, _ = spy_dijkstra_rounds(monkeypatch)
+    rounds, _ = spy_rounds(monkeypatch)
     a, b = projected_pair(3, 8, 1)
     w1_lattice(a, b, 8)
     assert max(rounds) >= 2
