@@ -10,6 +10,7 @@ k-th order projection of the cell's Bayes mixture with probability
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -20,6 +21,30 @@ from .errors import DimensionMismatch, DomainError, EmptyPartition, InvalidDistr
 from .mixture import Mixture, _lattice_counts, _readonly, _running_sum
 from .simplex import LabelSpace, _snapshot_size, simplex_rows, snapshot_space_size
 from .transport import DEFAULT_SUPPORT_CAP, wasserstein1
+
+
+def _int64_array(values, what: str) -> np.ndarray:
+    """values as a new int64 array; an entry that is not a whole number
+    within int64 (NaN and inf included) raises InvalidDistribution naming
+    `what`. Integer and bool arrays convert as they are."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "biu":
+        raw = raw.astype(float)
+        whole = (np.abs(raw) < 2.0**63) & (raw == np.trunc(raw))
+        if not whole.all():
+            raise InvalidDistribution(f"{what} {float(raw[~whole][0])} is not an int64 integer")
+    return raw.astype(np.int64)
+
+
+def _is_count(value) -> bool:
+    """Whether value is a record count: a non-negative integer, numpy
+    integers included, bool, floats and NaN refused."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return operator.index(value) >= 0
+    except TypeError:
+        return False
 
 
 def _check_records(counts, codes, names, space: LabelSpace, k: int):
@@ -46,7 +71,8 @@ class SnapshotDataset:
     """(partition_id, snapshot) records, all snapshots of one size k, stored as columns.
 
     `SnapshotDataset(counts, codes, names, space, k)` takes an (n, l) int
-    count matrix, one row per record, and n codes indexing `names`. `names`
+    count matrix, one row per record, and n codes indexing `names`; counts
+    and codes that are not whole numbers are refused, not truncated. `names`
     may repeat ids, include ids that no record uses, and need not be
     sorted; ids are stored as strings. The dataset keeps its own read-only
     copy of the counts as `counts`, an (n, l) int64 matrix; `codes` is a
@@ -57,8 +83,8 @@ class SnapshotDataset:
     """
 
     def __init__(self, counts, codes, names, space: LabelSpace, k: int):
-        counts = np.array(counts, dtype=np.int64)
-        codes = np.asarray(codes, dtype=np.int64)
+        counts = _int64_array(counts, "count")
+        codes = _int64_array(codes, "partition code")
         if codes.shape != counts.shape[:1]:
             raise InvalidDistribution(f"{len(codes)} codes for {len(counts)} count rows")
         used, codes = np.unique(codes, return_inverse=True)
@@ -127,9 +153,10 @@ class CalibrationTable:
     k must be an integer >= 1 (numpy integers included, bool refused) and
     is stored as a Python int. counts carries how many records built each
     entry (None for exact reference tables that were never estimated from
-    data); downstream scoring uses it for the record-weighted mean. Both are
-    stored as read-only copies, so the checked entries are the only ones a
-    table has.
+    data); downstream scoring uses it for the record-weighted mean. Each
+    count must be a non-negative integer, stored as a Python int, for a
+    partition that has an entry. Both are stored as read-only copies, so
+    the checked entries are the only ones a table has.
     """
 
     entries: Mapping
@@ -141,7 +168,16 @@ class CalibrationTable:
         object.__setattr__(self, "k", _snapshot_size(self.k))
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         if self.counts is not None:
-            object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+            counts = dict(self.counts)
+            for pid, count in counts.items():
+                if pid not in self.entries:
+                    raise InvalidDistribution(f"count for partition {pid!r}, which has no entry")
+                if not _is_count(count):
+                    raise InvalidDistribution(
+                        f"partition {pid!r}: count {count!r} is not a non-negative integer"
+                    )
+            counts = {pid: int(count) for pid, count in counts.items()}
+            object.__setattr__(self, "counts", MappingProxyType(counts))
         for pid, mix in self.entries.items():
             if mix.space != self.space:
                 raise DimensionMismatch(f"partition {pid!r}: mixture over a different label space")

@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .calibrate import CalibrationTable, SnapshotDataset
+from .calibrate import CalibrationTable, SnapshotDataset, _is_count
 from .errors import FormatError, InvalidDistribution
 from .mixture import (
     WEIGHT_SUM_TOL, Mixture, _coordinate_rows, _lattice_counts, _near_clusters, _running_sum,
@@ -205,7 +205,7 @@ def read_calibration_table(path) -> CalibrationTable:
             raise FormatError(f"{path}: partition {pid!r}: {exc}", line=lineno) from None
         count = rec.get("count")
         if count is not None:
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            if not _is_count(count):
                 raise FormatError(f"{path}: count {count!r} is not a non-negative integer", line=lineno)
             counts[pid] = count
     if not entries:

@@ -65,13 +65,23 @@ class PolyApprox:
     """A degree-d polynomial fit of an entropy with measured certificates.
 
     sup_error is measured on a dense grid (never assumed from theory);
-    coeff_bound is the largest coefficient magnitude.
+    coeff_bound is the largest coefficient magnitude. Non-finite
+    coefficients, and a sup_error or coeff_bound that is negative or not
+    finite, raise DomainError.
     """
 
     degree: int
     coeffs: tuple
     sup_error: float
     coeff_bound: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.coeffs)):
+            raise DomainError(f"coefficients must be finite, got {self.coeffs}")
+        for name in ("sup_error", "coeff_bound"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise DomainError(f"{name} must be finite and non-negative, got {value}")
 
 
 def _moment_ratio(c: int, k: int, m: int) -> float:

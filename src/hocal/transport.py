@@ -398,13 +398,13 @@ def _phase_cap(k: int) -> int:
     """Phases one round of _flow_phases may take on the size-k lattice.
 
     A phase raises each potential by the node's distance in reduced costs
-    from the excess nodes (capped at D in the first phase), D being the
-    distance to the nearest deficit node. An excess node is a source of
-    that search, so its distance is 0 and its potential does not move.
-    Every node still in deficit rises by at least D, and D >= 1 in every
-    phase but the first, since costs are integers and the previous max
-    flow left no path of reduced cost 0 from an excess to a deficit node.
-    So for a node u that keeps its excess and a node v that keeps its
+    from the excess nodes, finite since the move graph is strongly
+    connected. An excess node is a source of that search, so its distance
+    is 0 and its potential does not move. Every node still in deficit rises
+    by at least D, the distance to the nearest deficit node, and D >= 1 in
+    every phase but the first, since costs are integers and the previous
+    max flow left no path of reduced cost 0 from an excess to a deficit
+    node. So for a node u that keeps its excess and a node v that keeps its
     deficit, potential[v] - potential[u] rises by at least 1 in each later
     phase. Both directions of every move keep reduced cost >= 0, so two
     potentials differ by at most k, the lattice diameter in moves: that
@@ -428,11 +428,8 @@ def _flow_phases(graph, supply, flow, potential, k: int):
     excess nodes, raises every potential by its distance, then runs one max
     flow on the arcs of reduced cost 0. Shortest-path distances keep every
     reduced cost >= 0 and every move with flow at 0, so after the raise the
-    max flow reaches deficits at every distance, not only the nearest. The
-    first phase caps the raise at D, the distance to the nearest deficit,
-    so a round first routes on the tight arcs of its start; README
-    "Distances" gives the phases taken with and without that cap. Raises
-    SolverFailure past _phase_cap(k) phases.
+    max flow reaches deficits at every distance, not only the nearest.
+    Raises SolverFailure past _phase_cap(k) phases.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra, maximum_flow
@@ -440,7 +437,7 @@ def _flow_phases(graph, supply, flow, potential, k: int):
     heads, tails, reverse, indptr, _ = graph
     n = len(indptr) - 1
     excess = supply.copy()
-    for phase in range(_phase_cap(k)):
+    for _ in range(_phase_cap(k)):
         sources = np.flatnonzero(excess > 0)
         if not sources.size:
             return
@@ -452,8 +449,6 @@ def _flow_phases(graph, supply, flow, potential, k: int):
         weight = reduced - 2 * cancellable
         dist = dijkstra(csr_matrix((weight.astype(float), tails, indptr), shape=(n, n)),
                         indices=sources, min_only=True)
-        if not phase:
-            dist = np.minimum(dist, dist[sinks].min())
         potential += dist.astype(np.int64)
 
         reduced = 1 + potential[heads] - potential[tails]
@@ -580,11 +575,10 @@ def _lattice_flow(graph, supply, k: int):
     round-1 flow. Round 2 first routes the residual inside the strongly
     connected components of round 1's tight moves and wide cancellations
     (_route_in_components), which needs no max flow, and then solves what
-    is left at the component roots. In each round the first phase raises
-    the potentials at most to the nearest deficit and every later phase by
-    the full Dijkstra distance (_flow_phases); both keep complementary
-    slackness, so round 2 starts from a dual that is optimal for round 1's
-    flow.
+    is left at the component roots. Every phase of both rounds raises the
+    potentials by the full Dijkstra distance (_flow_phases), which keeps
+    complementary slackness, so round 2 starts from a dual that is optimal
+    for round 1's flow.
     """
     z1, unit1 = _integer_supply(supply)
     flow = np.zeros(len(graph[0]), dtype=np.int64)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,24 @@ def test_dataset_codes_must_index_names_one_per_record():
             SnapshotDataset([[1, 1], [2, 0]], [0, bad], ["a"], BINARY, 2)
 
 
+@pytest.mark.parametrize("counts,codes,bad", [
+    ([[1.7, 0.3]], [0], "count 1.7"),
+    ([[np.nan, 1.0]], [0], "count nan"),
+    ([[np.inf, 1.0]], [0], "count inf"),
+    ([[1e30, 1.0]], [0], "count 1e+30"),
+    ([[1, 0]], [0.5], "partition code 0.5"),
+    ([[1, 0]], [np.nan], "partition code nan"),
+])
+def test_dataset_refuses_counts_and_codes_that_are_not_integers(counts, codes, bad):
+    # a fractional count or code was once truncated toward zero, and a NaN
+    # count raised numpy's bare ValueError
+    with pytest.raises(InvalidDistribution, match=re.escape(f"{bad} is not an int64 integer")):
+        SnapshotDataset(counts, codes, ["a"], BINARY, 1)
+    ds = SnapshotDataset([[2.0, 0.0], [1.0, 1.0]], [0.0, 0.0], ["a"], BINARY, 2)
+    assert ds.counts.dtype == ds.codes.dtype == np.int64
+    assert ds.counts.tolist() == [[2, 0], [1, 1]]
+
+
 def test_dataset_copies_the_callers_counts():
     counts = np.array([[1, 1], [2, 0]])
     ds = SnapshotDataset(counts, [0, 0], ["a"], BINARY, 2)
@@ -146,6 +165,25 @@ def test_table_keeps_only_the_entries_it_checked():
     with pytest.raises(TypeError):
         t.counts["a"] = 7
     assert t.partitions == ["a"]
+
+
+@pytest.mark.parametrize("counts,message", [
+    ({"a": math.nan}, "partition 'a': count nan is not a non-negative integer"),
+    ({"a": -3}, "partition 'a': count -3 is not a non-negative integer"),
+    ({"a": 1.5}, "partition 'a': count 1.5 is not a non-negative integer"),
+    ({"a": 2.0}, "partition 'a': count 2.0 is not a non-negative integer"),
+    ({"a": True}, "partition 'a': count True is not a non-negative integer"),
+    ({"a": 1, "b": 1}, "count for partition 'b', which has no entry"),
+])
+def test_table_counts_are_non_negative_integers_of_its_partitions(counts, message):
+    # koc_error weighs partitions by these counts, and the table reader
+    # refuses what the writer would write for a bad one
+    on = mixture_from_arrays([(0.5, 0.5)], [1.0], BINARY)
+    with pytest.raises(InvalidDistribution, match=message):
+        CalibrationTable(entries={"a": on}, k=2, space=BINARY, counts=counts)
+    table = CalibrationTable(entries={"a": on}, k=2, space=BINARY, counts={"a": np.int64(4)})
+    assert type(table.counts["a"]) is int and table.counts == {"a": 4}
+    assert CalibrationTable(entries={"a": on}, k=2, space=BINARY, counts={}).counts == {}
 
 
 def test_koc_error_weighted_mean_hand_case():

@@ -10,6 +10,7 @@ from hocal.errors import DimensionMismatch, DomainError, InvalidDistribution
 from hocal.mixture import RngSeed, mixture_from_arrays, project_k
 from hocal.moments import (
     MomentVector,
+    PolyApprox,
     central_moment,
     chebyshev_fit,
     estimate_moments,
@@ -187,6 +188,23 @@ def test_poly_au_estimate_error_budget_plumbing():
     assert est == pytest.approx(
         pa.coeffs[0] + pa.coeffs[1] * 0.5 + pa.coeffs[2] * 0.34, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("field,value", [
+    ("coeffs", (0.0, math.nan)),
+    ("coeffs", (math.inf, 1.0)),
+    ("sup_error", math.inf),
+    ("sup_error", math.nan),
+    ("sup_error", -0.1),
+    ("coeff_bound", math.nan),
+    ("coeff_bound", -1.0),
+])
+def test_poly_approx_refuses_fields_that_are_not_finite_or_negative(field, value):
+    # such a fit once reached poly_au_estimate, which returned (nan, inf)
+    fields = dict(degree=1, coeffs=(0.0, 1.0), sup_error=0.0, coeff_bound=1.0)
+    PolyApprox(**fields)
+    with pytest.raises(DomainError, match="must be finite"):
+        PolyApprox(**{**fields, field: value})
 
 
 def test_poly_au_estimate_needs_enough_moments():
