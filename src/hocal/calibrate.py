@@ -153,10 +153,11 @@ class CalibrationTable:
     k must be an integer >= 1 (numpy integers included, bool refused) and
     is stored as a Python int. counts carries how many records built each
     entry (None for exact reference tables that were never estimated from
-    data); downstream scoring uses it for the record-weighted mean. Each
-    count must be a non-negative integer, stored as a Python int, for a
-    partition that has an entry. Both are stored as read-only copies, so
-    the checked entries are the only ones a table has.
+    data); downstream scoring uses it for the record-weighted mean. Counts
+    cover every entry or none (None or empty): a partition left out would
+    weigh 0. Each count must be a non-negative integer, stored as a Python
+    int, for a partition that has an entry. Both are stored as read-only
+    copies, so the checked entries are the only ones a table has.
     """
 
     entries: Mapping
@@ -176,6 +177,10 @@ class CalibrationTable:
                     raise InvalidDistribution(
                         f"partition {pid!r}: count {count!r} is not a non-negative integer"
                     )
+            if counts:
+                for pid in self.entries:
+                    if pid not in counts:
+                        raise InvalidDistribution(f"partition {pid!r} has an entry but no count")
             counts = {pid: int(count) for pid, count in counts.items()}
             object.__setattr__(self, "counts", MappingProxyType(counts))
         for pid, mix in self.entries.items():

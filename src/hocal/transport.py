@@ -354,9 +354,9 @@ def _move_graph(space, k: int):
     d are joined by d*k/2 such moves and no fewer, so the shortest-path
     metric of this graph with edge cost 2/k reproduces the l1 metric.
     Edges are sorted by source point, then target point. Returns each
-    edge's source and target, the edge that undoes it, the row pointer of
-    the edges as a CSR graph, and the (N, l) integer counts of the lattice
-    points.
+    edge's source and target and the edge that undoes it, all intp for
+    gathers, the int32 row pointer of the edges as a CSR graph, and the
+    (N, l) integer counts of the lattice points.
     """
     counts = _lattice(space, k)[0].astype(np.int64)
     n, l = counts.shape
@@ -365,11 +365,11 @@ def _move_graph(space, k: int):
     moved = counts[heads]
     moved[np.arange(len(heads)), moves[move, 0]] -= 1
     moved[np.arange(len(heads)), moves[move, 1]] += 1
-    tails = _lattice_rank(moved, k)
+    tails = _lattice_rank(moved, k).astype(np.intp)
     order = np.lexsort((tails, heads))
-    heads, tails = heads[order].astype(np.int32), tails[order].astype(np.int32)
-    key = heads.astype(np.int64) * n + tails
-    reverse = np.searchsorted(key, tails.astype(np.int64) * n + heads)
+    heads, tails = heads[order], tails[order]
+    key = heads * n + tails
+    reverse = np.searchsorted(key, tails * n + heads)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))]).astype(np.int32)
     return heads, tails, reverse, indptr, counts
 
@@ -397,19 +397,25 @@ def _integer_supply(supply):
 def _phase_cap(k: int) -> int:
     """Phases one round of _flow_phases may take on the size-k lattice.
 
-    A phase raises each potential by the node's distance in reduced costs
-    from the excess nodes, finite since the move graph is strongly
-    connected. An excess node is a source of that search, so its distance
-    is 0 and its potential does not move. Every node still in deficit rises
-    by at least D, the distance to the nearest deficit node, and D >= 1 in
-    every phase but the first, since costs are integers and the previous
-    max flow left no path of reduced cost 0 from an excess to a deficit
-    node. So for a node u that keeps its excess and a node v that keeps its
-    deficit, potential[v] - potential[u] rises by at least 1 in each later
-    phase. Both directions of every move keep reduced cost >= 0, so two
-    potentials differ by at most k, the lattice diameter in moves: that
-    difference goes from at least -k to at most k, a rise of at most 2k.
-    Hence at most 2k + 2 phases. The argument needs only integer
+    A phase raises each potential by its component's distance in reduced
+    costs from the components with excess, finite since the move graph is
+    strongly connected; contracting components changes no distance. A
+    component with excess is a source of that search, so its distance is 0
+    and its potentials do not move. Every component in deficit rises by at
+    least D, the distance to the nearest one, and D >= 1 in every phase but
+    the first, since costs are integers and the previous max flow left no
+    path of reduced cost 0 from an excess to a deficit component: the
+    contracted max flow has the value of the uncontracted one, since every
+    wide move inside a component can carry the total excess, and merging
+    components adds no arc. Excesses only drain, deficits only fill, and a
+    merge sums them, so a component with excess after some phase has a part
+    with excess in every phase before: some node u lay in a component with
+    excess in every phase, and likewise some node v in a component with
+    deficit. potential[v] - potential[u] therefore rises by at least 1 in
+    each later phase. Both directions of every move keep reduced cost >= 0,
+    so two potentials differ by at most k, the lattice diameter in moves:
+    that difference goes from at least -k to at most k, a rise of at most
+    2k. Hence at most 2k + 2 phases. The argument needs only integer
     potentials that are dual feasible at the round's start, so the bound
     holds from any such start: round 1's coordinate-marginal dual and
     round 2's start at round 1's end.
@@ -417,64 +423,237 @@ def _phase_cap(k: int) -> int:
     return 2 * k + 2
 
 
+def _between(graph, label, size: int):
+    """The nodes grouped by their component among the `size` components
+    `label`, and the moves between two components, grouped by the component
+    of their source: their indices, their sources, targets and opposite
+    moves, the components of source and target, and the row pointer of the
+    contracted CSR graph. A contracted row may repeat a column; Dijkstra
+    keeps the cheapest."""
+    heads, tails, reverse, indptr, _ = graph
+    order = np.argsort(label)
+    lengths = np.diff(indptr)[order]
+    grouped = np.repeat(indptr[order] - (np.cumsum(lengths) - lengths), lengths)
+    grouped += np.arange(len(heads))
+    cross = grouped[(label[heads] != label[tails])[grouped]]
+    ends = heads[cross], tails[cross], reverse[cross]
+    lh, lt = label[ends[0]], label[ends[1]]
+    rows = np.concatenate([[0], np.cumsum(np.bincount(lh, minlength=size))])
+    return order, cross, ends, lh, lt, rows
+
+
+def _drop_cycles(rows, cols, amount, size: int):
+    """Cancel every directed cycle of the flow `amount` on the distinct arcs
+    rows -> cols of a graph with `size` nodes, in place. The flow into and
+    out of every node drops by the same amount, so its balance holds."""
+    while True:
+        live = np.flatnonzero(amount > 0)
+        # peel the arcs out of nodes that no arc enters and into nodes that
+        # no arc leaves: what is left holds every cycle
+        while live.size:
+            tail, head = rows[live], cols[live]
+            kept = ((np.bincount(head, minlength=size) > 0)[tail]
+                    & (np.bincount(tail, minlength=size) > 0)[head])
+            if kept.all():
+                break
+            live = live[kept]
+        if not live.size:
+            return
+        # every node left has an arc out: follow them until a node repeats
+        out = dict(zip(rows[live].tolist(), live.tolist()))
+        path, seen, node = [], {}, int(rows[live[0]])
+        while node not in seen:
+            seen[node] = len(path)
+            path.append(out[node])
+            node = int(cols[out[node]])
+        cycle = path[seen[node]:]
+        amount[cycle] -= amount[cycle].min()
+
+
+def _split(rows, cols, carried, caps, size: int, single: bool):
+    """Integer flow on each member arc rows -> cols of a contracted graph
+    with `size` nodes, for the net flow `carried` of its node pair (the
+    same on every member): with any cycle of the pair flows dropped, each
+    pair's flow fills its members in order up to their capacities `caps`.
+    When every component is a `single` node, each pair has one member and a
+    cycle leaves no imbalance inside a component, so `carried` is the
+    answer."""
+    if single:
+        return carried
+    along = np.zeros(len(caps), dtype=np.int64)
+    moved = np.flatnonzero(carried > 0)
+    key = rows[moved] * size + cols[moved]
+    order = np.argsort(key, kind="stable")
+    moved, key = moved[order], key[order]
+    start = np.concatenate([[True], key[1:] != key[:-1]])
+    pair = np.cumsum(start) - 1
+    first = moved[start]
+    pairs = carried[first]
+    _drop_cycles(rows[first], cols[first], pairs, size)
+    cap = caps[moved]
+    before = np.cumsum(cap) - cap
+    before -= before[start][pair]
+    along[moved] = np.clip(pairs[pair] - before, 0, cap)
+    return along
+
+
+def _crowded(graph, excess, flow, potential, label, inside, held, merged):
+    """The components, of those that `merged` joins, whose imbalances must
+    be routed before they merge: all the parts of a new component unless
+    each wide cancellation inside them (`inside`) carries at least twice R,
+    R the excess the parts leave unrouted plus the total excess."""
+    heads, tails, reverse, _, _ = graph
+    size = len(held)
+    kept = np.maximum(held, 0)
+    unrouted = np.bincount(label, np.maximum(excess, 0), size) - kept
+    parts = np.bincount(merged)
+    joining = (parts > 1)[merged]
+    if not unrouted[joining].any():
+        return np.zeros_like(joining)
+    moves = np.flatnonzero(inside)
+    cancels = moves[potential[heads[moves]] == potential[tails[moves]] + 1]
+    least = np.full(len(parts), np.inf)
+    np.minimum.at(least, merged[label[heads[cancels]]], flow[reverse[cancels]])
+    short = least < 2 * (np.bincount(merged, unrouted, len(parts)) + kept.sum())
+    return joining & short[merged]
+
+
 def _flow_phases(graph, supply, flow, potential, k: int):
-    """Primal-dual min-cost flow on integer node supplies, in place.
+    """Primal-dual min-cost flow on integer node supplies, in place, on the
+    move graph contracted to strong components of its wide arcs.
 
     `flow` (integer units per move) and `potential` must satisfy
     complementary slackness: every move with flow has reduced cost
     1 + potential[source] - potential[target] == 0, every move >= 0. A
     move with flow can be cancelled at reduced cost 0 from its target.
-    Each phase runs one multi-source Dijkstra on reduced costs from the
-    excess nodes, raises every potential by its distance, then runs one max
-    flow on the arcs of reduced cost 0. Shortest-path distances keep every
-    reduced cost >= 0 and every move with flow at 0, so after the raise the
-    max flow reaches deficits at every distance, not only the nearest.
-    Raises SolverFailure past _phase_cap(k) phases.
+    Components start as single nodes. T is the sum of the positive
+    component excesses, which the max flows move; E >= T the sum of the
+    positive node excesses. A wide arc is a tight move (reduced cost 0) or
+    the cancellation of a move whose flow is at least 2E when the phase
+    starts.
+
+    Each phase first merges the components that wide arcs join in a cycle,
+    when that at least halves their number: a merge costs a pass over all
+    moves. The search runs only when a cancellation between components has
+    turned wide since the last one, since tight moves alone close no new
+    cycle: a cycle's reduced costs sum to its cost whatever the potentials,
+    so a cycle of arcs at reduced cost 0 now was at 0 then. The phase then
+    runs one multi-source Dijkstra on the contracted graph from the
+    components with excess, each pair of components joined by its cheapest
+    arc, raises every potential by its component's distance, and runs one
+    max flow on the contracted arcs of reduced cost 0, parallel capacities
+    summed and capped at T. Shortest-path distances keep every reduced cost
+    >= 0 and every move with flow at 0, so after the raise the max flow
+    reaches deficits at every distance, not only the nearest. Each pair's
+    flow, with any cycle dropped, is split back onto its moves within their
+    capacities. Raises SolverFailure past _phase_cap(k) phases.
+
+    Within a round components only merge: every node of a component gets
+    the same distance, so its internal reduced costs never change, and no
+    max flow touches an internal move. The max flows leave imbalances on
+    the nodes inside a component; _expand routes them along its wide moves
+    when the round ends, and before a merge that _crowded finds unsafe.
+    U(D), the positive excess on D's nodes beyond D's own net excess, is
+    what that routing carries into D's root and, again, out of it. So every
+    wide cancellation inside a component D keeps a flow of at least
+    2(U(D) + T):
+    - when it joins: its flow is at least 2E, and E = T + the sum of U over
+      all components, while a merge lowers T by the excess it matches
+      inside the new component, which U adds back;
+    - for the wide cancellations of the parts, _crowded checks that bound
+      for the merged component, and otherwise expands the parts first;
+    - through a phase: a max flow that moves F lowers T by F, and an
+      acyclic one crosses a component at most once per unit it moves, each
+      unit adding at most 1 to U(D);
+    - through an expansion of D: it takes at most 2U(D) from the flow and
+      sets U(D) to 0.
+    When the round ends T is 0, so its expansion leaves every flow >= 0.
     """
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra, maximum_flow
+    from scipy.sparse.csgraph import connected_components, dijkstra, maximum_flow
 
     heads, tails, reverse, indptr, _ = graph
     n = len(indptr) - 1
     excess = supply.copy()
+    # every node starts as its own component
+    label, size = np.arange(n), n
+    inside = np.zeros(len(heads), dtype=bool)
+    order, cross, (sources_of, targets_of, opposite), lh, lt, rows = (
+        label, np.arange(len(heads)), (heads, tails, reverse), heads, tails, indptr)
+    # the wide cancellations between components at the last search
+    seen = np.zeros(len(heads), dtype=bool)
+    # the reduced cost of every move between components, kept up to date
+    reduced = 1 + potential[heads] - potential[tails]
     for _ in range(_phase_cap(k)):
-        sources = np.flatnonzero(excess > 0)
-        if not sources.size:
-            return
-        sinks = np.flatnonzero(excess < 0)
-        cancellable = flow[reverse] > 0
+        held = np.bincount(label, excess, size).astype(np.int64)
+        total = held[held > 0].sum()
+        if not total:
+            break
+        back = flow[opposite]
+        bar = 2 * excess[excess > 0].sum()
+        cancels = back >= bar
+        if (cancels & ~seen).any():
+            seen = cancels
+            wide = cancels | (reduced == 0)
+            # the wide arcs come grouped by row; the strong-component search
+            # needs the parallel arcs of contracted components summed
+            between = csr_matrix((np.ones(np.count_nonzero(wide)), lt[wide], np.concatenate(
+                [[0], np.cumsum(np.bincount(lh[wide], minlength=size))])), shape=(size, size))
+            if size < n:
+                between.sum_duplicates()
+            joined, merged = connected_components(between, connection="strong")
+            if 2 * joined <= size:
+                crowded = _crowded(graph, excess, flow, potential, label, inside, held, merged)
+                if crowded.any():
+                    _expand(graph, excess, flow, potential, label, order, inside, crowded)
+                inside[cross[wide]] = merged[lh[wide]] == merged[lt[wide]]
+                label, size = merged[label], joined
+                order, cross, ends, lh, lt, rows = _between(graph, label, size)
+                sources_of, targets_of, opposite = ends
+                held = np.bincount(label, excess, size).astype(np.int64)
+                total = held[held > 0].sum()
+                if not total:
+                    break
+                back = flow[opposite]
+                reduced = 1 + potential[sources_of] - potential[targets_of]
+                seen = back >= bar
+        sources = np.flatnonzero(held > 0)
+        sinks = np.flatnonzero(held < 0)
+        cancellable = back > 0
         # per node pair the cheaper of the move and the cancellation of the
         # opposite move: CSR construction would add the two up
-        reduced = 1 + potential[heads] - potential[tails]
         weight = reduced - 2 * cancellable
-        dist = dijkstra(csr_matrix((weight.astype(float), tails, indptr), shape=(n, n)),
-                        indices=sources, min_only=True)
-        potential += dist.astype(np.int64)
+        dist = dijkstra(csr_matrix((weight.astype(float), lt, rows), shape=(size, size)),
+                        indices=sources, min_only=True).astype(np.int64)
+        potential += dist[label]
+        reduced += dist[lh] - dist[lt]
 
-        reduced = 1 + potential[heads] - potential[tails]
         forward = reduced == 0
         arcs = np.flatnonzero(forward | ((reduced == 2) & cancellable))
         forward = forward[arcs]
         # no arc needs more than the total excess; that bound keeps the
         # capacities of both directions of a pair inside int32
-        total = excess[sources].sum()
-        rows = np.concatenate([heads[arcs], np.full(len(sources), n), sinks])
-        cols = np.concatenate([tails[arcs], sources, np.full(len(sinks), n + 1)])
-        caps = np.concatenate([
-            np.where(forward, total, np.minimum(flow[reverse[arcs]], total)),
-            excess[sources], -excess[sinks],
-        ]).astype(np.int32)
-        net = maximum_flow(csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2)),
-                           n, n + 1, method="dinic").flow
+        caps = np.where(forward, total, np.minimum(back[arcs], total))
+        graph_rows = np.concatenate([lh[arcs], np.full(len(sources), size), sinks])
+        graph_cols = np.concatenate([lt[arcs], sources, np.full(len(sinks), size + 1)])
+        capacity = csr_matrix((np.concatenate([caps, held[sources], -held[sinks]]),
+                               (graph_rows, graph_cols)), shape=(size + 2, size + 2))
+        capacity.data = np.minimum(capacity.data, total).astype(np.int32)
+        net = maximum_flow(capacity, size, size + 1, method="dinic").flow
         # the flow is net and antisymmetric: read each pair one way only
-        moved = np.maximum(np.asarray(net[rows, cols]).ravel(), 0)
-        along, drained, filled = np.split(moved, [len(arcs), len(arcs) + len(sources)])
-        flow[arcs[forward]] += along[forward]
-        flow[reverse[arcs[~forward]]] -= along[~forward]
-        excess[sources] -= drained
-        excess[sinks] += filled
-    if (excess > 0).any():
-        raise SolverFailure(f"lattice flow needs more than {_phase_cap(k)} phases at k={k}")
+        carried = np.maximum(np.asarray(net[lh[arcs], lt[arcs]]).ravel(), 0)
+        along = _split(lh[arcs], lt[arcs], carried, caps, size, size == n)
+        moved = np.flatnonzero(along)
+        along, arcs, forward = along[moved], arcs[moved], forward[moved]
+        flow[cross[arcs[forward]]] += along[forward]
+        flow[opposite[arcs[~forward]]] -= along[~forward]
+        excess += (np.bincount(targets_of[arcs], along, n)
+                   - np.bincount(sources_of[arcs], along, n)).astype(np.int64)
+    else:
+        if (np.bincount(label, excess, size) > 0).any():
+            raise SolverFailure(f"lattice flow needs more than {_phase_cap(k)} phases at k={k}")
+    if size < n:
+        _expand(graph, excess, flow, potential, label, order, inside, np.ones(size, dtype=bool))
 
 
 def _marginal_potential(counts, supply, k: int):
@@ -511,57 +690,67 @@ def _subtree_sums(parent, amount):
     return sums[:n]
 
 
-def _route_in_components(graph, supply, flow, potential):
-    """Route integer node supplies inside the strongly connected components
-    of the wide arcs, in place on `flow`; return what is left, the net
-    supply of each component at its root.
+def _expand(graph, excess, flow, potential, label, order, inside, chosen):
+    """Route the integer node imbalances `excess` inside the components
+    `chosen` (a mask over the labels) along their wide moves `inside`, in
+    place on `flow` and `excess`, until each keeps only its net: on its
+    nodes of the net's sign, the first in `order` (the nodes grouped by
+    component) first, each no larger than before.
 
-    A wide arc can carry any amount the round moves: a tight move (reduced
-    cost 0), or the cancellation of a move whose flow is at least twice the
-    total excess. Every excess goes to its component's root along an
-    in-tree, every deficit is fed from the root along an out-tree, each
-    tree one breadth-first search from all roots. An arc carries at most
-    the total excess in each tree, so no flow goes negative; every change
-    is on a tight move, so the potentials stay complementary to the flow.
+    What moves goes to a root of its component along an in-tree and back
+    out along an out-tree, each one breadth-first search from all the
+    roots. Every change is on a tight move, so the potentials stay
+    complementary to the flow; _flow_phases bounds what the cancellations
+    carry.
     """
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
+    from scipy.sparse.csgraph import breadth_first_order
 
-    heads, tails, reverse, indptr, _ = graph
-    n = len(indptr) - 1
-    tight = potential[tails] - potential[heads] == 1
-    wide = tight | (flow[reverse] >= 2 * supply[supply > 0].sum())
-
-    def arcs(mask, roots):
-        # the masked moves as a CSR graph, its rows straight from the sorted
-        # moves, and a node n with an arc to each of the integer array roots.
-        # Every lattice point starts a move, so no row of moves is empty, as
-        # reduceat needs
-        cols = np.concatenate([tails.compress(mask), roots])
-        rows = np.add.reduceat(mask.view(np.uint8), indptr[:-1], dtype=np.int32)
-        ends = np.concatenate([[0], rows, [len(roots)]]).cumsum()
-        return csr_matrix((np.ones(len(cols)), cols, ends), shape=(n + 1, n + 1))
-
-    labels = connected_components(arcs(wide, indptr[:0]), connection="strong")[1][:n]
-    _, roots, component = np.unique(labels, return_index=True, return_inverse=True)
-    wide &= labels[heads] == labels[tails]
-    key = heads.astype(np.int64) * n + tails
-    moved = np.zeros(len(heads))
-    # the in-tree is an out-tree of the transposed moves, and the transpose
-    # of move e is move reverse[e]
-    for mask, amount, out in ((wide[reverse], np.maximum(supply, 0), False),
-                              (wide, np.maximum(-supply, 0), True)):
-        parent = breadth_first_order(arcs(mask, roots), n, return_predecessors=True)[1][:n]
+    heads, tails, reverse, _, _ = graph
+    n = len(excess)
+    net = np.bincount(label, excess, len(chosen)).astype(np.int64)
+    sign = np.sign(net)[label]
+    spare = np.where(sign * excess > 0, np.abs(excess), 0)[order]
+    group = label[order]
+    first = np.concatenate([[True], group[1:] != group[:-1]])
+    before = np.cumsum(spare) - spare
+    before -= np.maximum.accumulate(np.where(first, before, 0))
+    kept = np.empty_like(excess)
+    kept[order] = sign[order] * np.clip(np.abs(net)[group] - before, 0, spare)
+    routed = np.where(chosen[label], excess - kept, 0)
+    chosen = np.bincount(label, routed != 0, len(chosen)) > 0
+    if not chosen.any():
+        return
+    excess -= routed
+    roots = order[first][chosen]
+    moves = np.flatnonzero(inside)
+    moves = moves[chosen[label[heads[moves]]]]
+    start, end = heads[moves], tails[moves]
+    push = np.zeros(len(moves))
+    # the in-tree is an out-tree of the transposed moves; the transpose of
+    # move e is move reverse[e], and the moves come sorted
+    position = np.zeros(len(heads), dtype=np.intp)
+    position[reverse[moves]] = np.arange(len(moves))
+    turned = position[np.flatnonzero(inside[reverse] & chosen[label[heads]])]
+    for rank, rows, cols, amount in ((turned, end[turned], start[turned], np.maximum(routed, 0)),
+                                     (np.arange(len(moves)), start, end, np.maximum(-routed, 0))):
+        # the arcs as a CSR graph, its rows straight from the sorted arcs,
+        # and a node n with an arc to each root
+        ends = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n)),
+                               [len(moves) + len(roots)]])
+        tree = csr_matrix((np.ones(len(moves) + len(roots)), np.concatenate([cols, roots]), ends),
+                          shape=(n + 1, n + 1))
+        parent = breadth_first_order(tree, n, return_predecessors=True)[1][:n]
+        parent[parent < 0] = n
         child = np.flatnonzero(parent < n)
-        # the move from each child to its parent
-        arc = np.searchsorted(key, child * n + parent[child])
-        moved += np.bincount(reverse[arc] if out else arc,
-                             _subtree_sums(parent, amount)[child], len(heads))
-    # a wide arc that is not tight cancels the opposite move
-    flow += np.where(tight, moved - moved[reverse], 0.0).astype(np.int64)
-    left = np.zeros_like(supply)
-    left[roots] = np.bincount(component, supply, len(roots))
-    return left
+        # the move of the tree arc from each parent to its child
+        arc = rank[np.searchsorted(rows * n + cols, parent[child] * n + child)]
+        push += np.bincount(arc, _subtree_sums(parent, amount)[child], len(moves))
+    push = push.astype(np.int64)
+    # an inside move that is not tight cancels the opposite move
+    tight = potential[start] + 1 == potential[end]
+    flow[moves[tight]] += push[tight]
+    flow[reverse[moves[~tight]]] -= push[~tight]
 
 
 def _lattice_flow(graph, supply, k: int):
@@ -572,13 +761,12 @@ def _lattice_flow(graph, supply, k: int):
     and the coordinate-marginal dual of those integers. Its gap can come
     near 1e-8, so round 2 solves the rounding residual at its own, finer
     scale, starting from round 1's flow and potentials; it may cancel
-    round-1 flow. Round 2 first routes the residual inside the strongly
-    connected components of round 1's tight moves and wide cancellations
-    (_route_in_components), which needs no max flow, and then solves what
-    is left at the component roots. Every phase of both rounds raises the
-    potentials by the full Dijkstra distance (_flow_phases), which keeps
-    complementary slackness, so round 2 starts from a dual that is optimal
-    for round 1's flow.
+    round-1 flow. Every phase of both rounds contracts the strong components
+    of the tight moves and wide cancellations and raises the potentials by
+    the full Dijkstra distance (_flow_phases), which keeps complementary
+    slackness, so round 2 starts from a dual that is optimal for round 1's
+    flow. Round 2's first phase contracts round 1's large flows, so its max
+    flows run on far fewer components than the lattice has points.
     """
     z1, unit1 = _integer_supply(supply)
     flow = np.zeros(len(graph[0]), dtype=np.int64)
@@ -588,15 +776,14 @@ def _lattice_flow(graph, supply, k: int):
     z2, unit2 = _integer_supply(supply - z1 * unit1)
     if unit2 > 0.0:
         # round-1 flow in round-2 units. Round 2's total excess is at most
-        # (_FLOW_UNITS + nodes) / 2, so the cap is at least twice it and
-        # leaves every flow the routing may cancel wide; it keeps the floats
-        # finite and never binds in the max flow, whose capacities stay
-        # min(flow, total excess)
+        # (_FLOW_UNITS + nodes) / 2, so the cap is at least twice it and a
+        # flow it cuts stays wide; it keeps the floats finite and never
+        # binds in the max flow, whose capacities stay min(flow, total
+        # excess)
         start = np.minimum(flow * min(unit1 / unit2, 2 * _FLOW_UNITS),
                            2 * _FLOW_UNITS).astype(np.int64)
         flow = start.copy()
-        left = _route_in_components(graph, z2, flow, potential)
-        _flow_phases(graph, left, flow, potential, k)
+        _flow_phases(graph, z2, flow, potential, k)
         x = x + (flow - start) * unit2
     return x, potential * (-2.0 / k)
 

@@ -186,6 +186,18 @@ def test_table_counts_are_non_negative_integers_of_its_partitions(counts, messag
     assert CalibrationTable(entries={"a": on}, k=2, space=BINARY, counts={}).counts == {}
 
 
+def test_table_counts_cover_every_entry_or_none():
+    # koc_error weighs each partition by its count: a partition missing from
+    # partial counts would weigh 0, and a table with entries a and b and
+    # counts {'b': 5} would score a W1 of 1.0 at a as a weighted mean of 0.0
+    a = mixture_from_arrays([(1.0, 0.0)], [1.0], BINARY)
+    b = mixture_from_arrays([(0.5, 0.5)], [1.0], BINARY)
+    with pytest.raises(InvalidDistribution, match="partition 'a' has an entry but no count"):
+        CalibrationTable(entries={"a": a, "b": b}, k=2, space=BINARY, counts={"b": 5})
+    for counts in (None, {}, {"a": 0, "b": 5}):
+        CalibrationTable(entries={"a": a, "b": b}, k=2, space=BINARY, counts=counts)
+
+
 def test_koc_error_weighted_mean_hand_case():
     table = CalibrationTable(
         entries={

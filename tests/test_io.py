@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hocal.calibrate import CalibrationTable, SnapshotDataset, posthoc_calibrate
-from hocal.errors import FormatError
+from hocal.errors import FormatError, InvalidDistribution
 from hocal.io import (
     read_calibration_table,
     read_csv_rows,
@@ -244,6 +244,19 @@ def test_table_duplicate_partition_rejected(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_calibration_table(path)
     assert exc.value.line == 3
+
+
+def test_table_with_counts_for_some_partitions_only_is_refused(tmp_path):
+    # a null count next to numbers would drop that partition from the
+    # record-weighted mean
+    path = tmp_path / "table.ldjson"
+    path.write_text(
+        '{"format_version": 1, "k": 1, "kind": "calibration_table", "num_labels": 2}\n'
+        '{"count": null, "partition": "a", "points": [[1.0, 0.0]], "weights": [1.0]}\n'
+        '{"count": 5, "partition": "b", "points": [[0.0, 1.0]], "weights": [1.0]}\n'
+    )
+    with pytest.raises(InvalidDistribution, match="partition 'a' has an entry but no count"):
+        read_calibration_table(path)
 
 
 def test_table_requires_its_kind_marker(tmp_path):

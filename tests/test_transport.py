@@ -993,9 +993,8 @@ def test_marginal_potential_is_a_feasible_integer_lower_bound(l, k):
 
 def round_2_on_the_whole_residual(a, b, k):
     """Round 1 of `_lattice_flow`, then round 2's `_flow_phases` on the whole
-    rounding residual with no routing between them, from round 1's
-    potentials and its flow in round-2 units, capped at _FLOW_UNITS.
-    Returns the flow's cost."""
+    rounding residual, from round 1's potentials and its flow in round-2
+    units, capped at _FLOW_UNITS. Returns the flow's cost."""
     graph = hocal.transport._move_graph(a.space, k)
     supply = lattice_supply(a, b, k)
     z1, unit1 = hocal.transport._integer_supply(supply)
@@ -1016,8 +1015,7 @@ def test_lattice_flow_cancels_round_1_flow_in_round_2(monkeypatch):
     # round 2 starts from round 1's flow and sends some of it back: Dijkstra
     # must price the cancellation of a move v -> u at 0, although the move
     # u -> v between the same two points costs 2 (a CSR graph holding both
-    # would add them up). `_lattice_flow` routes this pair's residual before
-    # its phases run, so round 2 runs here on the whole residual
+    # would add them up)
     lowered = []
     phases = hocal.transport._flow_phases
 
@@ -1054,12 +1052,12 @@ def test_lattice_flow_reads_the_net_max_flow_of_a_node_pair_once(monkeypatch):
         return result
 
     monkeypatch.setattr(csgraph, "maximum_flow", spy)
-    a, b = projected_pair(3, 2, 6)
-    cost = round_2_on_the_whole_residual(a, b, 2)
+    a, b = projected_pair(3, 3, 0)
+    cost = round_2_on_the_whole_residual(a, b, 3)
     assert any(two_way)
-    exact = move_graph_lp(a, b, 2)
+    exact = move_graph_lp(a, b, 3)
     assert abs(cost - exact) <= 1e-12
-    assert abs(w1_lattice(a, b, 2) - exact) <= 1e-12
+    assert abs(w1_lattice(a, b, 3) - exact) <= 1e-12
 
 
 def wide_components(graph, supply, flow, potential):
@@ -1076,13 +1074,14 @@ def wide_components(graph, supply, flow, potential):
 
 
 @pytest.mark.parametrize("l,k", [(3, 8), (3, 16), (4, 8), (4, 12)])
-def test_routing_in_components_moves_integers_on_tight_moves_only(l, k):
+def test_expansion_moves_integers_on_tight_moves_only(l, k):
     # round 1 on a random lattice pair leaves a flow and potentials. Random
-    # integer supplies whose total excess is near the median flow are then
-    # routed, so some moves with flow hold less than twice that total
+    # integer imbalances whose total excess is near the median flow are then
+    # routed inside the strong components of the wide arcs, as at the end of
+    # a round, so some moves with flow hold less than twice that total
     space = LabelSpace(l)
     graph = hocal.transport._move_graph(space, k)
-    heads, tails, _, _, counts = graph
+    heads, tails, reverse, _, counts = graph
     n = len(counts)
     for trial in range(6):
         a = lattice_mixture(space, k, 100 * l + trial)
@@ -1095,10 +1094,16 @@ def test_routing_in_components_moves_integers_on_tight_moves_only(l, k):
         scale = int(np.median(flow[flow > 0])) // n
         supply = rng.integers(-scale, scale + 1, n)
         supply[rng.integers(n)] -= supply.sum()
-        before = flow.copy()
-        left = hocal.transport._route_in_components(graph, supply, flow, potential)
+        labels = wide_components(graph, supply, flow, potential)
+        wide = (1 + potential[heads] - potential[tails] == 0) | (
+            flow[reverse] >= 2 * supply[supply > 0].sum())
+        before, left = flow.copy(), supply.copy()
+        hocal.transport._expand(graph, left, flow, potential, labels,
+                                np.argsort(labels, kind="stable"),
+                                wide & (labels[heads] == labels[tails]),
+                                np.ones(labels.max() + 1, dtype=bool))
         assert flow.min() >= 0
-        # each node's balance changes by its supply less what is left
+        # each node's balance changes by its imbalance less what is left
         change = flow - before
         balance = np.zeros(n, dtype=np.int64)
         np.add.at(balance, heads, change)
@@ -1107,10 +1112,12 @@ def test_routing_in_components_moves_integers_on_tight_moves_only(l, k):
         assert (balance == supply - left).all()
         # only tight moves change: more flow, or the cancellation of some
         assert not (1 + potential[heads] - potential[tails])[change != 0].any()
-        # what is left sits at one node per component and is its net supply
-        labels = wide_components(graph, supply, before, potential)
-        assert np.bincount(labels, left != 0).max() <= 1
-        assert not np.bincount(labels, supply - left).any()
+        # what is left in a component is its net, on nodes of the net's
+        # sign, none larger than it was
+        net = np.bincount(labels, supply)
+        assert (np.bincount(labels, left) == net).all()
+        assert (left * np.sign(net)[labels] >= 0).all()
+        assert (left * supply >= 0).all() and (np.abs(left) <= np.abs(supply)).all()
         assert np.count_nonzero(left) < np.count_nonzero(supply)
 
 
@@ -1138,6 +1145,165 @@ def test_round_2_makes_no_max_flow_call_on_small_sweep_pairs(config, monkeypatch
         assert len(rounds) == 2
         assert rounds[0] >= 1
         assert rounds[1] == 0
+
+
+def contraction_pair(case):
+    """Criterion-3 pairs at (3, 32) and (4, 16), and sweep pairs at (4, 16)
+    and (4, 24): each merges components in round 2, all but the second in
+    round 1 too."""
+    if case < 2:
+        l, k = ((3, 32), (4, 16))[case]
+        return (*projected_pair(l, k, case), k)
+    return sweep_pair(case + 2, case - 2)
+
+
+def watch_phases(monkeypatch):
+    """Keep the arguments of the running `_flow_phases` and the labels of
+    its latest contraction; `rounds` gets each round's labellings."""
+    state = {"rounds": []}
+    phases, between = hocal.transport._flow_phases, hocal.transport._between
+
+    def watched_phases(graph, supply, flow, potential, k):
+        label = np.arange(len(graph[4]))
+        state.update(graph=graph, flow=flow, potential=potential, label=label)
+        state["rounds"].append([label])
+        phases(graph, supply, flow, potential, k)
+
+    def watched_between(graph, label, size):
+        state["label"] = label
+        state["rounds"][-1].append(label)
+        return between(graph, label, size)
+
+    monkeypatch.setattr(hocal.transport, "_flow_phases", watched_phases)
+    monkeypatch.setattr(hocal.transport, "_between", watched_between)
+    return state
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_contracted_dijkstra_gives_every_node_its_full_distance(case, monkeypatch):
+    # Dijkstra on the full move graph, from every node of a component with
+    # excess, reaches each node at its component's contracted distance
+    from scipy.sparse import csgraph
+
+    state, dijkstra, contracted = watch_phases(monkeypatch), csgraph.dijkstra, []
+
+    def checked(graph, indices, min_only):
+        dist = dijkstra(graph, indices=indices, min_only=min_only)
+        heads, tails, reverse, indptr, counts = state["graph"]
+        flow, potential, label = state["flow"], state["potential"], state["label"]
+        n = len(counts)
+        weight = 1 + potential[heads] - potential[tails] - 2 * (flow[reverse] > 0)
+        full = dijkstra(sparse.csr_matrix((weight.astype(float), tails, indptr), shape=(n, n)),
+                        indices=np.flatnonzero(np.isin(label, indices)), min_only=True)
+        assert (full == dist[label]).all()
+        contracted.append(graph.shape[0] < n)
+        return dist
+
+    monkeypatch.setattr(csgraph, "dijkstra", checked)
+    w1_lattice(*contraction_pair(case))
+    assert any(contracted)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_contracted_max_flow_reaches_the_full_max_flow(case, monkeypatch):
+    # the max flow over every move of reduced cost 0, each with its own
+    # capacity, from and to one node of each component with excess or
+    # deficit, has the contracted max flow's value
+    from scipy.sparse import csgraph
+
+    state, max_flow, contracted = watch_phases(monkeypatch), csgraph.maximum_flow, []
+
+    def checked(capacity, source, sink, method):
+        result = max_flow(capacity, source, sink, method=method)
+        heads, tails, reverse, _, counts = state["graph"]
+        flow, potential, label = state["flow"], state["potential"], state["label"]
+        n = len(counts)
+        supplied, drained = capacity[source].tocoo(), capacity[:, sink].tocoo()
+        total = supplied.data.sum()
+        reduced = 1 + potential[heads] - potential[tails]
+        arcs = np.flatnonzero((reduced == 0) | ((reduced == 2) & (flow[reverse] > 0)))
+        caps = np.where(reduced[arcs] == 0, total, np.minimum(flow[reverse[arcs]], total))
+        root = np.unique(label, return_index=True)[1]
+        full = sparse.csr_matrix(
+            (np.concatenate([caps, supplied.data, drained.data]),
+             (np.concatenate([heads[arcs], np.full(supplied.nnz, n), root[drained.row]]),
+              np.concatenate([tails[arcs], root[supplied.col], np.full(drained.nnz, n + 1)]))),
+            shape=(n + 2, n + 2)).astype(np.int32)
+        assert max_flow(full, n, n + 1, method="dinic").flow_value == result.flow_value
+        contracted.append(source < n)
+        return result
+
+    monkeypatch.setattr(csgraph, "maximum_flow", checked)
+    w1_lattice(*contraction_pair(case))
+    assert any(contracted)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_components_only_merge_within_a_round(case, monkeypatch):
+    # every labelling of a round coarsens the one before it, and some round
+    # merges components
+    state = watch_phases(monkeypatch)
+    w1_lattice(*contraction_pair(case))
+    assert len(state["rounds"]) == 2
+    for labels in state["rounds"]:
+        for old, new in zip(labels, labels[1:]):
+            pairs = np.unique(np.stack([old, new]), axis=1)
+            assert pairs.shape[1] == len(np.unique(old))
+            assert len(np.unique(new)) < len(np.unique(old))
+    assert max(len(labels) for labels in state["rounds"]) >= 2
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_wide_cancellations_carry_every_expansion(case, monkeypatch):
+    # when a component's imbalances are routed, each of its wide
+    # cancellations still holds twice the excess left to route in it, and
+    # no flow goes negative
+    expand, calls = hocal.transport._expand, []
+
+    def checked(graph, excess, flow, potential, label, order, inside, chosen):
+        heads, tails, reverse, _, _ = graph
+        size = len(chosen)
+        unrouted = (np.bincount(label, np.maximum(excess, 0), size)
+                    - np.maximum(np.bincount(label, excess, size), 0))
+        cancels = np.flatnonzero(inside & (potential[heads] == potential[tails] + 1))
+        cancels = cancels[chosen[label[heads[cancels]]]]
+        assert (flow[reverse[cancels]] >= 2 * unrouted[label[heads[cancels]]]).all()
+        expand(graph, excess, flow, potential, label, order, inside, chosen)
+        assert flow.min() >= 0
+        calls.append(len(cancels))
+
+    monkeypatch.setattr(hocal.transport, "_expand", checked)
+    w1_lattice(*contraction_pair(case))
+    assert calls and max(calls) > 0
+
+
+def test_round_2_max_flows_run_on_a_tenth_of_the_lattice_at_4_24(monkeypatch):
+    # round 2 starts from round 1's large flows: its first phase contracts
+    # them, so round 2's max flows see under a tenth of the 2925 points on
+    # average (the largest, 378 components, is 13%)
+    from scipy.sparse import csgraph
+
+    max_flow, phases, rounds = csgraph.maximum_flow, hocal.transport._flow_phases, []
+
+    def counted_phases(*args):
+        rounds.append([])
+        phases(*args)
+
+    def recorded(capacity, source, sink, **kwargs):
+        rounds[-1].append(source)
+        return max_flow(capacity, source, sink, **kwargs)
+
+    monkeypatch.setattr(csgraph, "maximum_flow", recorded)
+    monkeypatch.setattr(hocal.transport, "_flow_phases", counted_phases)
+    nodes = len(hocal.transport._move_graph(LabelSpace(4), 24)[4])
+    second = []
+    for index in range(12):
+        rounds.clear()
+        w1_lattice(*sweep_pair(5, index))
+        assert len(rounds) == 2
+        second += rounds[1]
+    assert second
+    assert np.mean(second) < 0.1 * nodes
 
 
 def test_lattice_flow_fits_int32_on_supplies_spanning_many_magnitudes():
