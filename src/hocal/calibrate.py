@@ -276,7 +276,7 @@ def koc_error(
     holds, else the dense LP, whose `support_cap` binds only when both
     sides have more than 8 points (HiGHS on the whole LP).
     The weighted mean weights each partition by the table's record count
-    when counts are available, else uniformly.
+    when it has counts and they are not all 0, else uniformly.
     """
     if table.k != reference.k:
         raise InvalidDistribution(f"table has k={table.k}, reference has k={reference.k}")
@@ -290,9 +290,8 @@ def koc_error(
         per[pid], _ = wasserstein1(
             table.entries[pid], reference.entries[pid], support_cap=support_cap, k=table.k
         )
-    if table.counts and sum(table.counts.get(p, 0) for p in per) > 0:
-        weights = {p: table.counts.get(p, 0) for p in per}
-    else:
+    weights = {p: table.counts[p] for p in per} if table.counts else {}
+    if not sum(weights.values()):
         weights = {p: 1 for p in per}
     total = sum(weights.values())
     weighted = _running_sum(np.array([per[p] * weights[p] for p in per])) / total

@@ -406,16 +406,15 @@ def _phase_cap(k: int) -> int:
     the first, since costs are integers and the previous max flow left no
     path of reduced cost 0 from an excess to a deficit component: the
     contracted max flow has the value of the uncontracted one, since every
-    wide move inside a component can carry the total excess, and merging
-    components adds no arc. Excesses only drain, deficits only fill, and a
-    merge sums them, so a component with excess after some phase has a part
-    with excess in every phase before: some node u lay in a component with
-    excess in every phase, and likewise some node v in a component with
-    deficit. potential[v] - potential[u] therefore rises by at least 1 in
-    each later phase. Both directions of every move keep reduced cost >= 0,
-    so two potentials differ by at most k, the lattice diameter in moves:
-    that difference goes from at least -k to at most k, a rise of at most
-    2k. Hence at most 2k + 2 phases. The argument needs only integer
+    wide move inside a component can carry the total excess. The components
+    stay fixed within a round, and excesses only drain and deficits only
+    fill, so a component u with excess after some phase had excess in every
+    phase before, and likewise a component v with deficit.
+    potential[v] - potential[u] therefore rises by at least 1 in each later
+    phase. Both directions of every move keep reduced cost >= 0, so two
+    potentials differ by at most k, the lattice diameter in moves: that
+    difference goes from at least -k to at most k, a rise of at most 2k.
+    Hence at most 2k + 2 phases. The argument needs only integer
     potentials that are dual feasible at the round's start, so the bound
     holds from any such start: round 1's coordinate-marginal dual and
     round 2's start at round 1's end.
@@ -497,27 +496,6 @@ def _split(rows, cols, carried, caps, size: int, single: bool):
     return along
 
 
-def _crowded(graph, excess, flow, potential, label, inside, held, merged):
-    """The components, of those that `merged` joins, whose imbalances must
-    be routed before they merge: all the parts of a new component unless
-    each wide cancellation inside them (`inside`) carries at least twice R,
-    R the excess the parts leave unrouted plus the total excess."""
-    heads, tails, reverse, _, _ = graph
-    size = len(held)
-    kept = np.maximum(held, 0)
-    unrouted = np.bincount(label, np.maximum(excess, 0), size) - kept
-    parts = np.bincount(merged)
-    joining = (parts > 1)[merged]
-    if not unrouted[joining].any():
-        return np.zeros_like(joining)
-    moves = np.flatnonzero(inside)
-    cancels = moves[potential[heads[moves]] == potential[tails[moves]] + 1]
-    least = np.full(len(parts), np.inf)
-    np.minimum.at(least, merged[label[heads[cancels]]], flow[reverse[cancels]])
-    short = least < 2 * (np.bincount(merged, unrouted, len(parts)) + kept.sum())
-    return joining & short[merged]
-
-
 def _flow_phases(graph, supply, flow, potential, k: int):
     """Primal-dual min-cost flow on integer node supplies, in place, on the
     move graph contracted to strong components of its wide arcs.
@@ -526,48 +504,43 @@ def _flow_phases(graph, supply, flow, potential, k: int):
     complementary slackness: every move with flow has reduced cost
     1 + potential[source] - potential[target] == 0, every move >= 0. A
     move with flow can be cancelled at reduced cost 0 from its target.
-    Components start as single nodes. T is the sum of the positive
-    component excesses, which the max flows move; E >= T the sum of the
-    positive node excesses. A wide arc is a tight move (reduced cost 0) or
-    the cancellation of a move whose flow is at least 2E when the phase
-    starts.
+    E is the sum of the positive node excesses when the round starts, T
+    the sum of the positive component excesses, which the max flows move.
+    A wide arc is a tight move (reduced cost 0) or the cancellation of a
+    move whose flow is at least 2E.
 
-    Each phase first merges the components that wide arcs join in a cycle,
-    when that at least halves their number: a merge costs a pass over all
-    moves. The search runs only when a cancellation between components has
-    turned wide since the last one, since tight moves alone close no new
-    cycle: a cycle's reduced costs sum to its cost whatever the potentials,
-    so a cycle of arcs at reduced cost 0 now was at 0 then. The phase then
-    runs one multi-source Dijkstra on the contracted graph from the
-    components with excess, each pair of components joined by its cheapest
-    arc, raises every potential by its component's distance, and runs one
-    max flow on the contracted arcs of reduced cost 0, parallel capacities
-    summed and capped at T. Shortest-path distances keep every reduced cost
-    >= 0 and every move with flow at 0, so after the raise the max flow
-    reaches deficits at every distance, not only the nearest. Each pair's
-    flow, with any cycle dropped, is split back onto its moves within their
-    capacities. Raises SolverFailure past _phase_cap(k) phases.
+    A round with no excess returns at once. Otherwise the components are
+    labelled once, before the first phase, and stay fixed for the round:
+    the strong components of the wide arcs when some cancellation is wide,
+    else single nodes, since tight moves alone close no cycle (a cycle's
+    reduced costs sum to its length). So round 1, which starts with no
+    flow, never contracts, and round 2 contracts round 1's large flows.
+    Each phase runs one multi-source Dijkstra on the contracted graph from
+    the components with excess, each pair of components joined by its
+    cheapest arc, raises every potential by its component's distance, and
+    runs one max flow on the contracted arcs of reduced cost 0, parallel
+    capacities summed and capped at T. Shortest-path distances keep every
+    reduced cost >= 0 and every move with flow at 0, so after the raise the
+    max flow reaches deficits at every distance, not only the nearest. Each
+    pair's flow, with any cycle dropped, is split back onto its moves
+    within their capacities. Raises SolverFailure past _phase_cap(k)
+    phases.
 
-    Within a round components only merge: every node of a component gets
-    the same distance, so its internal reduced costs never change, and no
-    max flow touches an internal move. The max flows leave imbalances on
-    the nodes inside a component; _expand routes them along its wide moves
-    when the round ends, and before a merge that _crowded finds unsafe.
-    U(D), the positive excess on D's nodes beyond D's own net excess, is
-    what that routing carries into D's root and, again, out of it. So every
-    wide cancellation inside a component D keeps a flow of at least
-    2(U(D) + T):
-    - when it joins: its flow is at least 2E, and E = T + the sum of U over
-      all components, while a merge lowers T by the excess it matches
-      inside the new component, which U adds back;
-    - for the wide cancellations of the parts, _crowded checks that bound
-      for the merged component, and otherwise expands the parts first;
-    - through a phase: a max flow that moves F lowers T by F, and an
-      acyclic one crosses a component at most once per unit it moves, each
-      unit adding at most 1 to U(D);
-    - through an expansion of D: it takes at most 2U(D) from the flow and
-      sets U(D) to 0.
-    When the round ends T is 0, so its expansion leaves every flow >= 0.
+    Every node of a component gets the same distance, so its internal
+    reduced costs never change, and no max flow touches an internal move.
+    The max flows leave imbalances on the nodes inside a component; _expand
+    routes them along its wide moves when the round ends. U(D), the
+    positive excess on D's nodes beyond D's own net excess, is what that
+    routing carries into D's root and, again, out of it. No flow goes
+    negative:
+    - at the round's start every wide cancellation inside a component D
+      carries at least 2E = 2(T + the sum of U over all components), so at
+      least 2(U(D) + T);
+    - a phase never raises U(D) + T: a max flow that moves F lowers T by F,
+      and an acyclic one crosses a component at most once per unit it
+      moves, each unit adding at most 1 to U(D);
+    - when the round ends T is 0, and its expansion takes at most 2U(D)
+      from each of them.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components, dijkstra, maximum_flow
@@ -575,48 +548,31 @@ def _flow_phases(graph, supply, flow, potential, k: int):
     heads, tails, reverse, indptr, _ = graph
     n = len(indptr) - 1
     excess = supply.copy()
-    # every node starts as its own component
-    label, size = np.arange(n), n
-    inside = np.zeros(len(heads), dtype=bool)
-    order, cross, (sources_of, targets_of, opposite), lh, lt, rows = (
-        label, np.arange(len(heads)), (heads, tails, reverse), heads, tails, indptr)
-    # the wide cancellations between components at the last search
-    seen = np.zeros(len(heads), dtype=bool)
+    bar = 2 * excess[excess > 0].sum()
+    if not bar:
+        return
     # the reduced cost of every move between components, kept up to date
     reduced = 1 + potential[heads] - potential[tails]
+    wide = flow[reverse] >= bar
+    if wide.any():
+        wide |= reduced == 0
+        between = csr_matrix((np.ones(np.count_nonzero(wide)), (heads[wide], tails[wide])),
+                             shape=(n, n))
+        size, label = connected_components(between, connection="strong")
+        inside = wide & (label[heads] == label[tails])
+        order, cross, (sources_of, targets_of, opposite), lh, lt, rows = _between(
+            graph, label, size)
+        reduced = reduced[cross]
+    else:
+        label, size = np.arange(n), n
+        order, cross, (sources_of, targets_of, opposite), lh, lt, rows = (
+            label, np.arange(len(heads)), (heads, tails, reverse), heads, tails, indptr)
     for _ in range(_phase_cap(k)):
         held = np.bincount(label, excess, size).astype(np.int64)
         total = held[held > 0].sum()
         if not total:
             break
         back = flow[opposite]
-        bar = 2 * excess[excess > 0].sum()
-        cancels = back >= bar
-        if (cancels & ~seen).any():
-            seen = cancels
-            wide = cancels | (reduced == 0)
-            # the wide arcs come grouped by row; the strong-component search
-            # needs the parallel arcs of contracted components summed
-            between = csr_matrix((np.ones(np.count_nonzero(wide)), lt[wide], np.concatenate(
-                [[0], np.cumsum(np.bincount(lh[wide], minlength=size))])), shape=(size, size))
-            if size < n:
-                between.sum_duplicates()
-            joined, merged = connected_components(between, connection="strong")
-            if 2 * joined <= size:
-                crowded = _crowded(graph, excess, flow, potential, label, inside, held, merged)
-                if crowded.any():
-                    _expand(graph, excess, flow, potential, label, order, inside, crowded)
-                inside[cross[wide]] = merged[lh[wide]] == merged[lt[wide]]
-                label, size = merged[label], joined
-                order, cross, ends, lh, lt, rows = _between(graph, label, size)
-                sources_of, targets_of, opposite = ends
-                held = np.bincount(label, excess, size).astype(np.int64)
-                total = held[held > 0].sum()
-                if not total:
-                    break
-                back = flow[opposite]
-                reduced = 1 + potential[sources_of] - potential[targets_of]
-                seen = back >= bar
         sources = np.flatnonzero(held > 0)
         sinks = np.flatnonzero(held < 0)
         cancellable = back > 0
@@ -653,7 +609,7 @@ def _flow_phases(graph, supply, flow, potential, k: int):
         if (np.bincount(label, excess, size) > 0).any():
             raise SolverFailure(f"lattice flow needs more than {_phase_cap(k)} phases at k={k}")
     if size < n:
-        _expand(graph, excess, flow, potential, label, order, inside, np.ones(size, dtype=bool))
+        _expand(graph, excess, flow, potential, label, order, inside)
 
 
 def _marginal_potential(counts, supply, k: int):
@@ -690,12 +646,12 @@ def _subtree_sums(parent, amount):
     return sums[:n]
 
 
-def _expand(graph, excess, flow, potential, label, order, inside, chosen):
-    """Route the integer node imbalances `excess` inside the components
-    `chosen` (a mask over the labels) along their wide moves `inside`, in
-    place on `flow` and `excess`, until each keeps only its net: on its
-    nodes of the net's sign, the first in `order` (the nodes grouped by
-    component) first, each no larger than before.
+def _expand(graph, excess, flow, potential, label, order, inside):
+    """Route the integer node imbalances `excess` inside every component of
+    `label` along its wide moves `inside`, in place on `flow` and `excess`,
+    until each keeps only its net: on its nodes of the net's sign, the
+    first in `order` (the nodes grouped by component) first, each no larger
+    than before.
 
     What moves goes to a root of its component along an in-tree and back
     out along an out-tree, each one breadth-first search from all the
@@ -708,7 +664,7 @@ def _expand(graph, excess, flow, potential, label, order, inside, chosen):
 
     heads, tails, reverse, _, _ = graph
     n = len(excess)
-    net = np.bincount(label, excess, len(chosen)).astype(np.int64)
+    net = np.bincount(label, excess).astype(np.int64)
     sign = np.sign(net)[label]
     spare = np.where(sign * excess > 0, np.abs(excess), 0)[order]
     group = label[order]
@@ -717,21 +673,21 @@ def _expand(graph, excess, flow, potential, label, order, inside, chosen):
     before -= np.maximum.accumulate(np.where(first, before, 0))
     kept = np.empty_like(excess)
     kept[order] = sign[order] * np.clip(np.abs(net)[group] - before, 0, spare)
-    routed = np.where(chosen[label], excess - kept, 0)
-    chosen = np.bincount(label, routed != 0, len(chosen)) > 0
-    if not chosen.any():
+    routed = excess - kept
+    busy = np.bincount(label, routed != 0) > 0
+    if not busy.any():
         return
     excess -= routed
-    roots = order[first][chosen]
+    roots = order[first][busy]
     moves = np.flatnonzero(inside)
-    moves = moves[chosen[label[heads[moves]]]]
+    moves = moves[busy[label[heads[moves]]]]
     start, end = heads[moves], tails[moves]
     push = np.zeros(len(moves))
     # the in-tree is an out-tree of the transposed moves; the transpose of
     # move e is move reverse[e], and the moves come sorted
     position = np.zeros(len(heads), dtype=np.intp)
     position[reverse[moves]] = np.arange(len(moves))
-    turned = position[np.flatnonzero(inside[reverse] & chosen[label[heads]])]
+    turned = position[np.flatnonzero(inside[reverse] & busy[label[heads]])]
     for rank, rows, cols, amount in ((turned, end[turned], start[turned], np.maximum(routed, 0)),
                                      (np.arange(len(moves)), start, end, np.maximum(-routed, 0))):
         # the arcs as a CSR graph, its rows straight from the sorted arcs,
@@ -761,12 +717,13 @@ def _lattice_flow(graph, supply, k: int):
     and the coordinate-marginal dual of those integers. Its gap can come
     near 1e-8, so round 2 solves the rounding residual at its own, finer
     scale, starting from round 1's flow and potentials; it may cancel
-    round-1 flow. Every phase of both rounds contracts the strong components
-    of the tight moves and wide cancellations and raises the potentials by
-    the full Dijkstra distance (_flow_phases), which keeps complementary
-    slackness, so round 2 starts from a dual that is optimal for round 1's
-    flow. Round 2's first phase contracts round 1's large flows, so its max
-    flows run on far fewer components than the lattice has points.
+    round-1 flow. Each round contracts the strong components of the tight
+    moves and wide cancellations once, before its first phase, and every
+    phase raises the potentials by the full Dijkstra distance
+    (_flow_phases), which keeps complementary slackness, so round 2 starts
+    from a dual that is optimal for round 1's flow. Round 1 starts with no
+    flow and never contracts; round 2 contracts round 1's large flows, so
+    its max flows run on far fewer components than the lattice has points.
     """
     z1, unit1 = _integer_supply(supply)
     flow = np.zeros(len(graph[0]), dtype=np.int64)

@@ -224,6 +224,22 @@ def test_koc_error_weighted_mean_hand_case():
     assert score.weighted_mean == pytest.approx(0.75, abs=1e-12)
 
 
+def test_koc_error_weighs_uniformly_when_every_count_is_0():
+    # partitions filled in without records count 0 records each
+    table = posthoc_calibrate(make_dataset([("a", (1, 1))]), partitions=["x", "y"],
+                              fill_missing=True)
+    assert dict(table.counts) == {"x": 0, "y": 0}
+    reference = CalibrationTable(
+        entries={"x": table.entries["x"], "y": mixture_from_arrays([(0.5, 0.5)], [1.0], BINARY)},
+        k=2,
+        space=BINARY,
+    )
+    score = koc_error(table, reference)
+    assert score.per_partition["x"] == pytest.approx(0.0, abs=1e-12)
+    assert score.per_partition["y"] == pytest.approx(1.0, abs=1e-12)
+    assert score.weighted_mean == pytest.approx(0.5, abs=1e-12)
+
+
 def test_koc_error_identical_tables():
     table = CalibrationTable(
         entries={"a": mixture_from_arrays([(0.5, 0.5), (1.0, 0.0)], [0.5, 0.5], BINARY)},

@@ -1100,8 +1100,7 @@ def test_expansion_moves_integers_on_tight_moves_only(l, k):
         before, left = flow.copy(), supply.copy()
         hocal.transport._expand(graph, left, flow, potential, labels,
                                 np.argsort(labels, kind="stable"),
-                                wide & (labels[heads] == labels[tails]),
-                                np.ones(labels.max() + 1, dtype=bool))
+                                wide & (labels[heads] == labels[tails]))
         assert flow.min() >= 0
         # each node's balance changes by its imbalance less what is left
         change = flow - before
@@ -1147,10 +1146,34 @@ def test_round_2_makes_no_max_flow_call_on_small_sweep_pairs(config, monkeypatch
         assert rounds[1] == 0
 
 
+def spy_csgraph(monkeypatch, names, record):
+    """Call record(name) before each call of csgraph's functions `names`."""
+    from scipy.sparse import csgraph
+
+    for name in names:
+        spied = getattr(csgraph, name)
+
+        def logged(*args, spied=spied, name=name, **kwargs):
+            record(name)
+            return spied(*args, **kwargs)
+
+        monkeypatch.setattr(csgraph, name, logged)
+
+
+@pytest.mark.parametrize("l,k", [(3, 8), (4, 16)])
+def test_a_round_with_no_excess_searches_nothing(l, k, monkeypatch):
+    # a mixture against itself leaves no excess: no strong-component search
+    # and no max flow runs
+    calls = []
+    spy_csgraph(monkeypatch, ("connected_components", "maximum_flow"), calls.append)
+    a, _ = projected_pair(l, k, 0)
+    assert w1_lattice(a, a, k) == 0.0
+    assert calls == []
+
+
 def contraction_pair(case):
     """Criterion-3 pairs at (3, 32) and (4, 16), and sweep pairs at (4, 16)
-    and (4, 24): each merges components in round 2, all but the second in
-    round 1 too."""
+    and (4, 24): round 2 contracts components on each."""
     if case < 2:
         l, k = ((3, 32), (4, 16))[case]
         return (*projected_pair(l, k, case), k)
@@ -1239,18 +1262,27 @@ def test_contracted_max_flow_reaches_the_full_max_flow(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", range(4))
-def test_components_only_merge_within_a_round(case, monkeypatch):
-    # every labelling of a round coarsens the one before it, and some round
-    # merges components
-    state = watch_phases(monkeypatch)
+def test_each_round_labels_its_components_once_before_its_first_dijkstra(
+        case, monkeypatch):
+    # a round searches for strong components and contracts at most once,
+    # and before its first phase; round 1 never contracts, round 2 does
+    state, events = watch_phases(monkeypatch), []
+    spy_csgraph(monkeypatch, ("connected_components", "dijkstra"),
+                lambda name: events.append((len(state["rounds"]), name)))
     w1_lattice(*contraction_pair(case))
     assert len(state["rounds"]) == 2
+    assert [len(labels) for labels in state["rounds"]] == [1, 2]
+    searches = [event for event in events if event[1] == "connected_components"]
+    assert searches == [(2, "connected_components")]
+    # the search comes before round 2's first Dijkstra
+    round_2 = [name for number, name in events if number == 2]
+    assert round_2[0] == "connected_components" and "dijkstra" in round_2[1:]
+    # each labelling coarsens the single nodes the round starts from
     for labels in state["rounds"]:
         for old, new in zip(labels, labels[1:]):
             pairs = np.unique(np.stack([old, new]), axis=1)
             assert pairs.shape[1] == len(np.unique(old))
             assert len(np.unique(new)) < len(np.unique(old))
-    assert max(len(labels) for labels in state["rounds"]) >= 2
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -1260,15 +1292,13 @@ def test_wide_cancellations_carry_every_expansion(case, monkeypatch):
     # no flow goes negative
     expand, calls = hocal.transport._expand, []
 
-    def checked(graph, excess, flow, potential, label, order, inside, chosen):
+    def checked(graph, excess, flow, potential, label, order, inside):
         heads, tails, reverse, _, _ = graph
-        size = len(chosen)
-        unrouted = (np.bincount(label, np.maximum(excess, 0), size)
-                    - np.maximum(np.bincount(label, excess, size), 0))
+        unrouted = np.bincount(label, np.maximum(excess, 0)) - np.maximum(
+            np.bincount(label, excess), 0)
         cancels = np.flatnonzero(inside & (potential[heads] == potential[tails] + 1))
-        cancels = cancels[chosen[label[heads[cancels]]]]
         assert (flow[reverse[cancels]] >= 2 * unrouted[label[heads[cancels]]]).all()
-        expand(graph, excess, flow, potential, label, order, inside, chosen)
+        expand(graph, excess, flow, potential, label, order, inside)
         assert flow.min() >= 0
         calls.append(len(cancels))
 
