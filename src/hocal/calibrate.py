@@ -271,10 +271,8 @@ def koc_error(
 ) -> CalibrationScore:
     """Per-partition W1 between a table and a reference table.
 
-    Each partition is one `wasserstein1(..., k=table.k)` call: binary
-    tables take the CDF route; others the lattice flow where its rule
-    holds, else the dense LP, whose `support_cap` binds only when both
-    sides have more than 8 points (HiGHS on the whole LP).
+    Each partition is one `wasserstein1(..., k=table.k)` call, on the
+    route `transport._route` picks; `support_cap` binds only on HiGHS.
     The weighted mean weights each partition by the table's record count
     when it has counts and they are not all 0, else uniformly.
     """

@@ -157,10 +157,8 @@ def calibrate(data, out, reference, fill_missing):
 @click.option("--out", required=True, help="per-partition W1 CSV path")
 @click.option(
     "--support-cap", type=int, default=DEFAULT_SUPPORT_CAP, show_default=True,
-    help="combined support cap of the dense LP, which scores tables of 3 or more labels "
-    "only where the lattice flow does not: partitions with at most two support pairs "
-    "per single-label move of the size-k lattice, and lattices above 10^5 points; "
-    "it binds only when both sides have more than 8 points",
+    help="combined support cap of the HiGHS route; transport._route picks each "
+    "partition's W1 route",
 )
 def evaluate(table_path, reference, out, support_cap):
     """Per-partition Wasserstein-1 error of a table against a reference."""

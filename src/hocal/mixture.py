@@ -21,6 +21,7 @@ from .simplex import (
     DEFAULT_ENUM_CAP,
     LabelSpace,
     _check_lattice_size,
+    _whole_number,
     enumerate_snapshot_space,
     simplex_rows,
 )
@@ -42,8 +43,10 @@ class RngSeed:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise InvalidDistribution(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
+        seed = _whole_number(self.seed, "seed", InvalidDistribution)
+        if not 0 <= seed < 2**64:
+            raise InvalidDistribution(f"seed must be a 64-bit unsigned int, got {seed}")
+        object.__setattr__(self, "seed", seed)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.seed))

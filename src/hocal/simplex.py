@@ -30,10 +30,10 @@ class LabelSpace:
     num_labels: int
 
     def __post_init__(self):
-        if not isinstance(self.num_labels, int) or self.num_labels < 2:
-            raise InvalidDistribution(
-                f"need an integer label count >= 2, got {self.num_labels!r}"
-            )
+        num_labels = _whole_number(self.num_labels, "label count", InvalidDistribution)
+        if num_labels < 2:
+            raise InvalidDistribution(f"need a label count >= 2, got {num_labels}")
+        object.__setattr__(self, "num_labels", num_labels)
 
 
 def simplex_rows(raw) -> np.ndarray:
@@ -73,16 +73,16 @@ def snapshot_space_size(space: LabelSpace, k: int) -> int:
     return math.comb(k + space.num_labels - 1, space.num_labels - 1)
 
 
-def _whole_number(value, name: str) -> int:
+def _whole_number(value, name: str, error=DomainError) -> int:
     """value as a Python int, refusing bool and non-integers (NaN and inf
-    included) with DomainError naming the quantity `name`; numpy integers
-    are accepted."""
+    included) with `error` (DomainError by default) naming the quantity
+    `name`; numpy integers are accepted."""
     if not isinstance(value, (bool, np.bool_)):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def _snapshot_size(k) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 from .calibrate import CalibrationTable, SnapshotDataset
 from .errors import DomainError
 from .mixture import Mixture, RngSeed, project_k, sample_snapshots
-from .simplex import LabelSpace, _whole_number
+from .simplex import LabelSpace, _snapshot_size, _whole_number
 
 QUADRATURE_POINTS = 1000
 X_DOMAIN_END = 3.0
@@ -129,11 +129,9 @@ def reference_table(spec, k: int) -> CalibrationTable:
 
 def gen_dataset(spec, n: int, k: int, rng: RngSeed) -> SnapshotDataset:
     """n k-snapshots from the nature; `reference_table` gives its exact table."""
-    n, k = _whole_number(n, "n"), _whole_number(k, "k")
+    n, k = _whole_number(n, "n"), _snapshot_size(k)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
     if isinstance(spec, TwoScenario):
         truth = bayes_mixtures(spec)["all"]
         counts = sample_snapshots(truth, k, n, rng)

@@ -1,24 +1,18 @@
 """Wasserstein-1 distance between mixtures under the l1 ground metric.
 
-Three routes, never collapsed: binary mixtures use the exact 1-D quantile
-formula (the monotone coupling is optimal on a line); general supports
-solve the dense transportation LP; mixtures on a common k-snapshot lattice
-use `w1_lattice`, a min-cost flow over single-label moves that scales far
+Four routes, never collapsed, and one rule on the input, `_route`, picks
+among them: the exact 1-D quantile formula for binary mixtures (the
+monotone coupling is optimal on a line); `_few_source`, dual ascent over
+the few sources of the transport LP; `w1_lattice`, a min-cost flow over
+the single-label moves of a common k-snapshot lattice, which scales far
 beyond the dense LP, solved by two rounds of the primal-dual method on
-scipy.sparse.csgraph. The LP route has two sub-routes, picked by one rule:
-when a side has at most _FEW_SOURCES (8) points, `_few_source` takes it as
-the sources, runs dual ascent on their prices and splits the sinks tied
-between sources by its own Hall slacks; otherwise HiGHS solves the whole
-LP. `wasserstein1` picks the route by input: cdf for binary spaces, the
-lattice flow when the caller names the lattice `k`, it has at most
-DEFAULT_NODE_CAP points and the LP's support pairs outnumber twice the
-lattice's single-label moves, the LP otherwise; no route stands in for
-another. Every route passes one certificate, `_certify`, of a flow on a
-graph (support pairs or lattice moves): non-negativity, node balance, dual
-feasibility, complementary slackness and the primal-dual gap, each to
-1e-8. HiGHS runs only on a whole LP, in one call and one configuration.
-scipy is imported only by HiGHS and the lattice flow, and scipy.optimize
-only by that HiGHS solve.
+scipy.sparse.csgraph; and HiGHS on the whole transport LP. No route
+stands in for another. Every route passes one certificate, `_certify`,
+of a flow on a graph (support pairs or lattice moves): non-negativity,
+node balance, dual feasibility, complementary slackness and the
+primal-dual gap, each to 1e-8. HiGHS runs only on a whole LP, in one call
+and one configuration. scipy is imported only by HiGHS and the lattice
+flow, and scipy.optimize only by that HiGHS solve.
 """
 
 from __future__ import annotations
@@ -159,36 +153,6 @@ def _w1_binary(a: Mixture, b: Mixture):
     return float(cost), mass
 
 
-def _w1_lp(a: Mixture, b: Mixture, support_cap: int):
-    """Exact transportation LP, certified by _certify.
-
-    When one side has at most _FEW_SOURCES points, `_few_source` solves it
-    with that side as the sources. Otherwise HiGHS gets every row of the
-    row/column-sum system but the redundant last one, whose dual is fixed
-    at 0; only this sub-route refuses combined supports above `support_cap`.
-    """
-    aw, bw = a.weights_array(), b.weights_array()
-    m, n = len(aw), len(bw)
-    if min(m, n) > _FEW_SOURCES and m + n > support_cap:
-        raise CapExceeded(f"combined support {m + n} exceeds support_cap={support_cap}")
-    cost_mat = _l1_cost(a.points_array(), b.points_array())
-    if m <= _FEW_SOURCES and m <= n:
-        mass = _few_source(cost_mat, aw, bw)
-    elif n <= _FEW_SOURCES:
-        mass = _few_source(cost_mat.T, bw, aw).T
-    else:
-        cost = cost_mat.ravel()
-        res = _solve_lp(cost, _transport_constraints(m, n)[:-1], np.concatenate([aw, bw[:-1]]))
-        if res.status != 0:
-            raise SolverFailure(f"highs LP failed: {res.message}")
-        x = res.x / _SUPPLY_SCALE
-        # row duals u and column duals v (the last fixed at 0) as potentials (u, -v)
-        y = np.concatenate([res.eqlin.marginals[:m], -res.eqlin.marginals[m:], [0.0]])
-        _certify(cost, *_pairs(m, n), np.concatenate([aw, -bw]), x, y)
-        mass = x.reshape(m, n)
-    return float((cost_mat * mass).sum()), mass
-
-
 # Sides of at most this many points are the sources of `_few_source`, whose
 # Hall check walks all 2^m - 2 source subsets. Measured against HiGHS
 # (README "Distances"): 8 sources win at every size measured; 10 sources
@@ -282,6 +246,45 @@ def _few_source(cost, a, b):
     return mass
 
 
+DEFAULT_NODE_CAP = 100_000
+# The dense LP has a.size * b.size pair variables, the lattice flow one per
+# single-label move, times a number of phases that grows with k. On spread
+# supports from (l, k) = (3, 16) to (3, 200) and (4, 32) (README
+# "Distances"), the flow took 0.27 to 0.90 of the LP's time at twice as many
+# pairs as moves, and up to 2.3 times it at as many.
+_PAIRS_PER_MOVE = 2
+
+
+def _route(a: Mixture, b: Mixture, method: str, k: int | None) -> str:
+    """The route `wasserstein1` takes, by the first rule that holds:
+
+    - "cdf": `method` is "cdf", or "auto" on a binary space;
+    - "few-source": a side has at most _FEW_SOURCES points;
+    - "flow": `method` is "auto", `k` is given, the size-k lattice has at
+      most DEFAULT_NODE_CAP points, and the support pairs number more than
+      _PAIRS_PER_MOVE times its single-label moves;
+    - "highs": everything else.
+
+    Raises ValueError for an unknown method and DimensionMismatch for "cdf"
+    on a space that is not binary.
+    """
+    if method not in ("auto", "cdf", "lp"):
+        raise ValueError(f"unknown method {method!r}")
+    l = a.space.num_labels
+    if method == "cdf" or (method == "auto" and l == 2):
+        if l != 2:
+            raise DimensionMismatch("the CDF route only applies to binary spaces")
+        return "cdf"
+    if min(a.size, b.size) <= _FEW_SOURCES:
+        return "few-source"
+    if method == "auto" and k is not None and snapshot_space_size(a.space, k) <= DEFAULT_NODE_CAP:
+        # a move from label i to label j starts at every point with c_i >= 1
+        moves = l * (l - 1) * math.comb(k + l - 2, l - 1)
+        if a.size * b.size > _PAIRS_PER_MOVE * moves:
+            return "flow"
+    return "highs"
+
+
 def wasserstein1(
     a: Mixture,
     b: Mixture,
@@ -295,46 +298,40 @@ def wasserstein1(
     The plan is an (a.size, b.size) array: mass[i, j] moves row i of
     `a.points_array()` onto row j of `b.points_array()`. Ground cost is
     the l1 distance between simplex points. `k`, when given, is the
-    snapshot lattice both mixtures live on. `method` picks the route:
-    "cdf" (binary only), "lp", or "auto", which takes cdf when the label
-    space is binary; else the flow of `w1_lattice` when `k` is given and
-    `_flow_route` holds, returning plan None since that flow lives on
-    moves, not point pairs; else lp. "cdf" and "lp" ignore `k`. The LP
-    route refuses combined supports above `support_cap` when both sides
-    have more than _FEW_SOURCES (8) points, the pairs HiGHS solves whole;
-    the few-source sub-route has no cap.
+    snapshot lattice both mixtures live on; "auto" on 3 or more labels
+    refuses a k that is not a snapshot size with DomainError. `method` is
+    "auto", "cdf" or "lp", and `_route` picks the route from it and the
+    input. The lattice flow returns plan None, since it lives on moves, not
+    point pairs; HiGHS refuses combined supports above `support_cap`.
     """
     _check_same_space(a, b)
     if method == "auto" and a.space.num_labels > 2 and k is not None:
         k = _snapshot_size(k)
-        if _flow_route(a.space, k, a.size * b.size):
-            return _w1_flow(a, b, k), None
-    if method == "auto":
-        method = "cdf" if a.space.num_labels == 2 else "lp"
-    if method not in ("cdf", "lp"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "cdf" and a.space.num_labels != 2:
-        raise DimensionMismatch("the CDF route only applies to binary spaces")
-    return _w1_binary(a, b) if method == "cdf" else _w1_lp(a, b, support_cap)
-
-
-DEFAULT_NODE_CAP = 100_000
-# The dense LP has a.size * b.size pair variables, the lattice flow one per
-# single-label move, times a number of phases that grows with k. On spread
-# supports from (l, k) = (3, 16) to (3, 200) and (4, 32) (README
-# "Distances"), the flow took 0.27 to 0.90 of the LP's time at twice as many
-# pairs as moves, and up to 2.3 times it at as many.
-_PAIRS_PER_MOVE = 2
-
-
-def _flow_route(space, k: int, pairs: int) -> bool:
-    """Whether `wasserstein1` scores `pairs` support pairs on the size-k
-    lattice by the flow: the lattice has at most DEFAULT_NODE_CAP points and
-    more than _PAIRS_PER_MOVE pairs per single-label move."""
-    l = space.num_labels
-    # a move from label i to label j starts at every point with c_i >= 1
-    moves = l * (l - 1) * math.comb(k + l - 2, l - 1)
-    return snapshot_space_size(space, k) <= DEFAULT_NODE_CAP and pairs > _PAIRS_PER_MOVE * moves
+    route = _route(a, b, method, k)
+    if route == "cdf":
+        return _w1_binary(a, b)
+    if route == "flow":
+        return _w1_flow(a, b, k), None
+    aw, bw = a.weights_array(), b.weights_array()
+    m, n = len(aw), len(bw)
+    if route == "highs" and m + n > support_cap:
+        raise CapExceeded(f"combined support {m + n} exceeds support_cap={support_cap}")
+    cost_mat = _l1_cost(a.points_array(), b.points_array())
+    if route == "few-source":
+        mass = _few_source(cost_mat, aw, bw) if m <= n else _few_source(cost_mat.T, bw, aw).T
+    else:
+        # every row of the row/column-sum system but the redundant last
+        # one, whose dual is fixed at 0
+        cost = cost_mat.ravel()
+        res = _solve_lp(cost, _transport_constraints(m, n)[:-1], np.concatenate([aw, bw[:-1]]))
+        if res.status != 0:
+            raise SolverFailure(f"highs LP failed: {res.message}")
+        x = res.x / _SUPPLY_SCALE
+        # row duals u and column duals v (the last fixed at 0) as potentials (u, -v)
+        y = np.concatenate([res.eqlin.marginals[:m], -res.eqlin.marginals[m:], [0.0]])
+        _certify(cost, *_pairs(m, n), np.concatenate([aw, -bw]), x, y)
+        mass = x.reshape(m, n)
+    return float((cost_mat * mass).sum()), mass
 
 
 # Each round of the lattice flow rounds its supplies to integers whose

@@ -397,7 +397,7 @@ def test_gen_refuses_snapshot_sizes_below_one(tmp_path, capsys, nature, k):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1
-    assert json.loads(err) == {"error": "DomainError", "message": f"need k >= 1, got {k}"}
+    assert json.loads(err) == {"error": "DomainError", "message": f"snapshot size must be >= 1, got {k}"}
     assert not out_path.exists()
 
 

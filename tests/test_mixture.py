@@ -35,6 +35,14 @@ def test_rng_seed_validation():
         RngSeed(2**64)
     RngSeed(0)
     RngSeed(2**64 - 1)
+    # one integer rule: numpy integers are stored as Python ints, bools refused
+    for flag in (True, False, np.bool_(True)):
+        with pytest.raises(InvalidDistribution):
+            RngSeed(flag)
+    for seed in (np.uint64(3), np.int64(3)):
+        assert type(RngSeed(seed).seed) is int and RngSeed(seed) == RngSeed(3)
+    with pytest.raises(InvalidDistribution):
+        RngSeed(np.int64(-1))
 
 
 def test_rng_determinism_and_child_streams():

@@ -63,6 +63,14 @@ def test_label_space_rejects_degenerate_sizes():
     with pytest.raises(InvalidDistribution):
         LabelSpace(0)
     assert LabelSpace(2).num_labels == 2
+    # one integer rule: numpy integers are stored as Python ints, bools refused
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(InvalidDistribution):
+            LabelSpace(flag)
+    space = LabelSpace(np.int64(3))
+    assert type(space.num_labels) is int and space == LabelSpace(3)
+    with pytest.raises(InvalidDistribution):
+        LabelSpace(np.int64(1))
 
 
 def test_simplex_rows_normalize_exactly():

@@ -109,6 +109,11 @@ def test_gen_dataset_regression_partitions_and_sizes():
     assert sorted(ref.partitions) == [f"bin{i:02d}" for i in range(20)]
     with pytest.raises(DomainError):
         gen_dataset(BinaryRegression(), 0, 4, RngSeed(2))
+    # k follows the snapshot-size rule of every other k
+    for k in (0, True, 2.0):
+        with pytest.raises(DomainError, match="snapshot size"):
+            gen_dataset(BinaryRegression(), 10, k, RngSeed(2))
+    assert gen_dataset(BinaryRegression(), 10, np.int64(4), RngSeed(2)).k == 4
 
 
 def test_cached_results_cannot_be_changed_by_a_caller():

@@ -17,6 +17,7 @@ from hocal.synth import random_mixture as draw_mixture
 import hocal.transport
 from hocal.transport import (
     SolverFailure,
+    _route,
     _transport_constraints,
     w1_lattice,
     wasserstein1,
@@ -301,26 +302,31 @@ def test_wasserstein1_takes_the_lattice_flow_when_given_k():
 
 def test_wasserstein1_takes_the_flow_above_two_pairs_per_move():
     # the k = 6 lattice of 3 labels has 28 points and 126 single-label
-    # moves; on the LP side, 4 rows are few enough for the few-source
-    # sub-route and 9 go to HiGHS
+    # moves; 4 rows are few enough for the few-source route and 9 go to
+    # HiGHS. The k = 3 lattice has 10 points and 36 moves: 8 rows against
+    # all 10 make 80 pairs, above 72, but few-source comes first
     space = LabelSpace(3)
-    full = lattice_mixture(space, 6, 21)
-    for rows, route in ((4, "lp"), (9, "lp"), (10, "flow"), (28, "flow")):
+    table = [(6, 4, "few-source"), (6, 9, "highs"), (6, 10, "flow"), (6, 28, "flow"),
+             (3, 8, "few-source")]
+    for k, rows, route in table:
+        full = lattice_mixture(space, k, 21)
         part = mixture_from_arrays(
             full.points_array()[:rows], np.full(rows, 1.0 / rows), space
         )
-        cost, plan = wasserstein1(part, full, k=6)
+        assert _route(part, full, "auto", k) == route
+        cost, plan = wasserstein1(part, full, k=k)
         dense, dense_plan = wasserstein1(part, full, method="lp")
-        if route == "lp":
-            assert float(cost).hex() == float(dense).hex()
-            assert plan.tobytes() == dense_plan.tobytes()
-        else:
-            assert plan is None and cost == w1_lattice(part, full, 6)
+        if route == "flow":
+            assert plan is None and cost == w1_lattice(part, full, k)
             assert abs(cost - dense) <= 1e-12
-    # above the node cap a pair of any size takes the dense LP
+        else:
+            assert float(cost).hex() == float(dense).hex()
+            assert plan is not None and plan.tobytes() == dense_plan.tobytes()
+    # above the node cap a 1-point side takes few-source
     k = 446
     a = mixture_from_arrays([(1.0, 0.0, 0.0)], [1.0], space)
     b = mixture_from_arrays([(0.0, 1.0, 0.0), (1 / k, 0.0, 445 / k)], [0.5, 0.5], space)
+    assert _route(a, b, "auto", k) == "few-source"
     assert wasserstein1(a, b, k=k)[1].shape == (1, 2)
 
 
