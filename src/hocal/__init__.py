@@ -94,7 +94,7 @@ from .transport import (
     wasserstein1,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BinaryRegression",

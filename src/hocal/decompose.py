@@ -64,9 +64,6 @@ class LossBreakdown:
     grouping_loss: float
     foc_error: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def average_entropy(m: Mixture, g: EntropySpec) -> float:
     """E[G(p)] over the mixture: the aleatoric part."""

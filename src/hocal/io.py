@@ -18,7 +18,8 @@ import numpy as np
 from .calibrate import CalibrationTable, SnapshotDataset, _is_count
 from .errors import FormatError, InvalidDistribution
 from .mixture import (
-    WEIGHT_SUM_TOL, Mixture, _coordinate_rows, _lattice_counts, _near_clusters, _running_sum,
+    WEIGHT_SUM_TOL, Mixture, _check_weights, _coordinate_rows, _lattice_counts, _merge,
+    _running_sum,
 )
 from .simplex import LabelSpace, simplex_rows
 
@@ -142,13 +143,14 @@ def write_snapshot_dataset(ds: SnapshotDataset, path):
 def _table_entry(points, weights, space: LabelSpace, k: int) -> Mixture:
     """The mixture of one table record, with the bits it was written with.
 
-    `_coordinate_rows` checks the rows, with the generic constructor's
-    messages. Each row on the size-k lattice becomes its canonical row
-    simplex_rows(counts / k), kept as checked where equal under == (so a
-    written -0.0 stays), and the rows are sorted as Mixture stores them.
-    Weights whose running total is within 1e-9 of 1 are kept undivided.
-    Rows off the lattice, or rows the merge would join (within 1e-12 in
-    l1), go to the generic constructor, and the table refuses what it must.
+    `_coordinate_rows` checks the rows and `_check_weights` the weights,
+    with the generic constructor's messages. Each row on the size-k lattice
+    becomes its canonical row simplex_rows(counts / k), kept as checked
+    where equal under == (so a written -0.0 stays), and `_merge` sorts the
+    rows as Mixture stores them and folds rows on one lattice point onto
+    one, summing their weights in input order. Weights whose running total
+    is within 1e-9 of 1 are kept undivided. Rows off the lattice go to the
+    generic constructor, and the table refuses them.
     """
     rows = _coordinate_rows(points, space)
     try:
@@ -157,15 +159,12 @@ def _table_entry(points, weights, space: LabelSpace, k: int) -> Mixture:
         return Mixture(points, weights, space)
     canonical = simplex_rows(counts / k)
     rows = np.where(rows == canonical, rows, canonical)
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    if np.bincount(_near_clusters(rows)).max() > 1:
-        return Mixture(points, weights, space)
     w = np.fromiter(map(float, weights), dtype=float)
+    _check_weights(w)
     total = _running_sum(w)
     if abs(total - 1.0) <= WEIGHT_SUM_TOL:
         total = 1.0  # the weights as written, not divided again
-    return Mixture._from_distinct(rows, w[order], total, space)
+    return Mixture._from_distinct(*_merge(rows, w), total, space)
 
 
 def read_calibration_table(path) -> CalibrationTable:

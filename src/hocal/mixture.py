@@ -36,8 +36,7 @@ class RngSeed:
     """Explicit 64-bit seed for a counter-based (Philox) generator.
 
     All randomness in the package flows through one of these; there is no
-    ambient global state. `child` derives independent streams so parallel
-    workers or repeated draws can partition the seed space.
+    ambient global state.
     """
 
     seed: int
@@ -50,10 +49,6 @@ class RngSeed:
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.seed))
-
-    def child(self, index: int) -> "RngSeed":
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
-        return RngSeed(int(ss.generate_state(1, dtype=np.uint64)[0]))
 
 
 def _check_total(total: float):
@@ -226,10 +221,11 @@ def centroid(m: Mixture) -> np.ndarray:
     return _readonly(simplex_rows(avg[None])[0])
 
 
-def _running_sum(terms: np.ndarray, start: float = 0.0) -> float:
-    """start + terms[0] + terms[1] + ..., left to right: the bits of Python's
-    `sum` (start 0) or of a `+=` loop continuing from start."""
-    return float(np.cumsum(np.concatenate(([start], terms)))[-1])
+def _running_sum(terms: np.ndarray) -> float:
+    """terms[0] + terms[1] + ... from 0.0, left to right: the bits of
+    Python's `sum`. The 0.0 start makes the empty sum, and a sum of -0.0
+    terms, 0.0."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def _lattice_counts(points: np.ndarray, k: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch, HocalError
+from .errors import CapExceeded, HocalError
 from .mixture import Mixture, _check_same_space, _lattice, _lattice_counts, _lattice_rank
 from .simplex import _check_lattice_size, _snapshot_size, snapshot_space_size
 
@@ -260,22 +260,19 @@ _PAIRS_PER_MOVE = 2
 def _route(a: Mixture, b: Mixture, method: str, k: int | None) -> str:
     """The route `wasserstein1` takes, by the first rule that holds:
 
-    - "cdf": `method` is "cdf", or "auto" on a binary space;
+    - "cdf": `method` is "auto" on a binary space;
     - "few-source": a side has at most _FEW_SOURCES points;
     - "flow": `method` is "auto", `k` is given, the size-k lattice has at
       most DEFAULT_NODE_CAP points, and the support pairs number more than
       _PAIRS_PER_MOVE times its single-label moves;
     - "highs": everything else.
 
-    Raises ValueError for an unknown method and DimensionMismatch for "cdf"
-    on a space that is not binary.
+    Raises ValueError for a method other than "auto" and "lp".
     """
-    if method not in ("auto", "cdf", "lp"):
+    if method not in ("auto", "lp"):
         raise ValueError(f"unknown method {method!r}")
     l = a.space.num_labels
-    if method == "cdf" or (method == "auto" and l == 2):
-        if l != 2:
-            raise DimensionMismatch("the CDF route only applies to binary spaces")
+    if method == "auto" and l == 2:
         return "cdf"
     if min(a.size, b.size) <= _FEW_SOURCES:
         return "few-source"
@@ -302,9 +299,9 @@ def wasserstein1(
     the l1 distance between simplex points. `k`, when given, is the
     snapshot lattice both mixtures live on; every method and route refuses
     a k that is not a snapshot size with DomainError. `method` is
-    "auto", "cdf" or "lp", and `_route` picks the route from it and the
-    input. The lattice flow returns plan None, since it lives on moves, not
-    point pairs; HiGHS refuses combined supports above `support_cap`.
+    "auto" or "lp", and `_route` picks the route from it and the input.
+    The lattice flow returns plan None, since it lives on moves, not point
+    pairs; HiGHS refuses combined supports above `support_cap`.
     """
     _check_same_space(a, b)
     if k is not None:
@@ -700,37 +697,26 @@ def _subtree_sums(parent, amount):
 
 def _expand(graph, excess, flow, potential, label, order, inside):
     """Route the integer node imbalances `excess` inside every component of
-    `label` along its wide moves `inside`, in place on `flow` and `excess`,
-    until each keeps only its net: on its nodes of the net's sign, the
-    first in `order` (the nodes grouped by component) first, each no larger
-    than before.
+    `label` along its wide moves `inside`, in place on `flow`. Each
+    component's imbalances must sum to 0, as they do when the phases of a
+    round end: its supplies sum to 0 and no component keeps an excess.
 
-    What moves goes to a root of its component along an in-tree and back
-    out along an out-tree, each one breadth-first search from all the
-    roots. Every change is on a tight move, so the potentials stay
-    complementary to the flow; _flow_phases bounds what the cancellations
-    carry.
+    What moves goes to a root of its component, its first node in `order`
+    (the nodes grouped by component), along an in-tree and back out along
+    an out-tree, each one breadth-first search from all the roots. Every
+    change is on a tight move, so the potentials stay complementary to the
+    flow; _flow_phases bounds what the cancellations carry.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
 
     heads, tails, reverse, _, _ = graph
     n = len(excess)
-    net = np.bincount(label, excess).astype(np.int64)
-    sign = np.sign(net)[label]
-    spare = np.where(sign * excess > 0, np.abs(excess), 0)[order]
-    group = label[order]
-    first = np.concatenate([[True], group[1:] != group[:-1]])
-    before = np.cumsum(spare) - spare
-    before -= np.maximum.accumulate(np.where(first, before, 0))
-    kept = np.empty_like(excess)
-    kept[order] = sign[order] * np.clip(np.abs(net)[group] - before, 0, spare)
-    routed = excess - kept
-    busy = np.bincount(label, routed != 0) > 0
+    busy = np.bincount(label, excess != 0) > 0
     if not busy.any():
         return
-    excess -= routed
-    roots = order[first][busy]
+    group = label[order]
+    roots = order[np.concatenate([[True], group[1:] != group[:-1]])][busy]
     moves = np.flatnonzero(inside)
     moves = moves[busy[label[heads[moves]]]]
     start, end = heads[moves], tails[moves]
@@ -740,8 +726,8 @@ def _expand(graph, excess, flow, potential, label, order, inside):
     position = np.zeros(len(heads), dtype=np.intp)
     position[reverse[moves]] = np.arange(len(moves))
     turned = position[np.flatnonzero(inside[reverse] & busy[label[heads]])]
-    for rank, rows, cols, amount in ((turned, end[turned], start[turned], np.maximum(routed, 0)),
-                                     (np.arange(len(moves)), start, end, np.maximum(-routed, 0))):
+    for rank, rows, cols, amount in ((turned, end[turned], start[turned], np.maximum(excess, 0)),
+                                     (np.arange(len(moves)), start, end, np.maximum(-excess, 0))):
         # the arcs as a CSR graph, its rows straight from the sorted arcs,
         # and a node n with an arc to each root
         ends = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n)),

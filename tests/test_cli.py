@@ -465,6 +465,8 @@ TABLE_HEADER = '{"format_version": 1, "k": 1, "kind": "calibration_table", "num_
         ('{"count": 3, "partition": "a", "points": [[0.0, 1.0]], "weights": [null]}', "FormatError"),
         ('{"count": 3, "partition": "a", "points": [[1.0, 0.0], [0.0]], "weights": [0.5, 0.5]}',
          "DimensionMismatch"),
+        # off the k = 1 lattice of TABLE_HEADER
+        ('{"count": 3, "partition": "a", "points": [[0.4, 0.6]], "weights": [1.0]}', "InvalidDistribution"),
         # JSON true and "0.5" are no numbers, although Python reads them as 1 and 0.5
         ('{"count": 3, "partition": "a", "points": [[true, false]], "weights": [true]}', "FormatError"),
         ('{"count": 3, "partition": "a", "points": [["0.5", "0.5"]], "weights": ["1"]}', "FormatError"),

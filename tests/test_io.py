@@ -234,6 +234,37 @@ def test_a_point_near_the_lattice_reads_as_its_canonical_row(tmp_path):
     assert np.signbit(mix.points_array()[1]).tolist() == [False, True]
 
 
+def test_rows_on_one_lattice_point_fold_onto_its_canonical_row(tmp_path):
+    # two rows near (1/3, 2/3), one on each side, snap to one lattice point:
+    # the entry holds the canonical row once, with their summed weight, and
+    # round-trips
+    path = tmp_path / "table.ldjson"
+    path.write_text(
+        '{"format_version": 1, "k": 3, "kind": "calibration_table", "num_labels": 2}\n'
+        '{"count": null, "partition": "a", "points": [[0.33333333334, 0.66666666666], '
+        '[1.0, 0.0], [0.33333333332, 0.66666666668]], "weights": [0.25, 0.5, 0.25]}\n'
+    )
+    table = read_calibration_table(path)
+    mix = table.entries["a"]
+    canonical = simplex_rows(np.array([[1.0, 2.0]]) / 3)[0]
+    assert mix.points_array().tolist() == [canonical.tolist(), [1.0, 0.0]]
+    assert mix.weights_array().tolist() == [0.5, 0.5]
+    assert_round_trip(table)
+
+
+def test_a_point_off_the_lattice_names_its_partition(tmp_path):
+    path = tmp_path / "table.ldjson"
+    path.write_text(
+        '{"format_version": 1, "k": 3, "kind": "calibration_table", "num_labels": 2}\n'
+        '{"count": null, "partition": "a", "points": [[0.4, 0.6], [1.0, 0.0]], '
+        '"weights": [0.5, 0.5]}\n'
+    )
+    with pytest.raises(InvalidDistribution) as exc:
+        read_calibration_table(path)
+    assert str(exc.value) == (
+        "partition 'a': support point (0.4, 0.6) is not on the size-3 snapshot lattice")
+
+
 def test_table_duplicate_partition_rejected(tmp_path):
     path = tmp_path / "table.ldjson"
     path.write_text(

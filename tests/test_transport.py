@@ -106,7 +106,7 @@ def test_w1_three_label_frozen_against_conic_solver():
 def test_w1_binary_lp_agrees_with_cdf_route():
     a = binary([0.05, 0.3, 0.8], [0.2, 0.5, 0.3])
     b = binary([0.1, 0.55, 0.95], [0.4, 0.4, 0.2])
-    cdf_cost, _ = wasserstein1(a, b, method="cdf")
+    cdf_cost, _ = wasserstein1(a, b)
     lp_cost, _ = wasserstein1(a, b, method="lp")
     assert lp_cost == pytest.approx(cdf_cost, abs=1e-9)
 
@@ -214,7 +214,7 @@ def test_w1_binary_lp_cdf_agreement_property(seed):
     spec = RandomMixtureSpec(num_labels=2, support_size=5, dirichlet_alpha=0.7)
     a = draw_mixture(spec, RngSeed(seed))
     b = draw_mixture(spec, RngSeed(seed + 40_000))
-    cdf_cost, _ = wasserstein1(a, b, method="cdf")
+    cdf_cost, _ = wasserstein1(a, b)
     lp_cost, _ = wasserstein1(a, b, method="lp")
     assert lp_cost == pytest.approx(cdf_cost, abs=1e-9)
 
@@ -289,7 +289,7 @@ def test_w1_lattice_takes_integer_snapshot_sizes_only():
             wasserstein1(a, b, k=k)
         with pytest.raises(DomainError, match="snapshot size must be"):
             wasserstein1(a, b, method="lp", k=k)
-        for method in ("auto", "cdf", "lp"):
+        for method in ("auto", "lp"):
             with pytest.raises(DomainError, match="snapshot size must be"):
                 wasserstein1(c, d, method=method, k=k)
     assert wasserstein1(c, d, k=np.int64(1))[0] == wasserstein1(c, d)[0] == 2.0
@@ -348,6 +348,17 @@ def test_binary_route_ignores_k():
         assert plan_k.tobytes() == plan.tobytes()
 
 
+def test_wasserstein1_takes_auto_and_lp_only():
+    # the binary CDF route is what "auto" takes on a binary space; no method
+    # names it
+    a, b = binary([0.2, 0.9], [0.6, 0.4]), binary([0.1, 0.5], [0.3, 0.7])
+    c = mixture_from_arrays([(1.0, 0.0, 0.0)], [1.0], LabelSpace(3))
+    for x, y in ((a, b), (c, c)):
+        for method in ("cdf", "simplex", "LP"):
+            with pytest.raises(ValueError, match="unknown method"):
+                wasserstein1(x, y, method=method)
+
+
 def _reduced_assembly(m, n):
     # the reduced system HiGHS was given before the full-system build: the
     # last column-sum row dropped at assembly time
@@ -391,7 +402,7 @@ def test_transport_constraints_match_the_kron_assembly(m, n):
 @settings(deadline=None, max_examples=25)
 @given(
     st.integers(min_value=0, max_value=10_000),
-    st.sampled_from([(2, "cdf"), (2, "lp"), (3, "lp")]),
+    st.sampled_from([(2, "auto"), (2, "lp"), (3, "lp")]),
 )
 def test_reported_w1_is_the_cost_of_a_coupling_of_the_inputs(seed, case):
     # the reported distance is the price of the returned plan, and the plan
@@ -574,11 +585,11 @@ def perturbed_certify(monkeypatch, perturb):
 def test_cdf_route_certificate_rejects_a_perturbed_plan_or_dual(monkeypatch, perturb, message):
     # the coupling moves a quarter from bias 1 to bias 0 at cost 2; its dual
     # is the potential 0 at bias 0 and 2 at bias 1
-    cost, plan = wasserstein1(LP_A, LP_B, method="cdf")
+    cost, plan = wasserstein1(LP_A, LP_B)
     assert cost == 0.5 and np.array_equal(plan.ravel(), LP_PLAN)
     perturbed_certify(monkeypatch, perturb)
     with pytest.raises(SolverFailure, match=message):
-        wasserstein1(LP_A, LP_B, method="cdf")
+        wasserstein1(LP_A, LP_B)
 
 
 def test_every_route_passes_one_certificate_per_solve(monkeypatch):
@@ -1118,50 +1129,36 @@ def wide_components(graph, supply, flow, potential):
 
 
 @pytest.mark.parametrize("l,k", [(3, 8), (3, 16), (4, 8), (4, 12)])
-def test_expansion_moves_integers_on_tight_moves_only(l, k):
-    # round 1 on a random lattice pair leaves a flow and potentials. Random
-    # integer imbalances whose total excess is near the median flow are then
-    # routed inside the strong components of the wide arcs, as at the end of
-    # a round, so some moves with flow hold less than twice that total
+def test_expansion_moves_integers_on_tight_moves_only(l, k, monkeypatch):
+    # every expansion of a real solve starts with each component's
+    # imbalances summing to 0, routes all of them on tight moves only,
+    # leaves `excess` as it was and no flow negative
     space = LabelSpace(l)
-    graph = hocal.transport._move_graph(space, k)
-    heads, tails, reverse, _, counts = graph
-    n = len(counts)
-    for trial in range(6):
-        a = lattice_mixture(space, k, 100 * l + trial)
-        z1, _ = hocal.transport._integer_supply(
-            lattice_supply(a, lattice_mixture(space, k, 200 * l + trial), k))
-        flow = np.zeros(len(heads), dtype=np.int64)
-        potential = hocal.transport._marginal_potential(counts, z1, k)
-        hocal.transport._flow_phases(graph, z1, flow, potential, k)
-        rng = np.random.default_rng([l, k, trial])
-        scale = int(np.median(flow[flow > 0])) // n
-        supply = rng.integers(-scale, scale + 1, n)
-        supply[rng.integers(n)] -= supply.sum()
-        labels = wide_components(graph, supply, flow, potential)
-        wide = (1 + potential[heads] - potential[tails] == 0) | (
-            flow[reverse] >= 2 * supply[supply > 0].sum())
-        before, left = flow.copy(), supply.copy()
-        hocal.transport._expand(graph, left, flow, potential, labels,
-                                np.argsort(labels, kind="stable"),
-                                wide & (labels[heads] == labels[tails]))
+    expand, routed = hocal.transport._expand, []
+
+    def checked(graph, excess, flow, potential, label, order, inside):
+        heads, tails, _, _, counts = graph
+        assert excess.dtype == np.int64
+        assert not np.bincount(label, excess).any()
+        before, imbalance = flow.copy(), excess.copy()
+        expand(graph, excess, flow, potential, label, order, inside)
+        assert (excess == imbalance).all()
         assert flow.min() >= 0
-        # each node's balance changes by its imbalance less what is left
+        # each node's balance changes by exactly its imbalance
         change = flow - before
-        balance = np.zeros(n, dtype=np.int64)
+        balance = np.zeros(len(counts), dtype=np.int64)
         np.add.at(balance, heads, change)
         np.subtract.at(balance, tails, change)
-        assert left.dtype == np.int64
-        assert (balance == supply - left).all()
+        assert (balance == imbalance).all()
         # only tight moves change: more flow, or the cancellation of some
         assert not (1 + potential[heads] - potential[tails])[change != 0].any()
-        # what is left in a component is its net, on nodes of the net's
-        # sign, none larger than it was
-        net = np.bincount(labels, supply)
-        assert (np.bincount(labels, left) == net).all()
-        assert (left * np.sign(net)[labels] >= 0).all()
-        assert (left * supply >= 0).all() and (np.abs(left) <= np.abs(supply)).all()
-        assert np.count_nonzero(left) < np.count_nonzero(supply)
+        routed.append(np.count_nonzero(imbalance))
+
+    monkeypatch.setattr(hocal.transport, "_expand", checked)
+    for trial in range(6):
+        w1_lattice(lattice_mixture(space, k, 100 * l + trial),
+                   lattice_mixture(space, k, 200 * l + trial), k)
+    assert any(routed)
 
 
 def sweep_pair(config, index, seed=1):
