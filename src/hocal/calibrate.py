@@ -50,21 +50,73 @@ def _is_count(value) -> bool:
 def _check_records(counts, codes, names, space: LabelSpace, k: int):
     """Every record has l labels, size k and no negative count.
 
-    Row i of `counts` holds record i's counts. The first record that fails
-    raises, naming its partition.
+    Row i of `counts` holds record i's counts and `codes[i]` indexes its
+    partition id in `names`. The columns are added one at a time, and a sum
+    that wraps past int64 counts as a wrong size, so every count of a record
+    that passes lies in [0, k]. The first record that fails raises, naming
+    its partition.
     """
     l = space.num_labels
     if counts.ndim != 2 or counts.shape[1] != l:
         raise DimensionMismatch(f"count matrix of shape {counts.shape} in a {l}-label dataset")
-    sizes, lows = counts.sum(axis=1), counts.min(axis=1, initial=0)
-    bad = np.flatnonzero((sizes != k) | (lows < 0))
+    sizes = np.zeros(len(counts), dtype=np.int64)
+    lows = sizes.copy()
+    wrapped = np.zeros(len(counts), dtype=bool)
+    for column in counts.T:
+        sizes += column
+        np.minimum(lows, column, out=lows)
+        # a sum of non-negative terms wraps exactly when it drops below the
+        # term just added
+        wrapped |= sizes < column
+    bad = np.flatnonzero((sizes != k) | (lows < 0) | wrapped)
     if not bad.size:
         return
     i = bad[0]
     pid = names[codes[i]]
     if lows[i] < 0:
         raise InvalidDistribution(f"partition {pid!r}: negative count in a snapshot")
-    raise InvalidDistribution(f"partition {pid!r}: snapshot of size {sizes[i]}, expected {k}")
+    size = sum(counts[i].tolist())
+    raise InvalidDistribution(f"partition {pid!r}: snapshot of size {size}, expected {k}")
+
+
+def _group(codes, counts, num_codes: int, k: int):
+    """(first, inverse) of the distinct (code, counts) rows of records with
+    codes in [0, num_codes) and counts in [0, k] that sum to k.
+
+    Rows are sorted by code, then counts; `first[g]` is the first record of
+    row g and `inverse[i]` the row of record i. Each record is keyed by one
+    int64, its code and every count but the last in mixed radix
+    (num_codes, k + 1, ..., k + 1): the last count is k less the others.
+    Where the next digit would overflow int64, the key so far is first
+    replaced by its rank among the distinct keys, and the count by its rank
+    too if that is not enough, which keeps the order. One unstable sort of
+    the keys groups the records.
+    """
+    n = len(codes)
+    if not n:  # k may then lie beyond int64
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    key, bound = codes, num_codes
+    for column in counts.T[:-1]:
+        radix = k + 1
+        if bound * radix >= 2**63:
+            key, bound = _rank(key)
+            if bound * radix >= 2**63:
+                column, radix = _rank(column)
+        key = key * radix + column
+        bound *= radix
+    order = np.argsort(key)
+    ordered = key[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return np.minimum.reduceat(order, np.flatnonzero(starts)), inverse
+
+
+def _rank(values):
+    """(rank of each value among the distinct values, their count)."""
+    distinct, rank = np.unique(values, return_inverse=True)
+    return rank, len(distinct)
 
 
 class SnapshotDataset:
@@ -87,15 +139,19 @@ class SnapshotDataset:
         codes = _int64_array(codes, "partition code")
         if codes.shape != counts.shape[:1]:
             raise InvalidDistribution(f"{len(codes)} codes for {len(counts)} count rows")
-        used, codes = np.unique(codes, return_inverse=True)
-        if used.size and not 0 <= used[0] <= used[-1] < len(names):
+        if codes.size and not 0 <= codes.min() <= codes.max() < len(names):
             raise InvalidDistribution(f"partition code outside [0, {len(names)})")
-        used = [str(names[i]) for i in used]
-        self.names = tuple(sorted(set(used)))
+        used = np.flatnonzero(np.bincount(codes, minlength=len(names)))
+        used_ids = [str(names[i]) for i in used.tolist()]
+        self.names = tuple(sorted(set(used_ids)))
         rank = {pid: i for i, pid in enumerate(self.names)}
-        codes = np.array([rank[pid] for pid in used], dtype=np.int64)[codes]
+        code_of = np.zeros(len(names), dtype=np.int64)
+        code_of[used] = [rank[pid] for pid in used_ids]
+        codes = code_of[codes]
         k = _snapshot_size(k)
         _check_records(counts, codes, self.names, space, k)
+        first, inverse = _group(codes, counts, len(self.names), k)
+        self._rows = _readonly(first), _readonly(inverse)
         self.counts = _readonly(counts)
         self.codes = _readonly(codes)
         self.space = space
@@ -117,18 +173,10 @@ class SnapshotDataset:
         """Distinct (partition, counts) rows: (first, inverse).
 
         `first[g]` is the first record of row g, rows sorted by partition
-        code, then counts; `inverse[i]` is the row of record i. Grouping is
-        a lexsort over the columns, so no packed key can overflow.
+        code, then counts; `inverse[i]` is the row of record i. Both are
+        found once, by the constructor.
         """
-        n = len(self)
-        keys = np.column_stack([self.codes, self.counts])
-        order = np.lexsort(keys.T[::-1])
-        ordered = keys[order]
-        starts = np.ones(n, dtype=bool)
-        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = np.cumsum(starts) - 1
-        return order[starts], inverse
+        return self._rows
 
     @property
     def records(self) -> tuple:

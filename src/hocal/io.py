@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -42,7 +42,10 @@ def _read_text(path) -> str:
 def _read_lines(path):
     # lines end at "\n" only, one "\r" before it dropped: str.splitlines
     # also breaks at U+2028, U+0085 and other characters JSON allows raw
-    lines = _read_text(path).replace("\r\n", "\n").split("\n")
+    text = _read_text(path)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     if not lines:
@@ -74,27 +77,30 @@ def read_snapshot_dataset(path) -> SnapshotDataset:
 
     Label lists are symmetrized into count vectors immediately; [1, 0] and
     [0, 1] are the same snapshot. Each distinct line is parsed and checked
-    once, at its first occurrence, so an error names the first bad line.
+    once, in the order of first appearance, so an error names the first bad
+    line.
     """
     lines = _read_lines(path)
     header = _parse_header(lines, path)
     num_labels, k = header["num_labels"], header["k"]
-    row_of = {}  # line text -> index of its distinct row
+    row_of = dict.fromkeys(islice(lines, 1, None))  # line text -> its distinct row
     row_pids, row_counts = [], []
-    picks = []  # distinct row of each record
-    for lineno, raw in enumerate(lines[1:], start=2):
-        row = row_of.get(raw)
-        if row is None:
-            if not raw.strip():
-                continue
-            pid, counts = _parse_record(raw, path, lineno, num_labels, k)
-            row = row_of[raw] = len(row_counts)
-            row_pids.append(pid)
-            row_counts.append(counts)
-        picks.append(row)
-    if not picks:
+    for raw in row_of:
+        if not raw.strip():
+            row_of[raw] = -1
+            continue
+        try:
+            pid, counts = _parse_record(raw, num_labels, k)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}", line=lines.index(raw, 1) + 1) from None
+        row_of[raw] = len(row_counts)
+        row_pids.append(pid)
+        row_counts.append(counts)
+    picks = np.fromiter(map(row_of.__getitem__, islice(lines, 1, None)), dtype=np.int64,
+                        count=len(lines) - 1)
+    picks = picks[picks >= 0]  # blank lines hold no record
+    if not picks.size:
         raise FormatError(f"{path}: no records")
-    picks = np.array(picks, dtype=np.int64)
     return SnapshotDataset(
         np.array(row_counts, dtype=np.int64)[picks],
         picks,
@@ -104,23 +110,21 @@ def read_snapshot_dataset(path) -> SnapshotDataset:
     )
 
 
-def _parse_record(raw, path, lineno, num_labels, k):
-    """One dataset line as (partition id, count vector)."""
-    try:
-        rec = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}", line=lineno) from None
+def _parse_record(raw, num_labels, k):
+    """One dataset line as (partition id, count vector); ValueError, which
+    json.JSONDecodeError is, says what is wrong with it."""
+    rec = json.loads(raw)
     if not isinstance(rec, dict) or "partition" not in rec or "labels" not in rec:
-        raise FormatError(f"{path}: record needs 'partition' and 'labels'", line=lineno)
+        raise ValueError("record needs 'partition' and 'labels'")
     labels = rec["labels"]
     if not isinstance(labels, list) or len(labels) != k:
-        raise FormatError(f"{path}: expected {k} labels", line=lineno)
+        raise ValueError(f"expected {k} labels")
     counts = [0] * num_labels
     for y in labels:
         if isinstance(y, bool) or not isinstance(y, int):
-            raise FormatError(f"{path}: label {y!r} is not an integer", line=lineno)
+            raise ValueError(f"label {y!r} is not an integer")
         if not 0 <= y < num_labels:
-            raise FormatError(f"{path}: label {y!r} out of range [0, {num_labels})", line=lineno)
+            raise ValueError(f"label {y!r} out of range [0, {num_labels})")
         counts[y] += 1
     return str(rec["partition"]), counts
 

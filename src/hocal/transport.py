@@ -44,6 +44,25 @@ class SolverFailure(HocalError):
     short of a solution."""
 
 
+def _dot(a, b) -> float:
+    """a @ b without BLAS, whose bits depend on its thread count: the sum of
+    the n products p, within one ulp of its exact value when none is
+    negative.
+
+    Rump, Ogita and Oishi's extraction: with sigma a power of 2 above
+    (n + 2) max|p|, each q = (sigma + p) - sigma is p cut to a multiple of
+    2^-53 sigma, so the q add up exactly in any order; the remainders p - q,
+    each below 2^-52 sigma, are summed by numpy, and one rounding joins both.
+    """
+    p = a * b
+    top = float(np.abs(p).max(initial=0.0))
+    sigma = 2.0 ** (math.frexp(len(p) + 2)[1] + math.frexp(top)[1])
+    q = p + sigma
+    q -= sigma
+    p -= q
+    return float(q.sum() + p.sum())
+
+
 def _certify(cost, heads, tails, supply, x, y):
     """Raise SolverFailure unless the edge flows x and node potentials y are
     optimal for min cost @ x over flows x >= 0 on the graph with edges
@@ -53,7 +72,8 @@ def _certify(cost, heads, tails, supply, x, y):
     to its supply), y feasible (reduced costs cost - y[heads] + y[tails] >=
     0) and complementary to x where x > 1e-12, and the objectives
     supply @ y and cost @ x equal, each to CHECK_TOL. Each gate is written
-    so that a NaN residual fails it.
+    so that a NaN residual fails it. The objectives are summed by numpy, not
+    by a BLAS dot product, whose bits depend on its thread count.
     """
     if not x.min() >= -CHECK_TOL:
         raise SolverFailure("negative mass or flow below -1e-8")
@@ -66,7 +86,7 @@ def _certify(cost, heads, tails, supply, x, y):
         raise SolverFailure("dual infeasibility above 1e-8")
     if not np.abs(reduced[x > 1e-12]).max(initial=0.0) <= CHECK_TOL:
         raise SolverFailure("complementary slackness residual above 1e-8")
-    if not abs(supply @ y - cost @ x) <= CHECK_TOL:
+    if not abs((supply * y).sum() - (cost * x).sum()) <= CHECK_TOL:
         raise SolverFailure("primal and dual objectives disagree")
 
 
@@ -806,7 +826,10 @@ def w1_lattice(a: Mixture, b: Mixture, k: int) -> float:
 
 
 def _w1_flow(a: Mixture, b: Mixture, k: int) -> float:
-    """w1_lattice for a Python int k whose lattice is within the node cap."""
+    """w1_lattice for a Python int k whose lattice is within the node cap.
+
+    The cost is summed by `_dot`, so its bits do not depend on the BLAS
+    thread count."""
     graph = _move_graph(a.space, k)
     heads, tails, *_, counts = graph
     supply = np.zeros(len(counts))
@@ -816,4 +839,4 @@ def _w1_flow(a: Mixture, b: Mixture, k: int) -> float:
     flow, y = _lattice_flow(a.space, supply, k)
     cost = np.full(len(heads), 2.0 / k)
     _certify(cost, heads, tails, supply, flow, y)
-    return float(cost @ flow)
+    return _dot(cost, flow)

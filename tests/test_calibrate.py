@@ -87,6 +87,19 @@ def test_dataset_check_names_the_first_bad_record():
     assert len(empty) == 0 and empty.counts.shape == (0, 3) and empty.names == ()
 
 
+def test_dataset_sizes_are_exact_past_int64():
+    # these counts sum to 2^64 + 1, which int64 arithmetic wraps to 1 = k
+    three, big = LabelSpace(3), 2**63 - 1
+    with pytest.raises(
+        InvalidDistribution, match=f"partition 'b': snapshot of size {2 * big + 3}, expected 1"
+    ):
+        SnapshotDataset([[1, 0, 0], [big, big, 3], [big, 0, -big]], [0, 1, 0], ["a", "b"], three, 1)
+    with pytest.raises(InvalidDistribution, match="partition 'a': negative count in a snapshot"):
+        SnapshotDataset([[1, 0, 0], [big, 0, -big], [big, big, 3]], [0, 0, 1], ["a", "b"], three, 1)
+    ds = SnapshotDataset([[big, 0, 0], [0, 1, big - 1]], [0, 0], ["a"], three, big)
+    assert ds.records == (("a", (big, 0, 0)), ("a", (0, 1, big - 1)))
+
+
 def test_dataset_codes_must_index_names_one_per_record():
     with pytest.raises(InvalidDistribution, match="1 codes for 2 count rows"):
         SnapshotDataset([[1, 1], [2, 0]], [0], ["a"], BINARY, 2)

@@ -213,8 +213,9 @@ def test_calibrate_keeps_the_coordinate_order_of_the_support(num_labels, k):
     assert bits(got) == bits(reference_calibrate(records, space, k))
 
 
-def test_grouping_has_no_packed_key_to_overflow():
-    # (k + 1)^l > 2^63: a key packing the counts into one int64 would collide
+def test_grouping_stays_exact_where_the_packed_key_would_overflow():
+    # (k + 1)^3 > 2^63: the key packing the counts must re-rank before it
+    # overflows, or distinct snapshots would collide
     k = 2**40
     space = LabelSpace(4)
     snaps = [(k, 0, 0, 0), (0, 0, 0, k), (k - 1, 1, 0, 0)]
@@ -224,6 +225,80 @@ def test_grouping_has_no_packed_key_to_overflow():
     want = reference_calibrate(records, space, k)
     assert bits(got) == bits(want)
     assert got.entries["a"].size == 3
+
+
+def lexsort_rows(ds):
+    """`_distinct_rows` by a stable lexsort over the columns (code, counts):
+    the oracle for its packed key."""
+    keys = np.column_stack([ds.codes, ds.counts])
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(ds), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(ds), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
+def assert_rows_match_the_lexsort(ds):
+    first, inverse = ds._distinct_rows()
+    want_first, want_inverse = lexsort_rows(ds)
+    assert first.dtype == inverse.dtype == np.int64
+    assert first.tolist() == want_first.tolist()
+    assert inverse.tolist() == want_inverse.tolist()
+
+
+def spread(snaps, names, picks, k):
+    """The dataset of records (snapshot index, name index) over `names`."""
+    counts = np.array([snaps[s] for s, _ in picks], dtype=np.int64)
+    return SnapshotDataset(counts, [c for _, c in picks], names, LabelSpace(counts.shape[1]), k)
+
+
+@st.composite
+def count_datasets(draw):
+    """A few compositions of k in [1, 10^6] into l in [2, 12] counts, as
+    records in any order over names that repeat or go unused."""
+    l = draw(st.integers(min_value=2, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=10**6))
+    cuts = st.lists(st.integers(min_value=0, max_value=k), min_size=l - 1, max_size=l - 1)
+    snaps = [np.diff([0, *sorted(c), k]) for c in draw(st.lists(cuts, min_size=1, max_size=6))]
+    names = draw(st.lists(st.sampled_from(PARTITIONS), min_size=1, max_size=6))
+    record = st.tuples(st.integers(0, len(snaps) - 1), st.integers(0, len(names) - 1))
+    return spread(snaps, names, draw(st.lists(record, min_size=1, max_size=60)), k)
+
+
+@settings(deadline=None, max_examples=300)
+@given(count_datasets())
+def test_distinct_rows_match_a_lexsort_of_the_columns(ds):
+    assert_rows_match_the_lexsort(ds)
+
+
+@pytest.mark.parametrize("l, k", [(20, 100), (3, 2**62), (3, 2**63 - 1), (12, 10**6)])
+def test_distinct_rows_match_a_lexsort_where_the_radix_overflows(l, k):
+    # (20, 100) and (12, 10^6) re-rank the key part way; at k >= 2^62 two
+    # codes times k + 1 overflow, so the counts are ranked too
+    rng = np.random.default_rng([l, k % 1000])
+    if k < 2**62:
+        snaps = rng.multinomial(k, np.full(l, 1.0 / l), size=40)
+        # snapshots that agree on every count but the last two
+        moved = snaps[:20].copy()
+        moved[:, -2:] = moved[:, :-3:-1]
+        snaps = np.concatenate([snaps, moved])
+    else:
+        snaps = np.array([(k, 0, 0), (0, k, 0), (0, 0, k), (k - 1, 1, 0), (k - 1, 0, 1),
+                          (1, k - 1, 0), (2**40, k - 2**40, 0), (2**40, 0, k - 2**40)])
+    names = ["b", "a", "b", "c"]
+    picks = list(zip(rng.integers(0, len(snaps), 2000).tolist(), rng.integers(0, 4, 2000).tolist()))
+    ds = spread(snaps, names, picks, k)
+    assert_rows_match_the_lexsort(ds)
+    assert len(ds._distinct_rows()[0]) > len(snaps)
+
+
+def test_distinct_rows_of_one_record_and_of_none():
+    ds = spread([(3, 0, 1)], ["x", "y"], [(0, 1)], 4)
+    assert [a.tolist() for a in ds._distinct_rows()] == [[0], [0]]
+    empty = SnapshotDataset(np.zeros((0, 3)), [], [], LabelSpace(3), 2**70)
+    assert [a.tolist() for a in empty._distinct_rows()] == [[], []]
 
 
 def test_dataset_columns_and_records_view():

@@ -140,6 +140,58 @@ def test_wrong_label_count(tmp_path):
         read_snapshot_dataset(path)
 
 
+HEADER = '{"format_version": 1, "k": 2, "num_labels": 2}'
+GOOD, OTHER = '{"labels": [0, 1], "partition": "a"}', '{"labels": [1, 1], "partition": "b"}'
+BAD = '{"labels": [0, 5], "partition": "a"}'
+
+
+def read_lines(tmp_path, lines, newline="\n"):
+    path = tmp_path / "ds.ldjson"
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+    return read_snapshot_dataset(path)
+
+
+def bad_line(tmp_path, lines, newline="\n"):
+    with pytest.raises(FormatError) as exc:
+        read_lines(tmp_path, lines, newline)
+    return exc.value.line
+
+
+def test_a_bad_line_after_many_good_copies_is_named_where_it_first_appears(tmp_path):
+    # each distinct line is parsed once: the bad line's number is found
+    # among all lines, not among the distinct ones
+    lines = [HEADER] + [GOOD, OTHER] * 500 + [BAD, GOOD, BAD]
+    assert bad_line(tmp_path, lines) == 1002
+    assert bad_line(tmp_path, [HEADER, GOOD, "oops", BAD, "oops"]) == 3
+
+
+def test_a_record_line_equal_to_the_header_is_named_at_its_own_line(tmp_path):
+    assert bad_line(tmp_path, [HEADER, GOOD, HEADER]) == 3
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_crlf_lines_read_like_lf_lines(tmp_path, newline):
+    ds = read_lines(tmp_path, [HEADER, GOOD, OTHER, GOOD], newline)
+    assert ds.records == (("a", (1, 1)), ("b", (0, 2)), ("a", (1, 1)))
+    assert bad_line(tmp_path, [HEADER, GOOD, OTHER, BAD, GOOD], newline) == 4
+
+
+def test_whitespace_only_lines_hold_no_record_but_keep_their_number(tmp_path):
+    lines = [HEADER, GOOD, "", "   ", GOOD, "\t", OTHER]
+    assert read_lines(tmp_path, lines).records == (
+        ("a", (1, 1)), ("a", (1, 1)), ("b", (0, 2)))
+    assert bad_line(tmp_path, lines + [" ", BAD]) == 9
+    with pytest.raises(FormatError, match="no records"):
+        read_lines(tmp_path, [HEADER, " ", "", "\t", " "])
+
+
+def test_an_integer_label_too_long_to_parse_names_its_line(tmp_path):
+    # json.loads refuses an integer of over 4300 digits with a ValueError
+    # that is not a JSONDecodeError
+    huge = '{"labels": [0, ' + "1" * 5000 + '], "partition": "a"}'
+    assert bad_line(tmp_path, [HEADER, GOOD, huge]) == 3
+
+
 def test_table_round_trip_with_counts(tmp_path):
     path = tmp_path / "table.ldjson"
     table = sample_table(counts={"a": 10, "b": 5})

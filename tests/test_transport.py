@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -1477,3 +1478,37 @@ def test_w1_lattice_loads_no_scipy_optimize():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0)), max_size=300),
+       st.integers(0, 2**32))
+def test_dot_is_within_one_ulp_of_the_exact_sum_of_non_negative_products(pairs, seed):
+    # hypothesis's short lists, and 40 000 random terms spanning 16 binades
+    terms = np.random.default_rng(seed).random((2, 40_000)) * np.logspace(-8, 0, 40_000)
+    for a, b in (np.array(pairs).reshape(-1, 2).T, terms):
+        exact = math.fsum((a * b).tolist())
+        assert abs(hocal.transport._dot(a, b) - exact) <= math.ulp(exact)
+
+
+def test_w1_lattice_bits_do_not_depend_on_the_blas_thread_count():
+    # a (4, 24) pair whose flow runs on 31 200 moves, past the length from
+    # which OpenBLAS splits a dot product across threads; summed that way,
+    # this pair's value moved by one ulp between 1 and 2 threads
+    code = (
+        "import numpy as np\n"
+        "from hocal import LabelSpace, mixture_from_arrays, project_k, w1_lattice\n"
+        "space = LabelSpace(4)\n"
+        "rng = np.random.default_rng([1, 5, 2])\n"
+        "f, h = (mixture_from_arrays(rng.dirichlet(np.full(4, 2.0), size=4),"
+        " rng.dirichlet(np.ones(4)), space) for _ in range(2))\n"
+        "print(w1_lattice(project_k(f, 24), project_k(h, 24), 24).hex())"
+    )
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        bits.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.strip())
+    assert bits[0] == bits[1], bits
