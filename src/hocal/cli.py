@@ -9,10 +9,11 @@ seed, outputs are byte-identical.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
-
-import click
+import os
+import sys
 
 from . import synth
 from .calibrate import hoc_bound, koc_error, posthoc_calibrate, required_samples
@@ -89,21 +90,9 @@ def parse_nature(text: str):
 
 
 def _echo_summary(payload: dict):
-    click.echo(_dump(payload))
+    print(_dump(payload))
 
 
-@click.group()
-def cli():
-    """Higher-order calibration from k-snapshot data."""
-
-
-@cli.command()
-@click.option("--nature", required=True, help="two-scenario-1 | two-scenario-2 | binary-regression")
-@click.option("--n", "n", type=int, required=True, help="number of snapshot records")
-@click.option("--k", type=int, required=True, help="labels per snapshot")
-@click.option("--seed", type=int, required=True, envvar="HOCAL_SEED")
-@click.option("--out", required=True, help="dataset output path")
-@click.option("--ref", "ref_path", default=None, help="also write the exact reference table here")
 def gen(nature, n, k, seed, out, ref_path):
     """Sample a synthetic snapshot dataset from a known nature."""
     spec = parse_nature(nature)
@@ -127,11 +116,6 @@ def gen(nature, n, k, seed, out, ref_path):
     )
 
 
-@cli.command()
-@click.option("--data", required=True, help="snapshot dataset path")
-@click.option("--out", required=True, help="calibration table output path")
-@click.option("--reference", default=None, help="table whose partition keys must be covered")
-@click.option("--fill-missing", is_flag=True, help="uniform fallback for empty partitions")
 def calibrate(data, out, reference, fill_missing):
     """Build the empirical k-th order calibration table."""
     ds = read_snapshot_dataset(data)
@@ -151,15 +135,6 @@ def calibrate(data, out, reference, fill_missing):
     )
 
 
-@cli.command()
-@click.option("--table", "table_path", required=True)
-@click.option("--reference", required=True)
-@click.option("--out", required=True, help="per-partition W1 CSV path")
-@click.option(
-    "--support-cap", type=int, default=DEFAULT_SUPPORT_CAP, show_default=True,
-    help="combined support cap of the HiGHS route; transport._route picks each "
-    "partition's W1 route",
-)
 def evaluate(table_path, reference, out, support_cap):
     """Per-partition Wasserstein-1 error of a table against a reference."""
     table = read_calibration_table(table_path)
@@ -178,10 +153,6 @@ def evaluate(table_path, reference, out, support_cap):
     )
 
 
-@cli.command("decompose")
-@click.option("--table", "table_path", required=True)
-@click.option("--entropy", "entropy_text", required=True, help="entropy spec, e.g. shannon2")
-@click.option("--out", required=True, help="per-partition uncertainty CSV path")
 def decompose_cmd(table_path, entropy_text, out):
     """Predictive/aleatoric/epistemic decomposition per partition."""
     table = read_calibration_table(table_path)
@@ -204,11 +175,6 @@ def decompose_cmd(table_path, entropy_text, out):
     )
 
 
-@cli.command("moments")
-@click.option("--table", "table_path", required=True)
-@click.option("--eps", type=float, default=0.0, show_default=True, help="calibration error budget")
-@click.option("--central", "central_j", type=int, default=None, help="also emit this central moment")
-@click.option("--out", required=True, help="per-partition moments CSV path")
 def moments_cmd(table_path, eps, central_j, out):
     """Raw mixture moments (with error bounds) from a binary table."""
     table = read_calibration_table(table_path)
@@ -234,15 +200,6 @@ def moments_cmd(table_path, eps, central_j, out):
     _echo_summary({"command": "moments", "eps": eps, "k": k, "out": out, "partitions": len(rows)})
 
 
-@cli.command("predset")
-@click.option("--table", "table_path", required=True)
-@click.option("--alpha", type=float, required=True, help="miscoverage level")
-@click.option("--kind", type=click.Choice(["mass", "interval"]), default="mass", show_default=True)
-@click.option("--delta", type=float, default=0.0, show_default=True, help="enlargement radius (mass sets)")
-@click.option("--eps", type=float, default=0.0, show_default=True, help="calibration error budget (intervals)")
-@click.option("--reference", default=None, help="audit coverage against this table")
-@click.option("--audit", "audit_path", default=None, help="coverage audit CSV path")
-@click.option("--out", required=True, help="per-partition set JSON-lines path")
 def predset_cmd(table_path, alpha, kind, delta, eps, reference, audit_path, out):
     """Higher-order prediction sets per partition, optionally audited."""
     table = read_calibration_table(table_path)
@@ -288,11 +245,6 @@ def predset_cmd(table_path, alpha, kind, delta, eps, reference, audit_path, out)
     _echo_summary(summary)
 
 
-@cli.command("bounds")
-@click.option("--l", "num_labels", type=int, required=True, help="number of labels")
-@click.option("--k", type=int, required=True)
-@click.option("--eps", type=float, required=True)
-@click.option("--delta", type=float, required=True)
 def bounds_cmd(num_labels, k, eps, delta):
     """Sample-complexity and higher-order error bounds for a design."""
     space = LabelSpace(num_labels)
@@ -310,10 +262,6 @@ def bounds_cmd(num_labels, k, eps, delta):
     )
 
 
-@cli.command("fitpoly")
-@click.option("--entropy", "entropy_text", required=True)
-@click.option("--degree", type=int, required=True)
-@click.option("--out", default=None, help="optional JSON output path")
 def fitpoly_cmd(entropy_text, degree, out):
     """Chebyshev polynomial fit of a binary entropy, with measured error."""
     g = parse_entropy(entropy_text)
@@ -332,10 +280,6 @@ def fitpoly_cmd(entropy_text, degree, out):
     _echo_summary(summary)
 
 
-@cli.command("bin")
-@click.option("--scores", required=True, help="CSV with argmax_class and max_prob columns")
-@click.option("--slices", type=int, default=10, show_default=True, help="slices of [0, 1] per class")
-@click.option("--out", required=True, help="CSV path with an added partition column")
 def bin_cmd(scores, slices, out):
     """Assign partition ids from first-order scores: c{class}_s{slice}."""
     if slices < 1:
@@ -365,23 +309,140 @@ def bin_cmd(scores, slices, out):
     _echo_summary({"command": "bin", "out": out, "rows": len(out_rows), "slices": slices})
 
 
+class _UsageError(Exception):
+    """A command line the parser refuses."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The `hocal` command line. `gen --seed` defaults to $HOCAL_SEED as it
+    is when this runs; an empty value counts as unset."""
+    root = _Parser(
+        prog="hocal", description="Higher-order calibration from k-snapshot data.",
+        add_help=False, allow_abbrev=False,
+    )
+    commands = root.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(
+            name, help=run.__doc__, description=run.__doc__, add_help=False, allow_abbrev=False
+        )
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    opt = command("gen", gen)
+    opt("--nature", required=True, help="two-scenario-1 | two-scenario-2 | binary-regression")
+    opt("--n", type=int, required=True, help="number of snapshot records")
+    opt("--k", type=int, required=True, help="labels per snapshot")
+    seed = os.environ.get("HOCAL_SEED") or None
+    opt("--seed", type=int, required=seed is None, default=seed)
+    opt("--out", required=True, help="dataset output path")
+    opt("--ref", dest="ref_path", help="also write the exact reference table here")
+
+    opt = command("calibrate", calibrate)
+    opt("--data", required=True, help="snapshot dataset path")
+    opt("--out", required=True, help="calibration table output path")
+    opt("--reference", help="table whose partition keys must be covered")
+    opt("--fill-missing", action="store_true", help="uniform fallback for empty partitions")
+
+    opt = command("evaluate", evaluate)
+    opt("--table", dest="table_path", required=True)
+    opt("--reference", required=True)
+    opt("--out", required=True, help="per-partition W1 CSV path")
+    opt(
+        "--support-cap", type=int, default=DEFAULT_SUPPORT_CAP,
+        help="combined support cap of the HiGHS route; transport._route picks each "
+        "partition's W1 route [default: %(default)s]",
+    )
+
+    opt = command("decompose", decompose_cmd)
+    opt("--table", dest="table_path", required=True)
+    opt("--entropy", dest="entropy_text", required=True, help="entropy spec, e.g. shannon2")
+    opt("--out", required=True, help="per-partition uncertainty CSV path")
+
+    opt = command("moments", moments_cmd)
+    opt("--table", dest="table_path", required=True)
+    opt("--eps", type=float, default=0.0, help="calibration error budget [default: %(default)s]")
+    opt("--central", dest="central_j", type=int, help="also emit this central moment")
+    opt("--out", required=True, help="per-partition moments CSV path")
+
+    opt = command("predset", predset_cmd)
+    opt("--table", dest="table_path", required=True)
+    opt("--alpha", type=float, required=True, help="miscoverage level")
+    opt("--kind", choices=["mass", "interval"], default="mass", help="[default: %(default)s]")
+    opt("--delta", type=float, default=0.0,
+        help="enlargement radius (mass sets) [default: %(default)s]")
+    opt("--eps", type=float, default=0.0,
+        help="calibration error budget (intervals) [default: %(default)s]")
+    opt("--reference", help="audit coverage against this table")
+    opt("--audit", dest="audit_path", help="coverage audit CSV path")
+    opt("--out", required=True, help="per-partition set JSON-lines path")
+
+    opt = command("bounds", bounds_cmd)
+    opt("--l", dest="num_labels", type=int, required=True, help="number of labels")
+    opt("--k", type=int, required=True)
+    opt("--eps", type=float, required=True)
+    opt("--delta", type=float, required=True)
+
+    opt = command("fitpoly", fitpoly_cmd)
+    opt("--entropy", dest="entropy_text", required=True)
+    opt("--degree", type=int, required=True)
+    opt("--out", help="optional JSON output path")
+
+    opt = command("bin", bin_cmd)
+    opt("--scores", required=True, help="CSV with argmax_class and max_prob columns")
+    opt("--slices", type=int, default=10, help="slices of [0, 1] per class [default: %(default)s]")
+    opt("--out", required=True, help="CSV path with an added partition column")
+
+    for parser in (root, *commands.choices.values()):
+        parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return root
+
+
+# the options that take no value, and "--", which ends the options
+_NO_VALUE = frozenset({"--help", "--fill-missing", "--"})
+
+
+def _attach_values(argv) -> list:
+    """argv with each option's value joined to it, `--eps=-1e-3`: argparse
+    would read a value such as -1e-3 or -inf as an unknown option, where the
+    option's type should judge it."""
+    args, rest = [], iter(argv)
+    for arg in rest:
+        if arg.startswith("--") and "=" not in arg and arg not in _NO_VALUE:
+            value = next(rest, None)
+            if value is not None:
+                arg = f"{arg}={value}"
+        args.append(arg)
+    return args
+
+
+def _error(kind: str, message: str):
+    print(json.dumps({"error": kind, "message": message}, sort_keys=True), file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    """Run one `hocal` command: exit code 0, 1 for domain/data errors, 2 for
+    usage errors, 130 when interrupted."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        args = vars(_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
+    except _UsageError as exc:
+        _error("usage", str(exc))
+        return 2
+    except SystemExit:
+        # --help, having printed the help: every other parser exit is an error()
+        return 0
+    try:
+        args.pop("run")(**args)
     except (HocalError, OSError) as exc:
         # OSError: a path that cannot be read or written
-        click.echo(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),
-            err=True,
-        )
+        _error(type(exc).__name__, str(exc))
         return 1
-    except click.ClickException as exc:
-        click.echo(
-            json.dumps({"error": "usage", "message": exc.format_message()}, sort_keys=True),
-            err=True,
-        )
-        return 2
-    except click.Abort:
+    except KeyboardInterrupt:
         return 130
     return 0
 

@@ -125,7 +125,7 @@ def _kept_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
     so rows are summed in groups of equal count."""
     counts = keep.sum(axis=1)
     sums = np.empty(len(terms))
-    for c in np.unique(counts).tolist():
+    for c in np.flatnonzero(np.bincount(counts)).tolist():  # the distinct counts
         rows = counts == c
         sums[rows] = terms[rows][keep[rows]].reshape(-1, c).sum(axis=1)
     return sums

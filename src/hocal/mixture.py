@@ -365,7 +365,7 @@ def sample_snapshots(m: Mixture, k: int, n: int, rng: RngSeed) -> np.ndarray:
     idx = gen.choice(m.size, size=n, p=m.weights_array())
     points = m.points_array()
     counts = np.empty((n, m.space.num_labels), dtype=np.int64)
-    for comp in np.unique(idx):
+    for comp in np.flatnonzero(np.bincount(idx)):  # the components drawn
         rows = idx == comp
         counts[rows] = gen.multinomial(k, points[comp], size=int(rows.sum()))
     return counts

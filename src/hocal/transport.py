@@ -165,7 +165,9 @@ def _w1_binary(a: Mixture, b: Mixture):
                 break
             left_b = b_w[ib[j]]
 
-    grid = np.unique(np.concatenate([a_bias, b_bias]))
+    # the distinct biases, sorted; np.unique would import numpy.ma
+    grid = np.sort(np.concatenate([a_bias, b_bias]))
+    grid = grid[np.diff(grid, prepend=np.nan) != 0.0]
     at_a, at_b = np.searchsorted(grid, a_bias), np.searchsorted(grid, b_bias)
     # F_a - F_b at each grid point
     excess = np.cumsum(np.bincount(at_a, a_w, len(grid)) - np.bincount(at_b, b_w, len(grid)))
@@ -251,7 +253,7 @@ def _few_source(cost, a, b):
     # takes what is left (all of it, on a sink with one tight source)
     mass = np.zeros((m, n))
     slack = -excess
-    for tie in np.unique(owner):
+    for tie in np.flatnonzero(np.bincount(owner)):  # the distinct owners
         sinks = np.flatnonzero(owner == tie)
         left = b[sinks]
         spare = (subsets & tie) != tie

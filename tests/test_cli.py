@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hocal.cli
+import hocal.transport
 from hocal.calibrate import CalibrationTable
 from hocal.cli import main, parse_entropy, parse_nature
 from hocal.entropy import EntropySpec
@@ -172,6 +174,132 @@ def test_evaluate_scores_a_three_label_table_without_scipy_optimize(tmp_path):
     assert out[1] == "False"
 
 
+@pytest.fixture
+def binary_tables(tmp_path, capsys, monkeypatch):
+    """A k = 2 binary table and its reference, in tmp_path, the working directory."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["gen", "--nature", "binary-regression", "--n", "2000", "--k", "2", "--seed", "3",
+         "--out", "data.ldjson", "--ref", "ref.ldjson"],
+        ["calibrate", "--data", "data.ldjson", "--reference", "ref.ldjson", "--fill-missing",
+         "--out", "table.ldjson"],
+    ):
+        assert run(argv, capsys)[0] == 0
+    return tmp_path
+
+
+# each run in a fresh interpreter: none may load click, scipy or numpy.ma
+# (numpy's plain np.unique imports numpy.ma)
+_START_UP = {
+    "import": "import hocal.cli",
+    "evaluate": "from hocal.cli import main\n"
+                "assert main(['evaluate', '--table', 'table.ldjson', '--reference', 'ref.ldjson',"
+                " '--out', 'w1.csv']) == 0",
+    "decompose": "from hocal.cli import main\n"
+                 "assert main(['decompose', '--table', 'table.ldjson', '--entropy', 'shannon2',"
+                 " '--out', 'u.csv']) == 0",
+    "gen": "from hocal.cli import main\n"
+           "assert main(['gen', '--nature', 'two-scenario-2', '--n', '200', '--k', '2',"
+           " '--seed', '1', '--out', 'g.ldjson']) == 0",
+    "few-source": "from hocal import LabelSpace, mixture_from_arrays, wasserstein1\n"
+                  "s = LabelSpace(3)\n"
+                  "a = mixture_from_arrays([(0.1, 0.2, 0.7), (0.6, 0.3, 0.1), (1, 0, 0), (0, 0.5, 0.5)],"
+                  " [0.1, 0.2, 0.3, 0.4], s)\n"
+                  "b = mixture_from_arrays([(0.3, 0.3, 0.4), (0, 1, 0), (0.2, 0.2, 0.6), (0, 0, 1)],"
+                  " [0.25] * 4, s)\n"
+                  "assert wasserstein1(a, b)[0] > 0",
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_START_UP))
+def test_stages_start_without_click_scipy_or_numpy_ma(binary_tables, stage):
+    code = _START_UP[stage] + "\nimport sys\n" + (
+        "print(sorted(m for m in ('click', 'numpy.ma', 'scipy') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=binary_tables, env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out[-1] == "[]"
+
+
+# the k = 3 lattice on 3 labels, all 10 points
+_LATTICE_3_3 = ["000", "001", "002", "011", "012", "022", "111", "112", "122", "222"]
+
+
+@pytest.fixture
+def lattice_tables(tmp_path, capsys, monkeypatch):
+    """(3, 3) tables in tmp_path, the working directory, one record per point:
+    table3 holds all 10 points, ref3 the first 9 with 000 twice, table8 the
+    first 8."""
+    monkeypatch.chdir(tmp_path)
+    header = json.dumps({"format_version": 1, "k": 3, "num_labels": 3})
+    for name, points in (("data3", _LATTICE_3_3), ("refdata3", _LATTICE_3_3[:9] + ["000"]),
+                         ("data8", _LATTICE_3_3[:8])):
+        records = [json.dumps({"labels": [int(c) for c in p], "partition": "a"}) for p in points]
+        (tmp_path / f"{name}.ldjson").write_text("\n".join([header, *records]) + "\n")
+    for argv in (["--data", "refdata3.ldjson", "--out", "ref3.ldjson"],
+                 ["--data", "data3.ldjson", "--reference", "ref3.ldjson", "--out", "table3.ldjson"],
+                 ["--data", "data8.ldjson", "--out", "table8.ldjson"]):
+        assert run(["calibrate", *argv], capsys)[0] == 0
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The W1 route of every `wasserstein1` call, in order."""
+    taken = []
+    route = hocal.transport._route
+
+    def spy(*args):
+        taken.append(route(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(hocal.transport, "_route", spy)
+    return taken
+
+
+def _evaluate(capsys, table, reference):
+    """`hocal evaluate` of two tables: its one summary line and its CSV rows."""
+    code, out, _ = run(["evaluate", "--table", f"{table}.ldjson",
+                        "--reference", f"{reference}.ldjson", "--out", "w1.csv"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0]), read_csv_rows("w1.csv")
+
+
+def test_a_three_label_table_is_scored_on_the_lattice_flow(lattice_tables, routes, capsys):
+    # all 10 points against 9 of them: 90 point pairs on 36 single-label moves
+    _evaluate(capsys, "table3", "ref3")
+    assert routes == ["flow"]
+
+
+def test_the_lattice_flow_scores_a_table_against_itself_at_zero(lattice_tables, routes, capsys):
+    # the flow's rounds have no excess
+    _, rows = _evaluate(capsys, "table3", "table3")
+    assert rows and all(r["w1"] == "0.0" for r in rows), rows
+    assert routes == ["flow"]
+
+
+def test_an_eight_point_table_takes_the_few_source_route(lattice_tables, routes, capsys):
+    # a side of at most 8 points takes few-source, ahead of the lattice flow
+    summary, rows = _evaluate(capsys, "table8", "table3")
+    assert math.isfinite(summary["worst"])
+    assert rows and all(math.isfinite(float(r["w1"])) for r in rows), rows
+    assert routes == ["few-source"]
+
+
+def test_decompose_fills_the_tmi_fields_of_a_three_label_table(lattice_tables, capsys):
+    code, out, _ = run(["decompose", "--table", "table3.ldjson", "--entropy", "brier",
+                        "--out", "u3.csv"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1
+    json.loads(out)
+    row = next(r for r in read_csv_rows("u3.csv") if r["partition"] == "a")
+    assert row["eu_tmi"] != "", row
+
+
 def test_gen_is_byte_stable(tmp_path, capsys):
     d1, d2 = tmp_path / "a.ldjson", tmp_path / "b.ldjson"
     for out in (d1, d2):
@@ -200,6 +328,16 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert with_env.read_bytes() == explicit.read_bytes()
+    # --seed wins over the variable, which is then never read
+    monkeypatch.setenv("HOCAL_SEED", "abc")
+    overridden = tmp_path / "over.ldjson"
+    code, _, _ = run(
+        ["gen", "--nature", "two-scenario-1", "--n", "50", "--k", "1",
+         "--seed", "7", "--out", str(overridden)],
+        capsys,
+    )
+    assert code == 0
+    assert overridden.read_bytes() == explicit.read_bytes()
 
 
 def test_decompose_scenario_tables(tmp_path, capsys):
@@ -426,10 +564,65 @@ def test_domain_error_diagnostic_shape(capsys):
     assert "\n" not in err.strip()
 
 
-def test_usage_error_exit_code(capsys):
-    code, _, err = run(["evaluate", "--table", "x.ldjson"], capsys)
+_BOUNDS = ["bounds", "--l", "2", "--k", "2", "--eps", "0.1", "--delta", "0.05"]
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        ([], None),
+        (["frobnicate"], None),
+        ([*_BOUNDS, "--bogus", "1"], None),
+        (["evaluate", "--table", "x.ldjson"], None),
+        (["bounds", "--l", "x", "--k", "2", "--eps", "0.1", "--delta", "0.05"], None),
+        (["predset", "--table", "t.ldjson", "--alpha", "0.1", "--kind", "foo", "--out", "s"], None),
+        (["bounds", "--l", "2", "--k", "2", "--ep", "0.1", "--delta", "0.05"], None),
+        (["gen", "--nature", "two-scenario-1", "--n", "5", "--k", "1", "--out", "g.ldjson"], "abc"),
+    ],
+    ids=["no-command", "unknown-command", "unknown-option", "missing-option", "bad-int",
+         "bad-choice", "abbreviation", "bad-HOCAL_SEED"],
+)
+def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, argv, seed):
+    monkeypatch.chdir(tmp_path)
+    if seed is None:
+        monkeypatch.delenv("HOCAL_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HOCAL_SEED", seed)
+    code, out, err = run(argv, capsys)
     assert code == 2
-    assert json.loads(err)["error"] == "usage"
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert set(diag) == {"error", "message"}
+    assert diag["error"] == "usage"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]])
+def test_help_returns_0_with_the_help_on_stdout(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert err == ""
+    assert out.startswith("usage: hocal")
+    assert ("--seed" in out) == (argv[0] == "gen")
+
+
+def test_an_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(**options):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(hocal.cli, "bounds_cmd", interrupted)
+    assert run(_BOUNDS, capsys)[0] == 130
+
+
+@pytest.mark.parametrize("eps", ["-1e-3", "-inf"])
+def test_an_option_value_may_start_with_a_dash(capsys, eps):
+    # the value is the option's to judge, not the parser's: a domain error
+    code, out, err = run(["bounds", "--l", "2", "--k", "2", "--eps", eps, "--delta", "0.05"], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
 
 
 def test_unknown_entropy_via_cli(tmp_path, capsys):
