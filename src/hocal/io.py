@@ -18,8 +18,7 @@ import numpy as np
 from .calibrate import CalibrationTable, SnapshotDataset, _is_count
 from .errors import FormatError, InvalidDistribution
 from .mixture import (
-    WEIGHT_SUM_TOL, Mixture, _check_weights, _coordinate_rows, _lattice_counts, _merge,
-    _running_sum,
+    Mixture, _check_total, _check_weights, _coordinate_rows, _lattice_counts, _merge, _running_sum,
 )
 from .simplex import LabelSpace, simplex_rows
 
@@ -144,31 +143,29 @@ def write_snapshot_dataset(ds: SnapshotDataset, path):
         fh.write("".join(map(lines.__getitem__, inverse.tolist())))
 
 
-def _table_entry(points, weights, space: LabelSpace, k: int) -> Mixture:
+def _table_entry(pid: str, points, weights, space: LabelSpace, k: int) -> Mixture:
     """The mixture of one table record, with the bits it was written with.
 
-    `_coordinate_rows` checks the rows and `_check_weights` the weights,
-    with the generic constructor's messages. Each row on the size-k lattice
-    becomes its canonical row simplex_rows(counts / k), kept as checked
-    where equal under == (so a written -0.0 stays), and `_merge` sorts the
-    rows as Mixture stores them and folds rows on one lattice point onto
-    one, summing their weights in input order. Weights whose running total
-    is within 1e-9 of 1 are kept undivided. Rows off the lattice go to the
-    generic constructor, and the table refuses them.
+    `_coordinate_rows` checks the rows, `_check_weights` the weights and
+    `_check_total` their running total, with the generic constructor's
+    messages; then the lattice check names the first row off the size-k
+    lattice, prefixed with the partition. Each row becomes its canonical
+    row simplex_rows(counts / k), kept as checked where equal under == (so
+    a written -0.0 stays), and `_merge` sorts the rows as Mixture stores
+    them and folds rows on one lattice point onto one, summing their
+    weights in input order. The weights are kept undivided.
     """
     rows = _coordinate_rows(points, space)
-    try:
-        counts = _lattice_counts(rows, k)
-    except InvalidDistribution:
-        return Mixture(points, weights, space)
-    canonical = simplex_rows(counts / k)
-    rows = np.where(rows == canonical, rows, canonical)
     w = np.fromiter(map(float, weights), dtype=float)
     _check_weights(w)
-    total = _running_sum(w)
-    if abs(total - 1.0) <= WEIGHT_SUM_TOL:
-        total = 1.0  # the weights as written, not divided again
-    return Mixture._from_distinct(*_merge(rows, w), total, space)
+    _check_total(_running_sum(w))
+    try:
+        counts = _lattice_counts(rows, k)
+    except InvalidDistribution as exc:
+        raise InvalidDistribution(f"partition {pid!r}: {exc}") from None
+    canonical = simplex_rows(counts / k)
+    rows = np.where(rows == canonical, rows, canonical)
+    return Mixture._from_distinct(*_merge(rows, w), 1.0, space)
 
 
 def read_calibration_table(path) -> CalibrationTable:
@@ -202,7 +199,7 @@ def read_calibration_table(path) -> CalibrationTable:
             raise FormatError(f"{path}: partition {pid!r}: coordinates and weights must be JSON numbers",
                               line=lineno)
         try:
-            entries[pid] = _table_entry(points, weights, space, k)
+            entries[pid] = _table_entry(pid, points, weights, space, k)
         except (OverflowError, TypeError, ValueError) as exc:
             # OverflowError: an integer too large for a float
             raise FormatError(f"{path}: partition {pid!r}: {exc}", line=lineno) from None

@@ -33,7 +33,7 @@ CHECK_TOL = 1e-8
 # HiGHS feasibility tolerances are absolute; solving with supplies scaled up
 # by this factor and dividing the flow back down leaves marginal residuals
 # near 1e-11, far inside CHECK_TOL. At 1e8, presolve judged some systems with
-# supplies spanning many orders of magnitude infeasible (README, "Distances").
+# supplies spanning many orders of magnitude infeasible (README, "HiGHS").
 _SUPPLY_SCALE = 1e6
 # HiGHS's default dual tolerance admits reduced costs down to -1e-7, looser than CHECK_TOL
 _DUAL_TOL = 1e-10
@@ -179,7 +179,7 @@ def _w1_binary(a: Mixture, b: Mixture):
 
 # Sides of at most this many points are the sources of `_few_source`, whose
 # Hall check walks all 2^m - 2 source subsets. Measured against HiGHS
-# (README "Distances"): 8 sources win at every size measured; 10 sources
+# (README "Few sources"): 8 sources win at every size measured; 10 sources
 # already lose at 16 sinks
 _FEW_SOURCES = 8
 # Dual ascent steps `_few_source` may take before it raises SolverFailure;
@@ -273,9 +273,10 @@ def _few_source(cost, a, b):
 DEFAULT_NODE_CAP = 100_000
 # The dense LP has a.size * b.size pair variables, the lattice flow one per
 # single-label move, times a number of phases that grows with k. On spread
-# supports from (l, k) = (3, 16) to (3, 200) and (4, 32) (README
-# "Distances"), the flow took 0.27 to 0.90 of the LP's time at twice as many
-# pairs as moves, and up to 2.3 times it at as many.
+# supports from (l, k) = (3, 16) to (3, 200) and (4, 32)
+# (README "Lattice flow or HiGHS"), the flow took 0.32 to 0.83 of the LP's
+# time at twice as many pairs as moves; at about as many it won on 4 of 6
+# lattices and took up to 1.2 times the LP's time on the other two.
 _PAIRS_PER_MOVE = 2
 
 
@@ -652,9 +653,9 @@ def _marginal_potential(counts, supply, k: int):
 
 
 # Round 1 starts from the half-size lattice's dual on lattices of at least
-# this many points. Measured per solve (README "Distances"): the lifted
-# start saved 10-47% from (3, 64) up; below, it lost at some draws, and a
-# third at (3, 16)
+# this many points. Measured (README "The lattice flow"): the lifted start
+# saved 10-47% from (3, 64) up; below, it lost at some draws, and a third
+# at (3, 16)
 _COARSE_POINTS = 2000
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -288,6 +289,50 @@ def test_an_eight_point_table_takes_the_few_source_route(lattice_tables, routes,
     assert math.isfinite(summary["worst"])
     assert rows and all(math.isfinite(float(r["w1"])) for r in rows), rows
     assert routes == ["few-source"]
+
+
+def test_four_label_k_24_tables_are_scored_on_the_coarse_started_flow(
+        tmp_path, routes, capsys, monkeypatch):
+    # two tables of 2 partitions x 3000 records, each record drawn from its
+    # own Dirichlet(1) probabilities: every partition is scored on the
+    # lattice flow over 2925 points, whose round 1 starts from the dual of
+    # one round on the 455-point half-size lattice
+    monkeypatch.chdir(tmp_path)
+    header = json.dumps({"format_version": 1, "k": 24, "num_labels": 4})
+    for name, seed in (("d24a", 1), ("d24b", 2)):
+        rng = np.random.default_rng(seed)
+        records = [json.dumps({"labels": np.repeat(np.arange(4), counts).tolist(), "partition": part})
+                   for part in ("a", "b")
+                   for counts in rng.multinomial(24, rng.dirichlet(np.ones(4), 3000))]
+        (tmp_path / f"{name}.ldjson").write_text("\n".join([header, *records]) + "\n")
+    for argv in (["--data", "d24a.ldjson", "--out", "t24a.ldjson"],
+                 ["--data", "d24b.ldjson", "--reference", "t24a.ldjson", "--out", "t24b.ldjson"]):
+        assert run(["calibrate", *argv], capsys)[0] == 0
+    sizes = []
+    phases = hocal.transport._flow_phases
+
+    def watched(graph, *args):
+        sizes.append(len(graph[4]))
+        phases(graph, *args)
+
+    monkeypatch.setattr(hocal.transport, "_flow_phases", watched)
+    summary, rows = _evaluate(capsys, "t24b", "t24a")
+    assert math.isfinite(summary["worst"])
+    assert rows and all(math.isfinite(float(r["w1"])) for r in rows), rows
+    assert routes == ["flow", "flow"]
+    assert sizes.count(455) == 2, sizes
+
+
+def test_a_tiny_binary_pipeline_is_scored_on_the_cdf_route(tmp_path, routes, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["gen", "--nature", "two-scenario-2", "--n", "40", "--k", "2", "--seed", "1",
+                  "--out", "d2.ldjson", "--ref", "r2.ldjson"],
+                 ["calibrate", "--data", "d2.ldjson", "--reference", "r2.ldjson",
+                  "--out", "t2.ldjson"]):
+        assert run(argv, capsys)[0] == 0
+    _, rows = _evaluate(capsys, "t2", "r2")
+    assert any(r["partition"] == "all" for r in rows), rows
+    assert routes == ["cdf"]
 
 
 def test_decompose_fills_the_tmi_fields_of_a_three_label_table(lattice_tables, capsys):

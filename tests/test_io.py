@@ -317,6 +317,38 @@ def test_a_point_off_the_lattice_names_its_partition(tmp_path):
         "partition 'a': support point (0.4, 0.6) is not on the size-3 snapshot lattice")
 
 
+TABLE_K3 = '{"format_version": 1, "k": 3, "kind": "calibration_table", "num_labels": 2}\n'
+
+
+def test_an_off_lattice_record_is_refused_before_a_later_bad_line(tmp_path):
+    # the first off-lattice row in file order is named, though (0.1, 0.9)
+    # sorts first; line 3's unequal lists are never reached
+    path = tmp_path / "table.ldjson"
+    path.write_text(
+        TABLE_K3
+        + '{"count": null, "partition": "a", "points": [[0.4, 0.6], [0.1, 0.9], [1.0, 0.0]], '
+        '"weights": [0.25, 0.25, 0.5]}\n'
+        '{"count": null, "partition": "b", "points": [[1.0, 0.0]], "weights": [0.5, 0.5]}\n'
+    )
+    with pytest.raises(InvalidDistribution) as exc:
+        read_calibration_table(path)
+    assert str(exc.value) == (
+        "partition 'a': support point (0.4, 0.6) is not on the size-3 snapshot lattice")
+
+
+@pytest.mark.parametrize("points, weights, message", [
+    ([[0.4, 0.7]], [1.0], "probabilities sum to 1.1"),  # the rows first
+    ([[0.4, 0.6]], [-1.0], "weight -1.0 is not positive and finite"),  # then the weights
+    ([[0.4, 0.6], [1.0, 0.0]], [0.5, 0.6], "weights sum to 1.1, expected 1"),  # their sum
+])
+def test_a_record_is_checked_before_its_lattice(tmp_path, points, weights, message):
+    path = tmp_path / "table.ldjson"
+    record = {"count": None, "partition": "a", "points": points, "weights": weights}
+    path.write_text(TABLE_K3 + json.dumps(record) + "\n")
+    with pytest.raises(InvalidDistribution, match=message):
+        read_calibration_table(path)
+
+
 def test_table_duplicate_partition_rejected(tmp_path):
     path = tmp_path / "table.ldjson"
     path.write_text(

@@ -19,3 +19,18 @@ def test_every_public_name_is_in_all():
     public = {name for name, value in vars(hocal).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(hocal.__all__) == public
+
+
+def test_every_readme_section_reference_names_a_heading():
+    # a reference is README, an optional comma and a quoted section name on
+    # one line of the package or the tests; fenced code holds no headings
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    headings = set(re.findall(r"^#+ (.+)$", prose, re.M))
+    root = README.parent
+    refs = {
+        (str(path.relative_to(root)), section)
+        for path in sorted((root / "src" / "hocal").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+        for section in re.findall(r'README,? "([^"]+)"', path.read_text(encoding="utf-8"))
+    }
+    assert refs
+    assert {ref for ref in refs if ref[1] not in headings} == set()
